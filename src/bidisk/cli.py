@@ -13,8 +13,9 @@ step-size failures.
 
 Output bytes are a pure function of the parsed options: CSV files use
 CRLF line endings and repr float formatting, the verification report is
-sorted JSON, and sampling splits its substreams deterministically, so
---threads never changes the result.
+sorted JSON, and sampling splits its substreams deterministically.
+--threads is accepted on every subcommand and changes neither the output
+nor the execution.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--seed", type=int, default=S, help="RNG seed")
-        sp.add_argument("--threads", type=int, default=S, help="worker threads")
+        sp.add_argument("--threads", type=int, default=S, help="no effect on output or execution")
         sp.add_argument("--out", default=S, help="output path (default stdout)")
         sp.add_argument("--config", default=S, help="key=value config file")
 
@@ -202,8 +203,8 @@ def parse_grid(spec: str, log: bool) -> np.ndarray:
         n = int(parts[2])
     except ValueError as exc:
         raise CliError(f"bad grid {spec!r}: {exc}") from exc
-    if not (0.0 < lo < hi) or n < 2:
-        raise CliError(f"grid needs 0 < min < max and points >= 2, got {spec!r}")
+    if not (0.0 < lo < hi < math.inf) or n < 2:
+        raise CliError(f"grid needs 0 < min < max < inf and points >= 2, got {spec!r}")
     if log:
         return np.geomspace(lo, hi, n)
     return np.linspace(lo, hi, n)
@@ -283,9 +284,7 @@ def cmd_sample(opts: dict) -> int:
     if opts["n"] < 1:
         raise CliError("--n must be >= 1")
     weight = parse_weight(opts["weight"])
-    batch = mc_sample(
-        opts["n"], opts["seed"], weight, streams=opts["streams"], threads=opts["threads"]
-    )
+    batch = mc_sample(opts["n"], opts["seed"], weight, streams=opts["streams"])
     rows = zip(batch.omega.tolist(), batch.weight.tolist())
     _write_text(opts["out"], _csv_text(("omega", "weight"), rows))
     return EXIT_OK

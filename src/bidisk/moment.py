@@ -38,12 +38,12 @@ def mu_slice_invert(x: float) -> float:
 
     Rationalized form x / (sqrt(16 + x^2) + 4) of (sqrt(16 + x^2) - 4) / x;
     free of cancellation, and for x < 1e-8 it evaluates to the series x/8
-    exactly.
+    exactly.  The root is taken by hypot, so large x does not overflow.
     """
     x = float(x)
     if x < 0.0:
         raise ValueError("moment value must be nonnegative")
-    return x / (math.sqrt(16.0 + x * x) + 4.0)
+    return x / (math.hypot(x, 4.0) + 4.0)
 
 
 def omega_of_pair(p: BidiskPoint) -> float:

@@ -68,9 +68,6 @@ _WG = np.array(
 )
 _GAUSS_IDX = np.arange(1, 15, 2)
 
-KRONROD_NODES = _X
-KRONROD_WEIGHTS = _WK
-
 
 @dataclass(frozen=True)
 class QuadResult:
@@ -80,12 +77,8 @@ class QuadResult:
     panels: int
 
 
-def kronrod_panel(f, a: float, b: float) -> tuple[float, float]:
-    """K15 value and error estimate for one panel."""
-    return _panel(f, a, b)
-
-
 def _panel(f, a: float, b: float) -> tuple[float, float]:
+    """K15 value and error estimate for one panel."""
     h = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     fv = np.asarray(f(mid + h * _X), dtype=float)
@@ -114,8 +107,6 @@ def adaptive(
     val, err = _panel(f, a, b)
     width_floor = min_width * (abs(a) + abs(b) + 1.0)
     heap = [(-err, 0, a, b, val, err)]
-    frozen_val = 0.0
-    frozen_err = 0.0
     total_val = val
     total_err = err
     count = 1
@@ -124,8 +115,6 @@ def adaptive(
         _, _, pa, pb, pval, perr = heapq.heappop(heap)
         if pb - pa < width_floor:
             # cannot refine further in double precision; keep as-is
-            frozen_val += pval
-            frozen_err += perr
             continue
         mid = 0.5 * (pa + pb)
         lv, le = _panel(f, pa, mid)
@@ -147,10 +136,3 @@ def composite_nodes(k: int) -> tuple[np.ndarray, np.ndarray]:
     nodes = (starts[:, None] + 0.5 * width * (1.0 + _X)[None, :]).ravel()
     weights = np.tile(0.5 * width * _WK, k)
     return nodes, weights
-
-
-def fixed_quadrature(f, a: float, b: float, k: int) -> float:
-    """Composite K15 with k equal panels, no error estimate."""
-    nodes, weights = composite_nodes(k)
-    x = a + (b - a) * nodes
-    return (b - a) * float(weights @ np.asarray(f(x), dtype=float))

@@ -8,17 +8,19 @@ gives the distribution function
 
     F(x) = 2 * int_0^1 (u (1 - s^2) / (1 - s^2 u^2))^2 s ds,
 
-which this module evaluates by quadrature (scalar adaptive and a fast
-vectorized batch rule), together with closed-form candidates, Monte
-Carlo sampling, moments, and importance reweighting by radial weights
-w(rho).
+whose closed form in u is 2/u^2 - 1 + 2 (1 - u^2) log(1 - u^2) / u^4.
+The closed form, evaluated on arrays, serves the reweighting table and the
+tabulated candidates; the quadrature routes (scalar adaptive and a
+vectorized batch rule) are the independent reference that the
+discrepancy ledger checks the closed forms against.  Monte Carlo
+sampling, moments, and importance reweighting by radial weights w(rho)
+complete the module.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,11 +28,17 @@ import numpy as np
 from .moment import mu_slice_invert
 from .quadrature import adaptive, composite_nodes
 
-# closed forms switch to their Taylor series below these arguments; the
-# direct expressions lose digits to cancellation as the argument -> 0
-SERIES_CUT_DERIVED = 0.25
-SERIES_CUT_PAPER = 0.25
-_SERIES_MAX_TERMS = 400
+# closed forms switch to their Taylor series below this Schwarz radius u
+# (rescaled parameter x~ for the x~-forms); the direct expressions lose
+# digits to cancellation as the argument -> 0
+SERIES_CUT = 0.25
+# the series run in z = u^2 < 1/16, where (1/16)^30 is far below double
+# precision relative to the leading term
+_K = np.arange(30.0)
+# F(u) = u^2 S(u^2), S(z) = sum_k 2 z^k / ((k+2)(k+3))
+_F_SERIES = 2.0 / ((_K + 2.0) * (_K + 3.0))
+# d/du (u^2 F(u)) = 4 u^3 T(u^2), T(z) = sum_k z^k / (k+3)
+_DF_SERIES = 1.0 / (_K + 3.0)
 
 TABLE_COLUMNS = (
     "x",
@@ -125,6 +133,8 @@ def one_minus_cdf(x: float, rel_tol: float = 1e-10) -> float:
 
 
 _BATCH_CHUNK = 16384
+# points x nodes per chunk: a full chunk at the minimum of 12 panels
+_BATCH_NODES = _BATCH_CHUNK * 15 * 12
 _node_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -134,39 +144,51 @@ def _nodes_for(k: int) -> tuple[np.ndarray, np.ndarray]:
     return _node_cache[k]
 
 
+def _quarter_square_log(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s = (x/4)^2 and Y = log(1 + s) on arrays; Y stays finite where s
+    overflows (x >~ 5e154)."""
+    with np.errstate(over="ignore", divide="ignore"):
+        s = (x / 4.0) ** 2
+        return s, np.where(s < np.inf, np.log1p(s), 2.0 * np.log(x / 4.0))
+
+
 def cdf_quadrature_batch(xs) -> np.ndarray:
-    """Vectorized distribution function on an array of x values.
+    """Vectorized distribution function on an array of x values in [0, inf].
 
     Evaluates the same fiber integral after the substitutions sigma = s^2
-    and 1 - sigma u^2 = (1 - u^2) e^{Y v}, Y = log(1/(1 - u^2)):
+    and 1 - sigma u^2 = (1 - u^2) e^{Y v}, Y = log(1 + x^2/16):
 
-        F = eps (1 + eps) Y * int_0^1 expm1(-Y v)^2 e^{Y v} dv,
-        eps = 16 / x^2.
+        F = c^2 Y * int_0^1 g(v)^2 e^{-Y (1 - v)} dv,
+        g = expm1(-Y v) / Y,   c = (1 + 16/x^2) Y.
 
-    The v-integrand is smooth with derivatives bounded by e^Y, so a fixed
-    composite K15 rule with panel width <= 0.4 resolves it to full double
-    precision; agreement with the adaptive scalar route is checked in the
-    test-suite at 1e-9.
+    Every factor stays in range for all finite x: c -> 1 and g -> -v as
+    x -> 0, and the exponential never exceeds 1.  The v-integrand varies on
+    the scale 1/Y, so a composite K15 rule with panel width <= 0.4/Y
+    resolves it to full double precision; agreement with the adaptive
+    scalar route is checked in the test-suite at 1e-9.  Chunks are taken
+    in order of Y and capped in points x nodes.
     """
     xs = np.asarray(xs, dtype=float)
+    if not np.all(xs >= 0.0):
+        raise ValueError("spectral parameter must be nonnegative")
     flat = xs.ravel()
-    out = np.zeros(flat.shape, dtype=float)
-    for start in range(0, flat.size, _BATCH_CHUNK):
-        chunk = flat[start : start + _BATCH_CHUNK]
-        pos = chunk > 0.0
-        if not np.any(pos):
-            continue
-        x = chunk[pos]
-        eps = 16.0 / (x * x)
-        y = np.log1p(x * x / 16.0)
-        k = max(12, int(math.ceil(float(np.max(y)) / 0.4)))
+    s, y = _quarter_square_log(flat)
+    out = np.where(flat == np.inf, 1.0, 0.0)
+    # s underflows to 0 below x ~ 6e-162, where F ~ x^2/48 does too
+    pos = np.flatnonzero((s > 0.0) & (flat < np.inf))
+    order = pos[np.argsort(y[pos], kind="stable")]
+    start = 0
+    while start < order.size:
+        last = order[min(start + _BATCH_CHUNK, order.size) - 1]
+        k = max(12, math.ceil(y[last] / 0.4))
+        sel = order[start : start + max(1, _BATCH_NODES // (15 * k))]
+        start += sel.size
         v, wv = _nodes_for(k)
-        yv = y[:, None] * v[None, :]
-        g = np.expm1(-yv)
-        vals = (g * g * np.exp(yv)) @ wv
-        res = np.zeros(chunk.shape, dtype=float)
-        res[pos] = eps * (1.0 + eps) * y * vals
-        out[start : start + _BATCH_CHUNK] = res
+        ys = y[sel][:, None]
+        g = np.expm1(-ys * v) / ys
+        vals = (g * g * np.exp(-ys * (1.0 - v))) @ wv
+        c = y[sel] + y[sel] / s[sel]
+        out[sel] = c * c * y[sel] * vals
     return out.reshape(xs.shape)
 
 
@@ -202,124 +224,122 @@ def _pdf_batch(xs: np.ndarray) -> np.ndarray:
 # closed forms
 
 
-def cdf_closed_derived(u: float) -> float:
+def _series(z: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Horner sum of coef[k] z^k over the fixed number of terms."""
+    acc = np.zeros_like(z)
+    for c in coef[::-1]:
+        acc = acc * z + c
+    return acc
+
+
+def _schwarz_radius(x) -> np.ndarray:
+    """u = x / sqrt(16 + x^2) on arrays without squaring x; 1 at x = inf."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return 1.0 / np.hypot(1.0, 4.0 / np.asarray(x, dtype=float))
+
+
+def _cdf_and_tail(x) -> tuple[np.ndarray, np.ndarray]:
+    """F(x) and 1 - F(x) from the closed form, on an array of x in [0, inf].
+
+    Below u = SERIES_CUT, F comes from the series.  Above it the tail is
+    taken first, as 1 - F = (2 r^2 / u^4) (Y - u^2) with r = 4/hypot(x, 4)
+    and Y = log(1 + x^2/16), so no x^2 overflows and the tail keeps its
+    relative accuracy out to the largest double.
+    """
+    x = np.asarray(x, dtype=float)
+    u2 = _schwarz_radius(x) ** 2
+    big = u2 >= SERIES_CUT**2
+    cdf, tail = np.empty_like(u2), np.empty_like(u2)
+    z = u2[~big]
+    cdf[~big] = z * _series(z, _F_SERIES)
+    tail[~big] = 1.0 - cdf[~big]
+    z, r = u2[big], 4.0 / np.hypot(x[big], 4.0)
+    y = _quarter_square_log(x[big])[1]
+    with np.errstate(invalid="ignore"):  # 0 * inf at x = inf
+        tail[big] = np.where(r > 0.0, 2.0 * r * r * (y - z) / (z * z), 0.0)
+    cdf[big] = 1.0 - tail[big]
+    return cdf, tail
+
+
+_RADIUS = (1.0, "schwarz radius must lie in [0, 1)")
+_RESCALED = (np.inf, "rescaled parameter must be finite and nonnegative")
+
+
+def _closed_form(arg, series, direct, upper: float, message: str):
+    """series(arg) below SERIES_CUT and direct(arg) from it on, for arg in
+    [0, upper); a float for a float argument."""
+    arg = np.asarray(arg, dtype=float)
+    if not np.all((arg >= 0.0) & (arg < upper)):
+        raise ValueError(message)
+    out = np.piecewise(arg, [arg < SERIES_CUT], [series, direct])
+    return float(out) if out.ndim == 0 else out
+
+
+def cdf_closed_derived(u):
     """Closed form 2/u^2 - 1 + 2 (1 - u^2) log(1 - u^2) / u^4 of the fiber
     integral, as a function of the Schwarz radius u = x / sqrt(16 + x^2).
 
-    Below u = 1/4 the expression is evaluated by its series
-    sum_{j>=1} 2 u^{2j} / ((j+1)(j+2)) to avoid cancellation.
+    Accepts a float or an array.  Below u = 1/4 the expression is
+    evaluated by its series sum_{j>=1} 2 u^{2j} / ((j+1)(j+2)) to avoid
+    cancellation.
     """
-    u = float(u)
-    if not 0.0 <= u < 1.0:
-        raise ValueError("schwarz radius must lie in [0, 1)")
-    if u == 0.0:
-        return 0.0
-    u2 = u * u
-    if u < SERIES_CUT_DERIVED:
-        acc = 0.0
-        term = u2
-        j = 1
-        while j < _SERIES_MAX_TERMS:
-            inc = 2.0 * term / ((j + 1.0) * (j + 2.0))
-            acc += inc
-            if inc < 1e-18 * acc:
-                break
-            term *= u2
-            j += 1
-        return acc
-    return 2.0 / u2 - 1.0 + 2.0 * (1.0 - u2) * math.log1p(-u2) / (u2 * u2)
+    return _closed_form(
+        u,
+        lambda u: u**2 * _series(u**2, _F_SERIES),
+        lambda u: 2.0 / u**2 - 1.0 + 2.0 * (1.0 - u**2) * np.log1p(-(u**2)) / u**4,
+        *_RADIUS,
+    )
 
 
-def cdf_closed_paper_u(u: float) -> float:
+def cdf_closed_paper_u(u):
     """Literal transcription of the u-form candidate
     2 (1 - u^2) log(1 - u^2) / u^2 + 2 - u^2.
 
     Equal to u^2 * cdf_closed_derived(u), so it does not agree with the
     quadrature distribution (e.g. 0.0239 vs 0.0956 at u = 1/2); it is kept
-    verbatim for the discrepancy ledger.  Below u = 1/4 the equivalent
-    series sum_{m>=3} 2 u^{2m-2} / (m (m-1)) is used.
+    verbatim for the discrepancy ledger.  Accepts a float or an array.
+    Below u = 1/4 the equivalent series sum_{m>=3} 2 u^{2m-2} / (m (m-1))
+    is used.
     """
-    u = float(u)
-    if not 0.0 <= u < 1.0:
-        raise ValueError("schwarz radius must lie in [0, 1)")
-    if u == 0.0:
-        return 0.0
-    u2 = u * u
-    if u < SERIES_CUT_PAPER:
-        acc = 0.0
-        term = u2 * u2
-        m = 3
-        while m < _SERIES_MAX_TERMS:
-            inc = 2.0 * term / (m * (m - 1.0))
-            acc += inc
-            if inc < 1e-18 * acc:
-                break
-            term *= u2
-            m += 1
-        return acc
-    return 2.0 * (1.0 - u2) * math.log1p(-u2) / u2 + 2.0 - u2
+    return _closed_form(
+        u,
+        lambda u: u**4 * _series(u**2, _F_SERIES),
+        lambda u: 2.0 * (1.0 - u**2) * np.log1p(-(u**2)) / u**2 + 2.0 - u**2,
+        *_RADIUS,
+    )
 
 
-def cdf_closed_paper_prop(x_tilde: float) -> float:
+def cdf_closed_paper_prop(x_tilde):
     """Literal transcription of the rescaled candidate
     -(2/x~^2) log(1 + x~^2) + 1/(1 + x~^2), x~ = x/4.
 
     Tends to 0 (not 1) as x~ -> inf and to -1 at 0; kept verbatim for the
-    discrepancy ledger.  Below x~ = 1/4 the equivalent series
-    -1 + sum_{m>=2} (-1)^m ((m-1)/(m+1)) x~^{2m} is used.
+    discrepancy ledger.  Accepts a float or an array.  Below x~ = 1/4 it
+    is evaluated as the u-form minus 1, at u = x~ / sqrt(1 + x~^2) < 1/4.
     """
-    xt = float(x_tilde)
-    if xt < 0.0:
-        raise ValueError("rescaled parameter must be nonnegative")
-    if xt == 0.0:
-        return -1.0
-    z = xt * xt
-    if xt < SERIES_CUT_PAPER:
-        acc = -1.0
-        term = z * z
-        sign = 1.0
-        m = 2
-        while m < _SERIES_MAX_TERMS:
-            inc = sign * term * (m - 1.0) / (m + 1.0)
-            acc += inc
-            if abs(inc) < 1e-18 * max(abs(acc), 1e-300):
-                break
-            term *= z
-            sign = -sign
-            m += 1
-        return acc
-    return -2.0 * math.log1p(z) / z + 1.0 / (1.0 + z)
+    return _closed_form(
+        x_tilde,
+        lambda t: cdf_closed_paper_u(t / np.hypot(1.0, t)) - 1.0,
+        lambda t: -2.0 * np.log1p(t**2) / t**2 + 1.0 / (1.0 + t**2),
+        *_RESCALED,
+    )
 
 
-def pdf_closed_paper(x_tilde: float) -> float:
+def pdf_closed_paper(x_tilde):
     """Literal transcription of the density candidate
     (4/x~^3) log(1 + x~^2) - (6 x~^2 + 4) / (x~ (1 + x~^2)^2).
 
     This is d/dx~ of cdf_closed_paper_u(u(x~)), with leading behavior
-    (4/3) x~^3.  Below x~ = 1/4 the equivalent series
-    sum_{m>=2} (-1)^m (2 m (m-1) / (m+1)) x~^{2m-1} is used.
+    (4/3) x~^3.  Accepts a float or an array.  Below x~ = 1/4 the
+    derivative of the u-form series is used: 4 u^3 T(u^2) du/dx~, with
+    u^3 du/dx~ = x~^3 / (1 + x~^2)^3.
     """
-    xt = float(x_tilde)
-    if xt < 0.0:
-        raise ValueError("rescaled parameter must be nonnegative")
-    if xt == 0.0:
-        return 0.0
-    z = xt * xt
-    if xt < SERIES_CUT_PAPER:
-        acc = 0.0
-        term = z * xt  # x~^3
-        sign = 1.0
-        m = 2
-        while m < _SERIES_MAX_TERMS:
-            inc = sign * term * 2.0 * m * (m - 1.0) / (m + 1.0)
-            acc += inc
-            if abs(inc) < 1e-18 * max(abs(acc), 1e-300):
-                break
-            term *= z
-            sign = -sign
-            m += 1
-        return acc
-    return 4.0 * math.log1p(z) / (xt * z) - (6.0 * z + 4.0) / (xt * (1.0 + z) ** 2)
+    return _closed_form(
+        x_tilde,
+        lambda t: 4.0 * t**3 * _series(t**2 / (1.0 + t**2), _DF_SERIES) / (1.0 + t**2) ** 3,
+        lambda t: 4.0 * np.log1p(t**2) / t**3 - (6.0 * t**2 + 4.0) / (t * (1.0 + t**2) ** 2),
+        *_RESCALED,
+    )
 
 
 def series_coefficient(k: int) -> float:
@@ -414,6 +434,8 @@ class WeightSpec:
         if self.kind == "table":
             if len(self.rho_grid) < 2 or len(self.rho_grid) != len(self.values):
                 raise ValueError("weight table needs matching rho/value columns")
+            if not all(map(math.isfinite, self.rho_grid + self.values)):
+                raise ValueError("weight table entries must be finite")
             if any(b <= a for a, b in zip(self.rho_grid, self.rho_grid[1:])):
                 raise ValueError("weight table rho column must increase")
             if any(v < 0.0 for v in self.values):
@@ -463,13 +485,12 @@ def mc_sample(
     seed: int,
     weight: WeightSpec = UNIFORM_WEIGHT,
     streams: int = 16,
-    threads: int = 1,
 ) -> SampleBatch:
     """Draw n area-uniform pairs and return their rotation numbers.
 
     The n draws are split across ``streams`` SeedSequence-spawned
     substreams merged in index order, so the output is a pure function of
-    (n, seed, streams) and in particular independent of ``threads``.
+    (n, seed, streams).
     """
     n = int(n)
     if n <= 0:
@@ -478,33 +499,8 @@ def mc_sample(
     base = n // streams
     sizes = tuple(base + (1 if i < n % streams else 0) for i in range(streams))
     children = np.random.SeedSequence(seed).spawn(streams)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            parts = list(pool.map(_sample_stream, children, sizes))
-    else:
-        parts = [_sample_stream(sq, m) for sq, m in zip(children, sizes)]
-    omega = np.concatenate(parts)
+    omega = np.concatenate([_sample_stream(sq, m) for sq, m in zip(children, sizes)])
     return SampleBatch(omega, weight.weight_of_omega(omega), int(seed), sizes)
-
-
-@dataclass(frozen=True)
-class EmpiricalCdf:
-    xs: np.ndarray
-    cum: np.ndarray
-
-    def __call__(self, x):
-        idx = np.searchsorted(self.xs, np.asarray(x, dtype=float), side="right")
-        padded = np.concatenate(([0.0], self.cum))
-        return padded[idx]
-
-
-def empirical_cdf(batch: SampleBatch) -> EmpiricalCdf:
-    order = np.argsort(batch.omega, kind="stable")
-    xs = batch.omega[order]
-    w = batch.weight[order]
-    cum = np.cumsum(w)
-    cum /= cum[-1]
-    return EmpiricalCdf(xs, cum)
 
 
 def ks_distance(batch: SampleBatch, cdf) -> float:
@@ -545,8 +541,8 @@ class ReweightedDistribution:
 
     The normalizer and distribution function are accumulated as a
     Stieltjes sum over a uniform grid in phi = asinh(x/4) = rho/2, with
-    the base distribution evaluated by the vectorized quadrature route; no
-    finite differencing is involved, so the table is smooth to ~1e-9.
+    the base distribution evaluated by the closed form; no finite
+    differencing is involved, so the table is smooth to ~1e-14.
     """
 
     def __init__(self, weight: WeightSpec, x_max: float = 1e6, grid: int = 20001):
@@ -554,11 +550,12 @@ class ReweightedDistribution:
         phi_hi = math.asinh(float(x_max) / 4.0) + 12.0
         self.phi = np.linspace(0.0, phi_hi, int(grid))
         self.x_nodes = 4.0 * np.sinh(self.phi)
-        self.f_nodes = cdf_quadrature_batch(self.x_nodes)
+        self.f_nodes = _cdf_and_tail(self.x_nodes)[0]
         rho_mid = self.phi[:-1] + self.phi[1:]  # = 2 * phi at midpoints
         self.w_mid = weight.weight_of_rho(rho_mid)
-        dw = self.w_mid * np.diff(self.f_nodes)
-        self.cum = np.concatenate(([0.0], np.cumsum(dw)))
+        # reweighted probability of each phi bin, before normalization
+        self.mass = self.w_mid * np.diff(self.f_nodes)
+        self.cum = np.concatenate(([0.0], np.cumsum(self.mass)))
         self.normalizer = float(self.cum[-1])
         if self.normalizer <= 0.0:
             raise ValueError("weight annihilates the distribution")
@@ -567,7 +564,7 @@ class ReweightedDistribution:
         xs = np.asarray(xs, dtype=float)
         phi_x = np.arcsinh(xs / 4.0)
         j = np.clip(np.searchsorted(self.phi, phi_x, side="right") - 1, 0, len(self.phi) - 2)
-        base = cdf_quadrature_batch(xs)
+        base = _cdf_and_tail(xs)[0]
         vals = (self.cum[j] + self.w_mid[j] * (base - self.f_nodes[j])) / self.normalizer
         return np.clip(vals, 0.0, 1.0)
 
@@ -598,22 +595,23 @@ def reweight_density(weight: WeightSpec, x: float) -> float:
     return _cached_distribution(weight).density(x)
 
 
-def weighted_truncated_second_moment(weight: WeightSpec, cut: float) -> float:
-    """Second moment of the reweighted distribution truncated at cut,
-    from the same Stieltjes table as the reweighted cdf."""
+def _weighted_moment(weight: WeightSpec, power: int, cut: float) -> float:
+    """E(X^power; X <= cut) of the reweighted distribution, from the same
+    Stieltjes table as the reweighted cdf."""
     dist = _cached_distribution(weight)
     x_mid = 0.5 * (dist.x_nodes[:-1] + dist.x_nodes[1:])
     mask = x_mid <= float(cut)
-    dw = dist.w_mid * np.diff(dist.f_nodes)
-    return float(np.sum(x_mid[mask] ** 2 * dw[mask])) / dist.normalizer
+    return float(np.sum(x_mid[mask] ** power * dist.mass[mask])) / dist.normalizer
+
+
+def weighted_truncated_second_moment(weight: WeightSpec, cut: float) -> float:
+    """Second moment of the reweighted distribution truncated at cut."""
+    return _weighted_moment(weight, 2, cut)
 
 
 def weighted_mean(weight: WeightSpec, cut: float = 1e6) -> float:
-    dist = _cached_distribution(weight)
-    x_mid = 0.5 * (dist.x_nodes[:-1] + dist.x_nodes[1:])
-    mask = x_mid <= float(cut)
-    dw = dist.w_mid * np.diff(dist.f_nodes)
-    return float(np.sum(x_mid[mask] * dw[mask])) / dist.normalizer
+    """Mean of the reweighted distribution, truncated at cut."""
+    return _weighted_moment(weight, 1, cut)
 
 
 # ---------------------------------------------------------------------------
@@ -641,16 +639,16 @@ class SpectralTable:
         if np.any(x <= 0.0):
             raise ValueError("grid values must be positive")
         xt = x / 4.0
-        u = np.array([schwarz_threshold(v) for v in x])
+        u = _schwarz_radius(x)
         return cls(
             x=x,
             x_tilde=xt,
             F_quad=cdf_quadrature_batch(x),
-            F_paper_u=np.array([cdf_closed_paper_u(v) for v in u]),
-            F_paper_prop=np.array([cdf_closed_paper_prop(v) for v in xt]),
-            F_derived=np.array([cdf_closed_derived(v) for v in u]),
+            F_paper_u=cdf_closed_paper_u(u),
+            F_paper_prop=cdf_closed_paper_prop(xt),
+            F_derived=cdf_closed_derived(u),
             f_quad=_pdf_batch(x),
-            f_paper=np.array([pdf_closed_paper(v) for v in xt]),
+            f_paper=pdf_closed_paper(xt),
         )
 
     def rows(self):
@@ -663,6 +661,7 @@ class SpectralTable:
 # discrepancy ledger
 
 MEAN_CLAIMED = 3.0 * math.pi / 2.0
+MEAN_EXACT = 16.0 * math.pi / 3.0
 SMALL_X_EXPONENT_CLAIMED = 3.0
 
 
@@ -688,7 +687,7 @@ def discrepancy_ledger(fd_tol: float = 1e-5) -> dict[str, dict]:
     # (a) derived closed form against the quadrature route
     xs = np.geomspace(1e-2, 1e3, 100)
     fq = cdf_quadrature_batch(xs)
-    fd = np.array([cdf_closed_derived(schwarz_threshold(v)) for v in xs])
+    fd = cdf_closed_derived(_schwarz_radius(xs))
     sup = float(np.max(np.abs(fq - fd)))
     out["ledger_cdf_derived_vs_quadrature"] = _ledger_entry(
         "pass" if sup <= 1e-8 else "fail",
@@ -767,21 +766,25 @@ def discrepancy_ledger(fd_tol: float = 1e-5) -> dict[str, dict]:
     mean_q, mean_bound = mean_quadrature(1e-7)
     batch = mc_sample(100000, 20260814)
     m_mc, se_mc = mc_mean(batch)
+    exact_error = abs(mean_q - MEAN_EXACT)
     out["ledger_mean_vs_claimed"] = _ledger_entry(
-        "discrepancy" if abs(mean_q - MEAN_CLAIMED) > 1e-2 else "pass",
+        "fail" if exact_error > mean_bound else "discrepancy",
         {
             "mean_quadrature": float(mean_q),
             "quadrature_bound": float(mean_bound),
+            "exact": MEAN_EXACT,
+            "exact_error": float(exact_error),
             "mean_mc": float(m_mc),
             "mc_stderr": float(se_mc),
             "claimed": float(MEAN_CLAIMED),
             "u_form_mean": float(math.pi * (7.0 - 8.0 * math.log(2.0))),
         },
-        1e-2,
+        float(mean_bound),
         "quadrature mean ~16.755 (MC cross-check at n=1e5, seed 20260814) "
         "against the claimed 3*pi/2 ~ 4.712; integrating x against the "
         "u-form candidate yields pi*(7 - 8 log 2) ~ 4.570, which matches "
-        "neither the claim nor the measured mean",
+        "neither the claim nor the measured mean; the entry fails only if "
+        "the quadrature mean misses the exact 16*pi/3 by more than its bound",
     )
 
     # (e) small-x exponent of the density

@@ -206,7 +206,7 @@ def test_missing_config_file_rejected(capsys):
 
 
 @pytest.mark.parametrize(
-    "grid", ["1:2", "5:1:10", "0:1:10", "1:10:1", "a:b:c"]
+    "grid", ["1:2", "5:1:10", "0:1:10", "1:10:1", "a:b:c", "1:inf:3", "1:nan:3"]
 )
 def test_bad_grid_rejected(grid, capsys):
     assert run(["spectrum", "--grid", grid]) == EXIT_CONFIG
@@ -230,6 +230,25 @@ def test_weight_table_value_error_is_line_numbered(tmp_path, capsys):
     bad.write_text("rho,weight\n0.0,1.0\n1.0,oops\n")
     assert run(["sample", "--n", "10", "--weight", f"table:{bad}"]) == EXIT_CONFIG
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["1.0,nan", "nan,1.0", "1.0,inf"])
+def test_weight_table_non_finite_rejected(tmp_path, capsys, row):
+    bad = tmp_path / "w.csv"
+    bad.write_text(f"rho,weight\n0.0,1.0\n{row}\n2.0,1.0\n")
+    assert run(["sample", "--n", "10", "--weight", f"table:{bad}"]) == EXIT_CONFIG
+    assert "finite" in capsys.readouterr().err
+
+
+def test_spectrum_tiny_grid_is_finite(tmp_path):
+    out = tmp_path / "tiny.csv"
+    assert run(["spectrum", "--grid", "1e-100:1:3", "--out", str(out)]) == EXIT_OK
+    table = read_spectrum_csv(str(out))
+    for name in TABLE_COLUMNS:
+        assert np.all(np.isfinite(getattr(table, name))), name
+    x = table.x[0]
+    assert abs(table.F_quad[0] / (x * x / 48.0) - 1.0) < 1e-12
+    assert abs(table.f_quad[0] / (x / 24.0) - 1.0) < 1e-9
 
 
 def test_weight_table_accepted(tmp_path):

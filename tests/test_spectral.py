@@ -24,7 +24,6 @@ from bidisk.spectral import (
     cdf_quadrature,
     cdf_quadrature_batch,
     discrepancy_ledger,
-    empirical_cdf,
     fiber_radius,
     ks_distance,
     mc_mean,
@@ -42,7 +41,7 @@ from bidisk.spectral import (
     weighted_mean,
     weighted_truncated_second_moment,
 )
-from bidisk.spectral import SampleBatch, _cached_distribution
+from bidisk.spectral import SampleBatch, _cached_distribution, _cdf_and_tail
 
 # frozen distribution values F(x)
 CDF_REFERENCE = {
@@ -109,6 +108,15 @@ def test_schwarz_threshold_closed_form():
         assert abs(schwarz_threshold(x) - x / math.sqrt(16.0 + x * x)) < 1e-15
 
 
+def test_schwarz_threshold_huge_argument():
+    # the slice root is taken by hypot, so x^2 never overflows
+    from bidisk.moment import mu_slice_invert
+
+    for x in (1e154, 1e200, 1e300, 1.7e308):
+        assert abs(mu_slice_invert(x) - 1.0) < 1e-15
+        assert abs(schwarz_threshold(x) - 1.0) < 1e-15
+
+
 def test_rho_of_omega_matches_slice_distance():
     from bidisk.disk import poincare_distance
     from bidisk.moment import mu_slice_invert
@@ -158,6 +166,30 @@ def test_cdf_batch_monotone_and_bounded():
     assert np.all(np.diff(f) > 0.0)
     assert f[0] > 0.0 and f[-1] < 1.0
     assert np.array_equal(cdf_quadrature_batch([]), np.array([]))
+
+
+def test_cdf_batch_extreme_inputs():
+    # F = x^2/48 to double precision for tiny x; below x ~ 1e-154 it is
+    # itself below the smallest normal double
+    tiny = np.array([1e-150, 1e-100, 1e-80, 1e-77, 1e-50])
+    assert np.max(np.abs(cdf_quadrature_batch(tiny) / (tiny * tiny / 48.0) - 1.0)) < 1e-12
+    assert np.all(cdf_quadrature_batch([1e-300, 1e-200]) < 1e-300)
+    huge = np.array([1e10, 1e155, 1e200, 1e300, 1.7e308])
+    assert np.max(np.abs(cdf_quadrature_batch(huge) - 1.0)) < 1e-12
+    assert np.array_equal(cdf_quadrature_batch([0.0, np.inf]), [0.0, 1.0])
+
+
+def test_cdf_batch_rejects_nan_and_negative():
+    for bad in ([1.0, np.nan], [-1.0], [2.0, -1e-300]):
+        with pytest.raises(ValueError):
+            cdf_quadrature_batch(bad)
+
+
+def test_closed_form_core_matches_quadrature_batch():
+    xs = np.geomspace(1e-3, 1e5, 2000)
+    cdf, tail = _cdf_and_tail(xs)
+    assert np.max(np.abs(cdf - cdf_quadrature_batch(xs))) < 1e-13
+    assert np.max(np.abs(cdf + tail - 1.0)) < 1e-15
 
 
 def test_one_minus_cdf_complements_frozen_values():
@@ -260,6 +292,30 @@ def test_pdf_closed_paper_series_matches_direct_formula():
         assert abs(pdf_closed_paper(xt) - direct) < 1e-12
 
 
+def test_closed_forms_accept_arrays():
+    u = np.linspace(0.0, 0.95, 39)  # spans the series cut at 1/4
+    xt = np.concatenate(([0.0], np.geomspace(1e-3, 30.0, 40)))
+    for fn, arg in (
+        (cdf_closed_derived, u),
+        (cdf_closed_paper_u, u),
+        (cdf_closed_paper_prop, xt),
+        (pdf_closed_paper, xt),
+    ):
+        vec = fn(arg)
+        assert isinstance(vec, np.ndarray) and vec.shape == arg.shape
+        scalars = [fn(float(v)) for v in arg]
+        assert all(type(v) is float for v in scalars)
+        np.testing.assert_allclose(vec, scalars, rtol=1e-15, atol=0.0)
+    with pytest.raises(ValueError):
+        cdf_closed_derived(np.array([0.5, 1.0]))
+    with pytest.raises(ValueError):
+        cdf_closed_paper_u(np.array([np.nan]))
+    with pytest.raises(ValueError):
+        cdf_closed_paper_prop(np.array([1.0, -1e-3]))
+    with pytest.raises(ValueError):
+        pdf_closed_paper(np.array([-1.0]))
+
+
 def test_series_coefficients_exact_fractions():
     assert series_coefficient(1) == 0.0
     assert series_coefficient(2) == 1.0 / 192.0
@@ -358,13 +414,6 @@ def test_mc_sample_is_deterministic():
     assert not np.array_equal(a.omega, c.omega)
 
 
-def test_mc_sample_thread_count_does_not_change_stream():
-    a = mc_sample(10001, seed=42, streams=16, threads=1)
-    b = mc_sample(10001, seed=42, streams=16, threads=8)
-    assert np.array_equal(a.omega, b.omega)
-    assert a.stream_sizes == b.stream_sizes
-
-
 def test_mc_sample_stream_partition():
     batch = mc_sample(10007, seed=9, streams=16)
     assert len(batch.stream_sizes) == 16
@@ -378,20 +427,6 @@ def test_mc_sample_weights_follow_spec():
     batch = mc_sample(2000, seed=12, weight=WeightSpec("exp"))
     expect = np.exp(-rho_of_omega(batch.omega))
     assert np.max(np.abs(batch.weight - expect)) < 1e-15
-
-
-def test_empirical_cdf_steps():
-    batch = SampleBatch(
-        omega=np.array([1.0, 2.0, 3.0, 4.0]),
-        weight=np.array([1.0, 1.0, 1.0, 1.0]),
-        seed=0,
-        stream_sizes=(4,),
-    )
-    ecdf = empirical_cdf(batch)
-    assert ecdf(0.5) == 0.0
-    assert ecdf(1.0) == 0.25
-    assert ecdf(2.5) == 0.5
-    assert ecdf(4.0) == 1.0
 
 
 def test_ks_distance_synthetic_uniform():
@@ -434,6 +469,10 @@ def test_weight_spec_validation():
         WeightSpec("table", (0.0, 0.0), (1.0, 1.0))
     with pytest.raises(ValueError):
         WeightSpec("table", (0.0, 1.0), (1.0, -1.0))
+    with pytest.raises(ValueError):
+        WeightSpec("table", (0.0, math.nan, 2.0), (1.0, 1.0, 1.0))
+    with pytest.raises(ValueError):
+        WeightSpec("table", (0.0, 1.0), (1.0, math.inf))
 
 
 def test_weight_spec_table_interpolates():
@@ -544,6 +583,9 @@ def test_discrepancy_ledger_measured_values():
     mean_entry = ledger["ledger_mean_vs_claimed"]["value"]
     assert abs(mean_entry["mean_quadrature"] - MEAN_REFERENCE) < 1e-5
     assert abs(mean_entry["claimed"] - MEAN_CLAIMED) == 0.0
+    assert mean_entry["exact"] == 16.0 * math.pi / 3.0
+    assert mean_entry["exact_error"] == abs(mean_entry["mean_quadrature"] - mean_entry["exact"])
+    assert mean_entry["exact_error"] <= mean_entry["quadrature_bound"]
     slope = ledger["ledger_small_x_exponent"]["value"]["measured_slope"]
     assert abs(slope - 1.0) < 0.01
 

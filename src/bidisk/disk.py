@@ -5,11 +5,17 @@ Schwarz-Pick quotient |z - w| / |1 - conj(w) z|.  With this factor the
 diagonal pair (t, -t) sits at rho = 4 artanh(t) and the slice moment value
 comes out as 8t / (1 - t^2); the log-form without the 2 is not used
 anywhere in this package.
+
+Every function and dataclass here broadcasts over numpy arrays: scalar
+arguments give Python scalars, array arguments give arrays, and one bad
+entry of an array raises ValueError for the whole call.  A scalar call
+rounds exactly as one entry of an array call does, so arithmetic stays on
+numpy arrays (not Python or numpy scalars) and squares are products: a
+scalar's ** 2 goes through C pow(), which need not be correctly rounded.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -20,79 +26,102 @@ DIAGONAL_TOL = 1e-13
 DET_TOL = 1e-10
 
 
-def check_disk(z) -> complex:
-    """Validate |z| < 1 - 1e-12 and return z as a complex number."""
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError("disk point must be finite")
-    if abs(z) >= 1.0 - BOUNDARY_TOL:
-        raise ValueError(f"point {z!r} is not inside the open unit disk")
-    return z
+def _py(x):
+    """A Python scalar for 0-d input, the array itself otherwise."""
+    x = np.asarray(x)
+    return x.item() if x.ndim == 0 else x
 
 
-def schwarz_distance(z, w) -> float:
+def _mat2(m00, m01, m10, m11) -> np.ndarray:
+    """Stack (..., 2, 2) of [[m00, m01], [m10, m11]] from equal-shape entries."""
+    m00 = np.asarray(m00)
+    return np.stack([m00, m01, m10, m11], -1).reshape(m00.shape + (2, 2))
+
+
+def check_disk(z):
+    """Validate |z| < 1 - 1e-12 elementwise and return z as complex."""
+    z = np.asarray(z, dtype=complex)
+    inside = np.abs(z) < 1.0 - BOUNDARY_TOL
+    if not inside.all():
+        if not np.all(np.isfinite(z)):
+            raise ValueError("disk point must be finite")
+        raise ValueError(f"point {complex(z[~inside][0])!r} is not inside the open unit disk")
+    return _py(z)
+
+
+def schwarz_distance(z, w):
     """Schwarz-Pick pseudo-distance |z - w| / |1 - conj(w) z|, in [0, 1)."""
-    z = check_disk(z)
-    w = check_disk(w)
-    return abs(z - w) / abs(1.0 - w.conjugate() * z)
+    z = np.asarray(check_disk(z))
+    w = np.asarray(check_disk(w))
+    # conj(w) z from separately rounded real products, which keeps
+    # d_S(z, w) == d_S(w, z) exactly; numpy's fused complex product does not
+    re = z.real * w.real + z.imag * w.imag
+    im = z.imag * w.real - z.real * w.imag
+    return _py(np.abs(z - w) / np.hypot(1.0 - re, im))
 
 
-def poincare_distance(z, w) -> float:
+def poincare_distance(z, w):
     """Hyperbolic distance rho = 2 artanh(d_S)."""
-    return 2.0 * math.atanh(schwarz_distance(z, w))
+    return _py(2.0 * np.arctanh(schwarz_distance(z, w)))
 
 
 @dataclass(frozen=True)
 class MobiusTransform:
     """Disk automorphism z -> (alpha z + beta) / (conj(beta) z + conj(alpha))
-    with |alpha|^2 - |beta|^2 = 1."""
+    with |alpha|^2 - |beta|^2 = 1; alpha and beta may be arrays, broadcast
+    together, holding one automorphism per entry."""
 
     alpha: complex
     beta: complex
 
     def __post_init__(self):
-        a = complex(self.alpha)
-        b = complex(self.beta)
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
-        det = abs(a) ** 2 - abs(b) ** 2
-        if abs(det - 1.0) > DET_TOL:
-            raise ValueError(f"not an SU(1,1) pair: |alpha|^2 - |beta|^2 = {det!r}")
+        a, b = np.broadcast_arrays(np.asarray(self.alpha, complex), np.asarray(self.beta, complex))
+        det = np.abs(a) ** 2 - np.abs(b) ** 2
+        unimodular = np.abs(det - 1.0) <= DET_TOL
+        if not unimodular.all():
+            bad = float(det[~unimodular][0])
+            raise ValueError(f"not an SU(1,1) pair: |alpha|^2 - |beta|^2 = {bad!r}")
+        object.__setattr__(self, "alpha", _py(a))
+        object.__setattr__(self, "beta", _py(b))
 
-    def __call__(self, z) -> complex:
-        z = complex(z)
-        return (self.alpha * z + self.beta) / (
-            self.beta.conjugate() * z + self.alpha.conjugate()
-        )
+    def __call__(self, z):
+        a, b, z = self.alpha, self.beta, np.asarray(z, dtype=complex)
+        return _py((a * z + b) / (np.conj(b) * z + np.conj(a)))
 
     def __matmul__(self, other: "MobiusTransform") -> "MobiusTransform":
         """Composition self o other (matrix product of the SU(1,1) lifts)."""
-        a = self.alpha * other.alpha + self.beta * other.beta.conjugate()
-        b = self.alpha * other.beta + self.beta * other.alpha.conjugate()
+        sa, sb = np.asarray(self.alpha), np.asarray(self.beta)
+        a = sa * other.alpha + sb * np.conj(other.beta)
+        b = sa * other.beta + sb * np.conj(other.alpha)
         return MobiusTransform(a, b)
 
     def inverse(self) -> "MobiusTransform":
-        return MobiusTransform(self.alpha.conjugate(), -self.beta)
+        return MobiusTransform(np.conj(self.alpha), -self.beta)
 
     def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.alpha, self.beta], [self.beta.conjugate(), self.alpha.conjugate()]]
-        )
+        """The SU(1,1) lifts [[alpha, beta], [conj(beta), conj(alpha)]],
+        shape (..., 2, 2)."""
+        a, b = self.alpha, self.beta
+        return _mat2(a, b, np.conj(b), np.conj(a))
 
     @classmethod
     def identity(cls) -> "MobiusTransform":
         return cls(1.0, 0.0)
 
     @classmethod
-    def rotation(cls, phi: float) -> "MobiusTransform":
+    def rotation(cls, phi) -> "MobiusTransform":
         """Rotation z -> exp(1j*phi) z about the origin."""
-        return cls(cmath.exp(0.5j * phi), 0.0)
+        return cls(np.exp(0.5j * np.asarray(phi, dtype=float)), 0.0)
 
     @classmethod
     def from_matrix(cls, m, tol: float = 1e-9) -> "MobiusTransform":
+        """Automorphisms from a stack of SU(1,1) matrices, shape (..., 2, 2)."""
         m = np.asarray(m, dtype=complex)
-        g = cls(m[0, 0], m[0, 1])
-        if float(np.max(np.abs(m - g.matrix()))) > tol * max(1.0, float(np.max(np.abs(m)))):
+        if m.shape[-2:] != (2, 2):
+            raise ValueError(f"expected 2x2 matrices, got shape {m.shape}")
+        g = cls(m[..., 0, 0], m[..., 0, 1])
+        gap = np.max(np.abs(m - g.matrix()), axis=(-2, -1))
+        if np.any(gap > tol * np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))):
             raise ValueError("matrix is not in SU(1,1) within tolerance")
         return g
 
@@ -100,14 +129,15 @@ class MobiusTransform:
 def translate(zeta) -> MobiusTransform:
     """The automorphism T_zeta(z) = (z - zeta) / (1 - conj(zeta) z), which
     sends zeta to 0."""
-    zeta = check_disk(zeta)
-    d = math.sqrt(1.0 - abs(zeta) ** 2)
+    zeta = np.asarray(check_disk(zeta))
+    m = np.abs(zeta)
+    d = np.sqrt(1.0 - m * m)
     return MobiusTransform(1.0 / d, -zeta / d)
 
 
 @dataclass(frozen=True)
 class BidiskPoint:
-    """Ordered pair of points of the open unit disk."""
+    """Ordered pair of points of the open unit disk (or arrays of them)."""
 
     z: complex
     w: complex
@@ -117,8 +147,8 @@ class BidiskPoint:
         object.__setattr__(self, "w", check_disk(self.w))
 
     @property
-    def is_diagonal(self) -> bool:
-        return abs(self.z - self.w) < DIAGONAL_TOL
+    def is_diagonal(self):
+        return _py(np.abs(self.z - self.w) < DIAGONAL_TOL)
 
 
 def act_bidisk(g: MobiusTransform, p: BidiskPoint) -> BidiskPoint:
@@ -126,32 +156,31 @@ def act_bidisk(g: MobiusTransform, p: BidiskPoint) -> BidiskPoint:
     return BidiskPoint(g(p.z), g(p.w))
 
 
-def hyperbolic_disk_euclidean(s: float, u: float) -> tuple[float, float]:
+def hyperbolic_disk_euclidean(s, u):
     """Euclidean center and radius of the Schwarz disk {w : d_S(s, w) < u}.
 
     The disk around a real center s in [0, 1) is again a round Euclidean
     disk; its extreme points on the real axis are T_{-s}(u) and T_{-s}(-u).
     """
-    s = float(s)
-    if not 0.0 <= s < 1.0:
+    s = np.asarray(s, dtype=float)
+    if not np.all((s >= 0.0) & (s < 1.0)):
         raise ValueError("center must be real in [0, 1)")
-    u = float(u)
-    if not 0.0 < u < 1.0:
+    u = np.asarray(u, dtype=float)
+    if not np.all((u > 0.0) & (u < 1.0)):
         raise ValueError("schwarz radius must lie in (0, 1)")
     back = translate(-s)
-    hi = back(u)
-    lo = back(-u)
-    return ((hi + lo) / 2.0).real, ((hi - lo) / 2.0).real
+    hi, lo = back(u), back(-u)
+    return _py(np.real((hi + lo) / 2.0)), _py(np.real((hi - lo) / 2.0))
 
 
-def random_point(rng: np.random.Generator, rmax: float = 0.95) -> complex:
-    """Area-uniform point of the disk of radius rmax."""
-    r = rmax * math.sqrt(rng.random())
-    theta = rng.uniform(0.0, 2.0 * math.pi)
-    return complex(r * math.cos(theta), r * math.sin(theta))
+def random_point(rng: np.random.Generator, rmax: float = 0.95, size=None):
+    """Area-uniform point of the disk of radius rmax; ``size`` as in numpy."""
+    r = rmax * np.sqrt(rng.random(size))
+    theta = rng.uniform(0.0, 2.0 * math.pi, size)
+    return _py(r * np.cos(theta) + 1j * (r * np.sin(theta)))
 
 
-def random_mobius(rng: np.random.Generator, zeta_max: float = 0.9) -> MobiusTransform:
-    zeta = random_point(rng, zeta_max)
-    phi = rng.uniform(0.0, 2.0 * math.pi)
+def random_mobius(rng: np.random.Generator, zeta_max: float = 0.9, size=None) -> MobiusTransform:
+    zeta = random_point(rng, zeta_max, size)
+    phi = rng.uniform(0.0, 2.0 * math.pi, size)
     return MobiusTransform.rotation(phi) @ translate(zeta)

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .disk import _mat2, _py
+
 ZERO_TOL = 1e-13
 
 ELLIPTIC_POSITIVE = "elliptic-positive"
@@ -37,18 +39,18 @@ class LieVector:
     c: float
 
     def __post_init__(self):
-        for name in ("a", "b", "c"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite coefficient {name}={v!r}")
-            object.__setattr__(self, name, v)
+        abc = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (self.a, self.b, self.c)))
+        if not np.isfinite(abc).all():
+            raise ValueError(f"non-finite coefficient in a={self.a!r}, b={self.b!r}, c={self.c!r}")
+        for name, v in zip("abc", abc):
+            object.__setattr__(self, name, _py(v))
 
     def matrix(self) -> np.ndarray:
-        a, b, c = self.a, self.b, self.c
-        return np.array([[1j * a, c - 1j * b], [c + 1j * b, -1j * a]])
+        """[[i a, c - i b], [c + i b, -i a]], shape (..., 2, 2)."""
+        return _mat2(1j * self.a, self.c - 1j * self.b, self.c + 1j * self.b, -1j * self.a)
 
-    def norm_inf(self) -> float:
-        return max(abs(self.a), abs(self.b), abs(self.c))
+    def norm_inf(self):
+        return _py(np.maximum(np.maximum(np.abs(self.a), np.abs(self.b)), np.abs(self.c)))
 
     def __add__(self, other: "LieVector") -> "LieVector":
         return LieVector(self.a + other.a, self.b + other.b, self.c + other.c)
@@ -72,7 +74,8 @@ ZETA = LieVector(0.0, 0.0, 1.0)
 
 @dataclass(frozen=True)
 class SpectralClass:
-    """Classification tag plus rotation number (None off the elliptic cone)."""
+    """Classification tag plus rotation number; off the elliptic cone omega
+    is None for a scalar vector and NaN in the entries of array vectors."""
 
     kind: str
     omega: float | None
@@ -87,22 +90,26 @@ class SymplecticGenerator:
     c: float
 
     def matrix(self) -> np.ndarray:
-        return np.array([[self.a, -self.b], [self.c, -self.a]])
+        """Shape (..., 2, 2)."""
+        return _mat2(self.a, -np.asarray(self.b), self.c, -np.asarray(self.a))
 
 
 def from_matrix(m, tol: float = 1e-9) -> LieVector:
-    """Decompose a 2x2 su(1,1) matrix on the (xi, eta, zeta) basis.
+    """Decompose 2x2 su(1,1) matrices, shape (..., 2, 2), on the
+    (xi, eta, zeta) basis.
 
-    Raises ValueError when the matrix is further than ``tol`` (relative to
+    Raises ValueError when a matrix is further than ``tol`` (relative to
     its own magnitude) from the su(1,1) pattern [[i a, c - i b], [c + i b, -i a]].
     """
     m = np.asarray(m, dtype=complex)
-    a = m[0, 0].imag
-    b = (m[1, 0].imag - m[0, 1].imag) / 2.0
-    c = (m[0, 1].real + m[1, 0].real) / 2.0
+    if m.shape[-2:] != (2, 2):
+        raise ValueError(f"expected 2x2 matrices, got shape {m.shape}")
+    a = m[..., 0, 0].imag
+    b = (m[..., 1, 0].imag - m[..., 0, 1].imag) / 2.0
+    c = (m[..., 0, 1].real + m[..., 1, 0].real) / 2.0
     x = LieVector(a, b, c)
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if float(np.max(np.abs(m - x.matrix()))) > tol * scale:
+    gap = np.max(np.abs(m - x.matrix()), axis=(-2, -1))
+    if np.any(gap > tol * np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))):
         raise ValueError("matrix is not in su(1,1) within tolerance")
     return x
 
@@ -124,12 +131,13 @@ def bracket(x: LieVector, y: LieVector) -> LieVector:
 
 
 def adjoint(g, x: LieVector) -> LieVector:
-    """Ad(g) x = g x g^{-1} for g any object exposing an SU(1,1) .matrix()."""
+    """Ad(g) x = g x g^{-1} for g any object exposing SU(1,1) matrices
+    through .matrix(); g and x broadcast against each other."""
     m = g.matrix()
-    alpha = m[0, 0]
-    beta = m[0, 1]
+    alpha = m[..., 0, 0]
+    beta = m[..., 0, 1]
     # exact inverse of [[alpha, beta], [conj(beta), conj(alpha)]] at det 1
-    minv = np.array([[np.conj(alpha), -beta], [-np.conj(beta), alpha]])
+    minv = _mat2(np.conj(alpha), -beta, -np.conj(beta), alpha)
     return from_matrix(m @ x.matrix() @ minv)
 
 
@@ -139,13 +147,18 @@ def classify(x: LieVector, zero_tol: float = ZERO_TOL) -> SpectralClass:
     Elliptic means b(x, x) < 0; omega = sqrt(-b(x, x)) is the rotation
     number and the sign component is read off the xi coefficient.
     """
-    if x.norm_inf() < zero_tol:
-        return SpectralClass(ZERO, 0.0)
-    q = bform(x)
-    if q < 0.0:
-        kind = ELLIPTIC_POSITIVE if x.a > 0.0 else ELLIPTIC_NEGATIVE
-        return SpectralClass(kind, math.sqrt(-q))
-    return SpectralClass(NON_ELLIPTIC, None)
+    zero = np.asarray(x.norm_inf() < zero_tol)
+    q = np.asarray(bform(x))
+    elliptic = ~zero & (q < 0.0)
+    kind = np.select(
+        [zero, elliptic & (np.asarray(x.a) > 0.0), elliptic],
+        [ZERO, ELLIPTIC_POSITIVE, ELLIPTIC_NEGATIVE],
+        NON_ELLIPTIC,
+    )
+    omega = np.where(zero, 0.0, np.sqrt(np.where(elliptic, -q, np.nan)))
+    if kind.ndim == 0:
+        return SpectralClass(str(kind), None if np.isnan(omega) else float(omega))
+    return SpectralClass(kind, omega)
 
 
 def cayley_matrix() -> np.ndarray:
@@ -181,6 +194,7 @@ def exp_matrix(x: LieVector) -> np.ndarray:
     return math.cosh(r) * eye + (math.sinh(r) / r) * m
 
 
-def random_vector(rng: np.random.Generator, scale: float = 1.0) -> LieVector:
-    a, b, c = scale * rng.standard_normal(3)
-    return LieVector(a, b, c)
+def random_vector(rng: np.random.Generator, scale: float = 1.0, size=None) -> LieVector:
+    """Standard-normal coefficients times scale; ``size`` as in numpy."""
+    shape = (3,) if size is None else (3, *np.atleast_1d(size))
+    return LieVector(*(scale * rng.standard_normal(shape)))

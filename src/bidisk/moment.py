@@ -18,6 +18,7 @@ import numpy as np
 from .disk import (
     BidiskPoint,
     MobiusTransform,
+    _py,
     act_bidisk,
     schwarz_distance,
     translate,
@@ -25,31 +26,31 @@ from .disk import (
 from .liealg import ELLIPTIC_POSITIVE, LieVector, adjoint, classify
 
 
-def mu_slice(t: float) -> float:
+def mu_slice(t):
     """Moment value 8t / (1 - t^2) of the slice point (t, -t)."""
-    t = float(t)
-    if not 0.0 <= t < 1.0:
+    t = np.asarray(t, dtype=float)
+    if not np.all((t >= 0.0) & (t < 1.0)):
         raise ValueError("slice parameter must lie in [0, 1)")
-    return 8.0 * t / (1.0 - t * t)
+    return _py(8.0 * t / (1.0 - t * t))
 
 
-def mu_slice_invert(x: float) -> float:
+def mu_slice_invert(x):
     """Inverse of mu_slice on [0, inf).
 
     Rationalized form x / (sqrt(16 + x^2) + 4) of (sqrt(16 + x^2) - 4) / x;
     free of cancellation, and for x < 1e-8 it evaluates to the series x/8
     exactly.  The root is taken by hypot, so large x does not overflow.
     """
-    x = float(x)
-    if x < 0.0:
+    x = np.asarray(x, dtype=float)
+    if not np.all(x >= 0.0):
         raise ValueError("moment value must be nonnegative")
-    return x / (math.hypot(x, 4.0) + 4.0)
+    return _py(x / (np.hypot(x, 4.0) + 4.0))
 
 
-def omega_of_pair(p: BidiskPoint) -> float:
+def omega_of_pair(p: BidiskPoint):
     """Rotation number 4 q / sqrt(1 - q^2), q the Schwarz distance of p."""
     q = schwarz_distance(p.z, p.w)
-    return 4.0 * q / math.sqrt((1.0 - q) * (1.0 + q))
+    return _py(4.0 * q / np.sqrt((1.0 - q) * (1.0 + q)))
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,8 @@ class SliceReduction:
     g: MobiusTransform
 
 
-def slice_point(t: float) -> BidiskPoint:
-    return BidiskPoint(t, -t)
+def slice_point(t) -> BidiskPoint:
+    return BidiskPoint(t, -np.asarray(t))
 
 
 def slice_reduce(p: BidiskPoint) -> SliceReduction:
@@ -69,24 +70,22 @@ def slice_reduce(p: BidiskPoint) -> SliceReduction:
 
     Steps: translate z to 0, rotate the image of w onto the positive real
     axis, translate by the balancing t, then a half turn.  The composite
-    sends p to (t, -t); the returned g is its inverse.  Diagonal pairs map
-    to t = 0 with g the inverse of the translation by z.
+    sends p to (t, -t); the returned g is its inverse.  Diagonal pairs get
+    t = 0, so g carries (0, 0) to (z, z).
     """
-    if p.is_diagonal:
-        return SliceReduction(0.0, translate(p.z).inverse())
     g1 = translate(p.z)
-    w1 = g1(p.w)
-    theta = math.atan2(w1.imag, w1.real)
-    q = abs(w1)
+    w1 = np.asarray(g1(p.w))
+    theta = np.arctan2(w1.imag, w1.real)
+    q = np.abs(w1)
     # t = (1 - sqrt(1 - q^2)) / q, rationalized; equals q/2 + q^3/8 + ...
-    t = q / (1.0 + math.sqrt((1.0 - q) * (1.0 + q)))
+    t = np.where(p.is_diagonal, 0.0, q / (1.0 + np.sqrt((1.0 - q) * (1.0 + q))))
     fwd = (
         MobiusTransform.rotation(math.pi)
         @ translate(t)
         @ MobiusTransform.rotation(-theta)
         @ g1
     )
-    return SliceReduction(t, fwd.inverse())
+    return SliceReduction(_py(t), fwd.inverse())
 
 
 def moment_vector(p: BidiskPoint) -> LieVector:
@@ -102,18 +101,21 @@ def cone_preimage(y: LieVector) -> BidiskPoint:
     the SU(1,1) first column, and pushes the slice pair of omega forward.
     """
     cls = classify(y)
-    if cls.kind != ELLIPTIC_POSITIVE:
-        raise ValueError(f"target must be elliptic-positive, got {cls.kind}")
-    omega = cls.omega
+    kind = np.asarray(cls.kind)
+    if not np.all(kind == ELLIPTIC_POSITIVE):
+        bad = kind[kind != ELLIPTIC_POSITIVE][0]
+        raise ValueError(f"target must be elliptic-positive, got {bad}")
+    omega = np.asarray(cls.omega)
     vals, vecs = np.linalg.eig(y.matrix())
-    idx = int(np.argmin(np.abs(vals - 1j * omega)))
-    v = vecs[:, idx]
-    nrm = abs(v[0]) ** 2 - abs(v[1]) ** 2
-    if nrm <= 0.0:
+    idx = np.argmin(np.abs(vals - 1j * omega[..., None]), axis=-1)
+    v = np.take_along_axis(vecs, idx[..., None, None], axis=-1)[..., 0]
+    m = np.abs(v)
+    nrm = m[..., 0] * m[..., 0] - m[..., 1] * m[..., 1]
+    if not np.all(nrm > 0.0):
         raise ValueError("eigenvector is not positive for the indefinite form")
-    v = v / math.sqrt(nrm)
+    v = v / np.sqrt(nrm)[..., None]
     # pin the free phase so alpha is real positive (|alpha| >= 1 always)
-    v = v * np.exp(-1j * np.angle(v[0]))
-    g = MobiusTransform(complex(v[0]), complex(np.conj(v[1])))
+    v = v * np.exp(-1j * np.angle(v[..., :1]))
+    g = MobiusTransform(v[..., 0], np.conj(v[..., 1]))
     t = mu_slice_invert(omega)
     return act_bidisk(g, slice_point(t))

@@ -136,3 +136,16 @@ def composite_nodes(k: int) -> tuple[np.ndarray, np.ndarray]:
     nodes = (starts[:, None] + 0.5 * width * (1.0 + _X)[None, :]).ravel()
     weights = np.tile(0.5 * width * _WK, k)
     return nodes, weights
+
+
+def richardson(estimate, h):
+    """(value, residual) of an O(h^2) estimate(step), extrapolated from
+    steps h and 2h; the residual |e(h) - e(2h)| / 3 estimates its error."""
+    d_h, d_2h = estimate(h), estimate(2.0 * h)
+    return (4.0 * d_h - d_2h) / 3.0, abs(d_h - d_2h) / 3.0
+
+
+def central_difference(f, x, h):
+    """Richardson-extrapolated central difference f'(x), as (value,
+    residual); f is called at x + h, x - h, x + 2h, x - 2h in that order."""
+    return richardson(lambda s: (f(x + s) - f(x - s)) / (2.0 * s), h)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .moment import mu_slice_invert
-from .quadrature import adaptive, composite_nodes
+from .quadrature import adaptive, central_difference, composite_nodes
 
 # closed forms switch to their Taylor series below this Schwarz radius u
 # (rescaled parameter x~ for the x~-forms); the direct expressions lose
@@ -68,8 +68,7 @@ def rho_of_omega(omega):
 def fiber_radius(s: float, x: float) -> float:
     """Schwarz radius u(x) rescaled to the Euclidean fiber radius at
     center s: u (1 - s^2) / (1 - s^2 u^2)."""
-    u = schwarz_threshold(float(x))
-    s = float(s)
+    u = schwarz_threshold(x)
     return u * (1.0 - s * s) / (1.0 - (s * u) ** 2)
 
 
@@ -198,26 +197,17 @@ def pdf_quadrature(x: float, tol: float = 1e-8) -> float:
     x = float(x)
     if x <= 0.0:
         return 0.0
-    h = max(1e-6, 1e-3 * x)
-    if h > 0.5 * x:
-        h = 0.5 * x
+    h = min(max(1e-6, 1e-3 * x), 0.5 * x)
     inner = max(1e-15, tol * h / 8.0)
-
-    def cdf(v: float) -> float:
-        return cdf_quadrature(v, inner)
-
-    d1 = (cdf(x + h) - cdf(x - h)) / (2.0 * h)
-    d2 = (cdf(x + 2.0 * h) - cdf(x - 2.0 * h)) / (4.0 * h)
-    return (4.0 * d1 - d2) / 3.0
+    return central_difference(lambda v: cdf_quadrature(v, inner), x, h)[0]
 
 
 def _pdf_batch(xs: np.ndarray) -> np.ndarray:
+    """pdf_quadrature's stencil on cdf_quadrature_batch; 0 at x = 0."""
     xs = np.asarray(xs, dtype=float)
-    h = np.maximum(1e-6, 1e-3 * xs)
-    h = np.minimum(h, 0.5 * xs)
-    d1 = (cdf_quadrature_batch(xs + h) - cdf_quadrature_batch(xs - h)) / (2.0 * h)
-    d2 = (cdf_quadrature_batch(xs + 2 * h) - cdf_quadrature_batch(xs - 2 * h)) / (4.0 * h)
-    return (4.0 * d1 - d2) / 3.0
+    h = np.minimum(np.maximum(1e-6, 1e-3 * xs), 0.5 * xs)
+    with np.errstate(invalid="ignore"):  # 0/0 where x = h = 0
+        return np.where(xs > 0.0, central_difference(cdf_quadrature_batch, xs, h)[0], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +253,19 @@ def _cdf_and_tail(x) -> tuple[np.ndarray, np.ndarray]:
 
 _RADIUS = (1.0, "schwarz radius must lie in [0, 1)")
 _RESCALED = (np.inf, "rescaled parameter must be finite and nonnegative")
+# the x~-forms switch to their leading terms from here on: the dropped terms
+# are x~^-2 smaller, far below rounding, and x~^3, (1 + x~^2)^2 would overflow
+_FAR_CUT = 1e50
 
 
-def _closed_form(arg, series, direct, upper: float, message: str):
-    """series(arg) below SERIES_CUT and direct(arg) from it on, for arg in
-    [0, upper); a float for a float argument."""
+def _closed_form(arg, series, direct, upper: float, message: str, far=None):
+    """series(arg) below SERIES_CUT, far(arg) from _FAR_CUT on (when given)
+    and direct(arg) in between, for arg in [0, upper); a float for a float
+    argument."""
     arg = np.asarray(arg, dtype=float)
     if not np.all((arg >= 0.0) & (arg < upper)):
         raise ValueError(message)
-    out = np.piecewise(arg, [arg < SERIES_CUT], [series, direct])
+    out = np.piecewise(arg, [arg < SERIES_CUT, arg >= _FAR_CUT], [series, far or direct, direct])
     return float(out) if out.ndim == 0 else out
 
 
@@ -322,6 +316,7 @@ def cdf_closed_paper_prop(x_tilde):
         lambda t: cdf_closed_paper_u(t / np.hypot(1.0, t)) - 1.0,
         lambda t: -2.0 * np.log1p(t**2) / t**2 + 1.0 / (1.0 + t**2),
         *_RESCALED,
+        far=lambda t: (1.0 - 4.0 * np.log(t)) / t / t,
     )
 
 
@@ -339,6 +334,7 @@ def pdf_closed_paper(x_tilde):
         lambda t: 4.0 * t**3 * _series(t**2 / (1.0 + t**2), _DF_SERIES) / (1.0 + t**2) ** 3,
         lambda t: 4.0 * np.log1p(t**2) / t**3 - (6.0 * t**2 + 4.0) / (t * (1.0 + t**2) ** 2),
         *_RESCALED,
+        far=lambda t: (8.0 * np.log(t) - 6.0) / t / t / t,
     )
 
 
@@ -640,13 +636,16 @@ class SpectralTable:
             raise ValueError("grid values must be positive")
         xt = x / 4.0
         u = _schwarz_radius(x)
+        # u rounds to 1 above x ~ 3e8, outside the u-forms' domain; both tend to 1
+        edge = u == 1.0
+        u = np.where(edge, 0.0, u)
         return cls(
             x=x,
             x_tilde=xt,
             F_quad=cdf_quadrature_batch(x),
-            F_paper_u=cdf_closed_paper_u(u),
+            F_paper_u=np.where(edge, 1.0, cdf_closed_paper_u(u)),
             F_paper_prop=cdf_closed_paper_prop(xt),
-            F_derived=cdf_closed_derived(u),
+            F_derived=np.where(edge, 1.0, cdf_closed_derived(u)),
             f_quad=_pdf_batch(x),
             f_paper=pdf_closed_paper(xt),
         )
@@ -727,26 +726,17 @@ def discrepancy_ledger(fd_tol: float = 1e-5) -> dict[str, dict]:
     )
 
     # (f) internal consistency: transcribed density is d/dx~ of the u-form
-    xt_grid = np.geomspace(0.05, 20.0, 16)
-    worst_rel = 0.0
-    worst_res = 0.0
-    for xt in xt_grid:
-        h = 1e-5 * max(1.0, xt)
-
-        def fu(v: float) -> float:
-            return cdf_closed_paper_u(v / math.sqrt(1.0 + v * v))
-
-        d1 = (fu(xt + h) - fu(xt - h)) / (2.0 * h)
-        d2 = (fu(xt + 2 * h) - fu(xt - 2 * h)) / (4.0 * h)
-        extrap = (4.0 * d1 - d2) / 3.0
-        res = abs(d1 - d2) / 3.0
-        ref = pdf_closed_paper(xt)
-        worst_rel = max(worst_rel, abs(extrap - ref) / max(abs(ref), 1e-30))
-        worst_res = max(worst_res, res / max(abs(extrap), 1.0))
+    xt = np.geomspace(0.05, 20.0, 16)
+    extrap, res = central_difference(
+        lambda v: cdf_closed_paper_u(v / np.sqrt(1.0 + v * v)), xt, 1e-5 * np.maximum(1.0, xt)
+    )
+    ref = pdf_closed_paper(xt)
+    worst_rel = float(np.max(np.abs(extrap - ref) / np.maximum(np.abs(ref), 1e-30)))
+    worst_res = float(np.max(res / np.maximum(np.abs(extrap), 1.0)))
     if worst_res > fd_tol:
         out["ledger_pdf_paper_internal_consistency"] = _ledger_entry(
             "fail",
-            {"max_rel_difference": float(worst_rel), "max_rel_residual": float(worst_res)},
+            {"max_rel_difference": worst_rel, "max_rel_residual": worst_res},
             1e-6,
             f"step-size failure: Richardson residual {worst_res:.3e} exceeds "
             f"certification tolerance {fd_tol:.1e} on the x_tilde grid [0.05, 20]",
@@ -754,7 +744,7 @@ def discrepancy_ledger(fd_tol: float = 1e-5) -> dict[str, dict]:
     else:
         out["ledger_pdf_paper_internal_consistency"] = _ledger_entry(
             "pass" if worst_rel <= 1e-6 else "fail",
-            {"max_rel_difference": float(worst_rel), "max_rel_residual": float(worst_res)},
+            {"max_rel_difference": worst_rel, "max_rel_residual": worst_res},
             1e-6,
             "the transcribed density candidate equals d/dx_tilde of the "
             "transcribed u-form distribution on a 16-point log grid "

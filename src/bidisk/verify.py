@@ -31,7 +31,6 @@ from .liealg import (
     ELLIPTIC_NEGATIVE,
     ELLIPTIC_POSITIVE,
     LieVector,
-    SymplecticGenerator,
     XI,
     adjoint,
     bform,
@@ -50,6 +49,7 @@ from .moment import (
     slice_point,
     slice_reduce,
 )
+from .quadrature import central_difference, richardson
 from .spectral import discrepancy_ledger
 
 PASS = "pass"
@@ -58,25 +58,27 @@ DISCREPANCY = "discrepancy"
 
 STEP_SIZE_PREFIX = "step-size failure:"
 
+# sample sizes, sampling radii and second-difference grid of the checks
+N_PROPERTY = 500
+N_CLASSIFY = 10000
+N_ISOMETRY = 1000
+N_CONE = 10000
+N_EQUIVARIANCE = 1000
+N_SURJECTIVITY = 300
+N_COISOTROPY = 200
+N_FIBER = 1000
+RMAX = 0.9
+ZETA_MAX = 0.9
+GRID_N = 20
+GRID_HALFWIDTH = 0.8
+FD_STEP_SECOND = 3e-4
+
 
 @dataclass(frozen=True)
 class VerifyConfig:
     seed: int = 20260814
     fd_step: float = 1e-5
-    fd_step_second: float = 3e-4
     fd_tol: float = 1e-5
-    n_property: int = 500
-    n_classify: int = 10000
-    n_isometry: int = 1000
-    n_cone: int = 10000
-    n_equivariance: int = 1000
-    n_surjectivity: int = 300
-    n_coisotropy: int = 200
-    n_fiber: int = 1000
-    grid_n: int = 20
-    grid_halfwidth: float = 0.8
-    rmax: float = 0.9
-    zeta_max: float = 0.9
     include_ledger: bool = True
 
 
@@ -88,17 +90,13 @@ def _rng(cfg: VerifyConfig, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((cfg.seed, tag)))
 
 
-def _richardson(d_h: float, d_2h: float) -> tuple[float, float]:
-    """Extrapolated value and residual estimate for an O(h^2) difference."""
-    extrap = (4.0 * d_h - d_2h) / 3.0
-    return extrap, abs(d_h - d_2h) / 3.0
+def _worst(*defects) -> float:
+    """Largest entry of arrays of nonnegative defects; NaN if any is NaN."""
+    return float(np.max([np.max(d, initial=0.0) for d in defects]))
 
 
-def _certified_second(f, x: float, h: float) -> tuple[float, float]:
-    def second(step: float) -> float:
-        return (f(x + step) - 2.0 * f(x) + f(x - step)) / (step * step)
-
-    return _richardson(second(h), second(2.0 * h))
+def _certified_second(f, x, h):
+    return richardson(lambda s: (f(x + s) - 2.0 * f(x) + f(x - s)) / (s * s), h)
 
 
 def _step_failure(name_tol: float, residual: float, where: str) -> dict:
@@ -117,13 +115,11 @@ def _step_failure(name_tol: float, residual: float, where: str) -> dict:
 
 def check_lie_bform_signature(cfg: VerifyConfig) -> dict:
     rng = _rng(cfg, 1)
-    worst = 0.0
-    for _ in range(cfg.n_property):
-        x = random_vector(rng)
-        y = random_vector(rng)
-        m = x.matrix() @ y.matrix()
-        tr = 0.5 * (m[0, 0] + m[1, 1])
-        worst = max(worst, abs(bform(x, y) - tr.real), abs(tr.imag))
+    x = random_vector(rng, size=N_PROPERTY)
+    y = random_vector(rng, size=N_PROPERTY)
+    m = x.matrix() @ y.matrix()
+    tr = 0.5 * (m[..., 0, 0] + m[..., 1, 1])
+    worst = _worst(np.abs(bform(x, y) - tr.real), np.abs(tr.imag))
     basis = {
         "xi_xi": bform(XI, XI) + 1.0,
         "eta_eta": bform(LieVector(0, 1, 0)) - 1.0,
@@ -133,124 +129,99 @@ def check_lie_bform_signature(cfg: VerifyConfig) -> dict:
     ok = worst <= 1e-12 and worst_basis == 0.0
     return _entry(
         PASS if ok else FAIL,
-        {"max_trace_defect": float(worst), "max_basis_defect": float(worst_basis)},
+        {"max_trace_defect": worst, "max_basis_defect": float(worst_basis)},
         1e-12,
         f"coordinate form -a1 a2 + b1 b2 + c1 c2 against tr(xy)/2 on "
-        f"{cfg.n_property} standard-normal vector pairs, plus exact "
+        f"{N_PROPERTY} standard-normal vector pairs, plus exact "
         f"(-1, 1, 1) values on the basis",
     )
 
 
 def check_lie_bracket_jacobi(cfg: VerifyConfig) -> dict:
     rng = _rng(cfg, 2)
-    worst_comm = 0.0
-    worst_jacobi = 0.0
-    for _ in range(cfg.n_property):
-        x = random_vector(rng)
-        y = random_vector(rng)
-        z = random_vector(rng)
-        m = x.matrix() @ y.matrix() - y.matrix() @ x.matrix()
-        worst_comm = max(
-            worst_comm, float(np.max(np.abs(m - bracket(x, y).matrix())))
-        )
-        j = (
-            bracket(x, bracket(y, z))
-            + bracket(y, bracket(z, x))
-            + bracket(z, bracket(x, y))
-        )
-        worst_jacobi = max(worst_jacobi, j.norm_inf())
+    x, y, z = (random_vector(rng, size=N_PROPERTY) for _ in range(3))
+    mx, my = x.matrix(), y.matrix()
+    worst_comm = _worst(np.abs(mx @ my - my @ mx - bracket(x, y).matrix()))
+    j = bracket(x, bracket(y, z)) + bracket(y, bracket(z, x)) + bracket(z, bracket(x, y))
+    worst_jacobi = _worst(j.norm_inf())
     ok = worst_comm <= 1e-12 and worst_jacobi <= 1e-12
     return _entry(
         PASS if ok else FAIL,
-        {"max_commutator_defect": float(worst_comm), "max_jacobi_defect": float(worst_jacobi)},
+        {"max_commutator_defect": worst_comm, "max_jacobi_defect": worst_jacobi},
         1e-12,
         f"structure-constant bracket against 2x2 matrix commutators and the "
-        f"Jacobi identity on {cfg.n_property} standard-normal triples",
+        f"Jacobi identity on {N_PROPERTY} standard-normal triples",
     )
 
 
 def check_lie_classify_eigensolver(cfg: VerifyConfig) -> dict:
     rng = _rng(cfg, 3)
-    worst_omega = 0.0
-    mismatches = 0
-    for _ in range(cfg.n_classify):
-        x = random_vector(rng)
-        cls = classify(x)
-        ev = np.linalg.eigvals(x.matrix())
-        scale = max(1.0, float(np.max(np.abs(ev))))
-        elliptic_eig = float(np.max(np.abs(ev.real))) <= 1e-10 * scale
-        is_elliptic = cls.kind in (ELLIPTIC_POSITIVE, ELLIPTIC_NEGATIVE)
-        if is_elliptic != elliptic_eig:
-            mismatches += 1
-            continue
-        if is_elliptic:
-            w_eig = float(np.max(np.abs(ev.imag)))
-            worst_omega = max(worst_omega, abs(cls.omega - w_eig) / max(1.0, w_eig))
+    x = random_vector(rng, size=N_CLASSIFY)
+    cls = classify(x)
+    ev = np.linalg.eigvals(x.matrix())
+    scale = np.maximum(1.0, np.max(np.abs(ev), axis=-1))
+    elliptic_eig = np.max(np.abs(ev.real), axis=-1) <= 1e-10 * scale
+    is_elliptic = np.isin(cls.kind, (ELLIPTIC_POSITIVE, ELLIPTIC_NEGATIVE))
+    mismatches = int(np.sum(is_elliptic != elliptic_eig))
+    both = is_elliptic & elliptic_eig
+    w_eig = np.max(np.abs(ev.imag), axis=-1)[both]
+    worst_omega = _worst(np.abs(cls.omega[both] - w_eig) / np.maximum(1.0, w_eig))
     ok = mismatches == 0 and worst_omega <= 1e-10
     return _entry(
         PASS if ok else FAIL,
-        {"tag_mismatches": mismatches, "max_rel_omega_defect": float(worst_omega)},
+        {"tag_mismatches": mismatches, "max_rel_omega_defect": worst_omega},
         1e-10,
         f"classification tags and omega against numpy eigenvalues of the 2x2 "
-        f"matrices on {cfg.n_classify} standard-normal vectors",
+        f"matrices on {N_CLASSIFY} standard-normal vectors",
     )
 
 
 def check_lie_adjoint_invariance(cfg: VerifyConfig) -> dict:
     rng = _rng(cfg, 4)
-    worst = 0.0
-    class_breaks = 0
-    for _ in range(cfg.n_property):
-        g = random_mobius(rng, cfg.zeta_max)
-        x = random_vector(rng)
-        y = random_vector(rng)
-        worst = max(worst, abs(bform(adjoint(g, x), adjoint(g, y)) - bform(x, y)))
-        if abs(bform(x)) > 1e-6 and classify(adjoint(g, x)).kind != classify(x).kind:
-            class_breaks += 1
+    g = random_mobius(rng, ZETA_MAX, size=N_PROPERTY)
+    x = random_vector(rng, size=N_PROPERTY)
+    y = random_vector(rng, size=N_PROPERTY)
+    gx = adjoint(g, x)
+    worst = _worst(np.abs(bform(gx, adjoint(g, y)) - bform(x, y)))
+    changed = classify(gx).kind != classify(x).kind
+    class_breaks = int(np.sum((np.abs(bform(x)) > 1e-6) & changed))
     ok = worst <= 1e-10 and class_breaks == 0
     return _entry(
         PASS if ok else FAIL,
-        {"max_bform_defect": float(worst), "class_changes": class_breaks},
+        {"max_bform_defect": worst, "class_changes": class_breaks},
         1e-10,
         f"Ad-invariance of the bilinear form and of the spectral class on "
-        f"{cfg.n_property} (g, x, y) samples with |zeta(g)| <= {cfg.zeta_max}",
+        f"{N_PROPERTY} (g, x, y) samples with |zeta(g)| <= {ZETA_MAX}",
     )
 
 
 def check_lie_sp2_roundtrip(cfg: VerifyConfig) -> dict:
     rng = _rng(cfg, 5)
-    worst_rt = 0.0
-    worst_eig = 0.0
-    worst_conj = 0.0
+    x = random_vector(rng, size=N_PROPERTY)
+    s = to_sp2(x)
+    mx, ms = x.matrix(), s.matrix()
     cay = cayley_matrix()
     cay_inv = np.conj(cay.T)  # C is unitary
-    for _ in range(cfg.n_property):
-        x = random_vector(rng)
-        s = to_sp2(x)
-        back = from_sp2(s)
-        worst_rt = max(worst_rt, (back - x).norm_inf())
-        worst_conj = max(
-            worst_conj,
-            float(np.max(np.abs(cay @ x.matrix() @ cay_inv - s.matrix()))),
-        )
-        e1 = np.linalg.eigvals(x.matrix())
-        e2 = np.linalg.eigvals(s.matrix().astype(complex))
-        # compare as a multiset: best of the two pairings
-        direct = float(np.max(np.abs(e1 - e2)))
-        swapped = float(np.max(np.abs(e1 - e2[::-1])))
-        worst_eig = max(worst_eig, min(direct, swapped))
+    e1 = np.linalg.eigvals(mx)
+    e2 = np.linalg.eigvals(ms.astype(complex))
+    # compare as a multiset: best of the two pairings
+    direct = np.max(np.abs(e1 - e2), axis=-1)
+    swapped = np.max(np.abs(e1 - e2[..., ::-1]), axis=-1)
+    worst_rt = _worst((from_sp2(s) - x).norm_inf())
+    worst_eig = _worst(np.minimum(direct, swapped))
+    worst_conj = _worst(np.abs(cay @ mx @ cay_inv - ms))
     ok = worst_rt <= 1e-14 and worst_eig <= 1e-8 and worst_conj <= 1e-12
     return _entry(
         PASS if ok else FAIL,
         {
-            "max_roundtrip_defect": float(worst_rt),
-            "max_eigenvalue_defect": float(worst_eig),
-            "max_conjugation_defect": float(worst_conj),
+            "max_roundtrip_defect": worst_rt,
+            "max_eigenvalue_defect": worst_eig,
+            "max_conjugation_defect": worst_conj,
         },
         1e-8,
         f"to_sp2/from_sp2 round trip (tol 1e-14), agreement with explicit "
         f"Cayley conjugation (tol 1e-12), and eigenvalue preservation on "
-        f"{cfg.n_property} standard-normal vectors",
+        f"{N_PROPERTY} standard-normal vectors",
     )
 
 
@@ -260,69 +231,55 @@ def check_lie_sp2_roundtrip(cfg: VerifyConfig) -> dict:
 
 def check_disk_mobius_isometry(cfg: VerifyConfig) -> dict:
     rng = _rng(cfg, 6)
-    worst_ds = 0.0
-    worst_rho = 0.0
-    for _ in range(cfg.n_isometry):
-        g = random_mobius(rng, cfg.zeta_max)
-        z = random_point(rng, cfg.rmax)
-        w = random_point(rng, cfg.rmax)
-        worst_ds = max(
-            worst_ds, abs(schwarz_distance(g(z), g(w)) - schwarz_distance(z, w))
-        )
-        worst_rho = max(
-            worst_rho, abs(poincare_distance(g(z), g(w)) - poincare_distance(z, w))
-        )
+    g = random_mobius(rng, ZETA_MAX, size=N_ISOMETRY)
+    z = random_point(rng, RMAX, size=N_ISOMETRY)
+    w = random_point(rng, RMAX, size=N_ISOMETRY)
+    gz, gw = g(z), g(w)
+    worst_ds = _worst(np.abs(schwarz_distance(gz, gw) - schwarz_distance(z, w)))
+    worst_rho = _worst(np.abs(poincare_distance(gz, gw) - poincare_distance(z, w)))
     ok = worst_ds <= 1e-12 and worst_rho <= 1e-10
     return _entry(
         PASS if ok else FAIL,
-        {"max_schwarz_defect": float(worst_ds), "max_rho_defect": float(worst_rho)},
+        {"max_schwarz_defect": worst_ds, "max_rho_defect": worst_rho},
         1e-10,
         f"invariance of the Schwarz (tol 1e-12) and hyperbolic (tol 1e-10) "
-        f"distances under {cfg.n_isometry} random automorphisms applied to "
-        f"area-uniform pairs with |z| <= {cfg.rmax}",
+        f"distances under {N_ISOMETRY} random automorphisms applied to "
+        f"area-uniform pairs with |z| <= {RMAX}",
     )
 
 
 def check_disk_group_law(cfg: VerifyConfig) -> dict:
     rng = _rng(cfg, 7)
-    worst_pt = 0.0
-    worst_det = 0.0
-    for _ in range(cfg.n_isometry):
-        g = random_mobius(rng, cfg.zeta_max)
-        h = random_mobius(rng, cfg.zeta_max)
-        k = random_mobius(rng, cfg.zeta_max)
-        z = random_point(rng, cfg.rmax)
-        comp = (g @ h) @ k
-        worst_pt = max(worst_pt, abs(comp(z) - g(h(k(z)))))
-        det = abs(comp.alpha) ** 2 - abs(comp.beta) ** 2
-        worst_det = max(worst_det, abs(det - 1.0))
-        worst_pt = max(worst_pt, abs((g @ g.inverse())(z) - z))
+    g, h, k = (random_mobius(rng, ZETA_MAX, size=N_ISOMETRY) for _ in range(3))
+    z = random_point(rng, RMAX, size=N_ISOMETRY)
+    comp = (g @ h) @ k
+    det = np.abs(comp.alpha) ** 2 - np.abs(comp.beta) ** 2
+    worst_pt = _worst(np.abs(comp(z) - g(h(k(z)))), np.abs((g @ g.inverse())(z) - z))
+    worst_det = _worst(np.abs(det - 1.0))
     ok = worst_pt <= 1e-12 and worst_det <= 1e-12
     return _entry(
         PASS if ok else FAIL,
-        {"max_action_defect": float(worst_pt), "max_det_drift": float(worst_det)},
+        {"max_action_defect": worst_pt, "max_det_drift": worst_det},
         1e-12,
         f"composition = pointwise application and determinant stability on "
-        f"{cfg.n_isometry} random triples (plus g g^-1 = id)",
+        f"{N_ISOMETRY} random triples (plus g g^-1 = id)",
     )
 
 
 def check_disk_fiber_circle(cfg: VerifyConfig) -> dict:
     rng = _rng(cfg, 8)
-    worst = 0.0
-    for _ in range(cfg.n_fiber):
-        s = rng.uniform(0.0, 0.95)
-        u = rng.uniform(0.05, 0.95)
-        c, r = hyperbolic_disk_euclidean(s, u)
-        for k in range(8):
-            w = c + r * np.exp(1j * (2.0 * math.pi * (k + rng.random()) / 8.0))
-            worst = max(worst, abs(schwarz_distance(s, w) - u))
+    s = rng.uniform(0.0, 0.95, N_FIBER)
+    u = rng.uniform(0.05, 0.95, N_FIBER)
+    c, r = hyperbolic_disk_euclidean(s, u)
+    k = np.arange(8) + rng.random((N_FIBER, 8))
+    w = c[:, None] + r[:, None] * np.exp(1j * (2.0 * math.pi * k / 8.0))
+    worst = _worst(np.abs(schwarz_distance(s[:, None], w) - u[:, None]))
     return _entry(
         PASS if worst <= 1e-9 else FAIL,
-        {"max_radius_defect": float(worst)},
+        {"max_radius_defect": worst},
         1e-9,
         f"points on the Euclidean boundary circle of the Schwarz disk are at "
-        f"Schwarz distance u from the center: {cfg.n_fiber} random (s, u) "
+        f"Schwarz distance u from the center: {N_FIBER} random (s, u) "
         f"pairs, 8 jittered angles each",
     )
 
@@ -333,13 +290,11 @@ def check_disk_fiber_circle(cfg: VerifyConfig) -> dict:
 
 def check_moment_diagonal_zero(cfg: VerifyConfig) -> dict:
     rng = _rng(cfg, 9)
-    worst = 0.0
-    for _ in range(100):
-        z = random_point(rng, cfg.rmax)
-        worst = max(worst, moment_vector(BidiskPoint(z, z)).norm_inf())
+    z = random_point(rng, RMAX, size=100)
+    worst = _worst(moment_vector(BidiskPoint(z, z)).norm_inf())
     return _entry(
         PASS if worst <= 1e-12 else FAIL,
-        {"max_moment_norm": float(worst)},
+        {"max_moment_norm": worst},
         1e-12,
         "the moment vector vanishes on 100 random diagonal pairs (z, z)",
     )
@@ -347,24 +302,20 @@ def check_moment_diagonal_zero(cfg: VerifyConfig) -> dict:
 
 def check_moment_cone_positive(cfg: VerifyConfig) -> dict:
     rng = _rng(cfg, 10)
-    bad_class = 0
-    worst_omega = 0.0
-    for _ in range(cfg.n_cone):
-        p = BidiskPoint(random_point(rng, cfg.rmax), random_point(rng, cfg.rmax))
-        if p.is_diagonal:
-            continue
-        cls = classify(moment_vector(p))
-        if cls.kind != ELLIPTIC_POSITIVE:
-            bad_class += 1
-            continue
-        w_pair = omega_of_pair(p)
-        worst_omega = max(worst_omega, abs(cls.omega - w_pair) / max(1.0, w_pair))
+    p = BidiskPoint(*random_point(rng, RMAX, size=(2, N_CONE)))
+    off = ~p.is_diagonal
+    cls = classify(moment_vector(p))
+    positive = cls.kind == ELLIPTIC_POSITIVE
+    bad_class = int(np.sum(off & ~positive))
+    keep = off & positive
+    w_pair = omega_of_pair(p)[keep]
+    worst_omega = _worst(np.abs(cls.omega[keep] - w_pair) / np.maximum(1.0, w_pair))
     ok = bad_class == 0 and worst_omega <= 1e-10
     return _entry(
         PASS if ok else FAIL,
-        {"off_cone_count": bad_class, "max_rel_omega_defect": float(worst_omega)},
+        {"off_cone_count": bad_class, "max_rel_omega_defect": worst_omega},
         1e-10,
-        f"moment vectors of {cfg.n_cone} random off-diagonal pairs are "
+        f"moment vectors of {N_CONE} random off-diagonal pairs are "
         f"elliptic-positive with rotation number 4q/sqrt(1-q^2), q the "
         f"Schwarz distance of the pair",
     )
@@ -372,24 +323,20 @@ def check_moment_cone_positive(cfg: VerifyConfig) -> dict:
 
 def check_moment_slice_fd(cfg: VerifyConfig) -> dict:
     h = cfg.fd_step
-    worst_defect = 0.0
-    worst_res = 0.0
-    for t in np.linspace(0.1, 0.9, 9):
+    t = np.linspace(0.1, 0.9, 9)
 
-        def drho(s: float, tt: float = float(t)) -> float:
-            r = math.exp(-2.0 * s) * tt
-            return poincare_distance(r, -r)
+    def rho_flow(s: float) -> np.ndarray:
+        r = np.exp(-2.0 * s) * t
+        return poincare_distance(r, -r)
 
-        d_h = -(drho(h) - drho(-h)) / (2.0 * h)
-        d_2h = -(drho(2 * h) - drho(-2 * h)) / (4.0 * h)
-        extrap, res = _richardson(d_h, d_2h)
-        worst_defect = max(worst_defect, abs(extrap - mu_slice(float(t))))
-        worst_res = max(worst_res, res / max(1.0, abs(extrap)))
+    d, res = central_difference(rho_flow, 0.0, h)
+    worst_defect = _worst(np.abs(-d - mu_slice(t)))
+    worst_res = _worst(res / np.maximum(1.0, np.abs(d)))
     if worst_res > cfg.fd_tol:
         return _step_failure(cfg.fd_tol, worst_res, "slice moment derivative, t in [0.1, 0.9]")
     return _entry(
         PASS if worst_defect <= 1e-6 else FAIL,
-        {"max_defect": float(worst_defect), "max_rel_residual": float(worst_res)},
+        {"max_defect": worst_defect, "max_rel_residual": worst_res},
         1e-6,
         f"minus the s-derivative of rho(e^-2s t, -e^-2s t) at s=0 equals "
         f"8t/(1-t^2) on t in [0.1, 0.9] (9 points, step h={h:g}, "
@@ -399,44 +346,36 @@ def check_moment_slice_fd(cfg: VerifyConfig) -> dict:
 
 def check_moment_equivariance(cfg: VerifyConfig) -> dict:
     rng = _rng(cfg, 11)
-    worst = 0.0
-    for _ in range(cfg.n_equivariance):
-        p = BidiskPoint(random_point(rng, cfg.rmax), random_point(rng, cfg.rmax))
-        g = random_mobius(rng, cfg.zeta_max)
-        lhs = moment_vector(act_bidisk(g, p))
-        rhs = adjoint(g, moment_vector(p))
-        worst = max(worst, (lhs - rhs).norm_inf())
+    p = BidiskPoint(*random_point(rng, RMAX, size=(2, N_EQUIVARIANCE)))
+    g = random_mobius(rng, ZETA_MAX, size=N_EQUIVARIANCE)
+    lhs = moment_vector(act_bidisk(g, p))
+    rhs = adjoint(g, moment_vector(p))
+    worst = _worst((lhs - rhs).norm_inf())
     return _entry(
         PASS if worst <= 1e-9 else FAIL,
-        {"max_equivariance_defect": float(worst)},
+        {"max_equivariance_defect": worst},
         1e-9,
-        f"mu(g.p) = Ad(g) mu(p) on {cfg.n_equivariance} random (g, p) pairs "
-        f"with |z| <= {cfg.rmax}, |zeta(g)| <= {cfg.zeta_max}",
+        f"mu(g.p) = Ad(g) mu(p) on {N_EQUIVARIANCE} random (g, p) pairs "
+        f"with |z| <= {RMAX}, |zeta(g)| <= {ZETA_MAX}",
     )
 
 
 def check_moment_coisotropy(cfg: VerifyConfig) -> dict:
     rng = _rng(cfg, 12)
     delta = 1e-6
-    worst_ratio = 0.0
-    for _ in range(cfg.n_coisotropy):
-        t = rng.uniform(0.1, 0.8)
-        g = random_mobius(rng, 0.7)
-        p1 = act_bidisk(g, slice_point(t))
-        p2 = act_bidisk(g, slice_point(t + delta))
-        t1 = slice_reduce(p1).t
-        t2 = slice_reduce(p2).t
-        m1 = moment_vector(p1)
-        m2 = moment_vector(p2)
-        d = m1 - m2
-        dmu = math.sqrt(d.a * d.a + d.b * d.b + d.c * d.c)
-        worst_ratio = max(worst_ratio, abs(t1 - t2) / dmu)
+    t = rng.uniform(0.1, 0.8, N_COISOTROPY)
+    g = random_mobius(rng, 0.7, size=N_COISOTROPY)
+    p1 = act_bidisk(g, slice_point(t))
+    p2 = act_bidisk(g, slice_point(t + delta))
+    d = moment_vector(p1) - moment_vector(p2)
+    dmu = np.sqrt(d.a * d.a + d.b * d.b + d.c * d.c)
+    worst_ratio = _worst(np.abs(slice_reduce(p1).t - slice_reduce(p2).t) / dmu)
     return _entry(
         PASS if worst_ratio <= 1.0 else FAIL,
-        {"max_ratio": float(worst_ratio)},
+        {"max_ratio": worst_ratio},
         1.0,
         f"transverse control |dt| <= C ||d mu||_2 with C = 1 on "
-        f"{cfg.n_coisotropy} orbit pairs separated by dt = {delta:g}, "
+        f"{N_COISOTROPY} orbit pairs separated by dt = {delta:g}, "
         f"|zeta(g)| <= 0.7 (C covers the adjoint amplification e^rho ~ 5.7 "
         f"against dt/domega <= 1/8)",
     )
@@ -444,19 +383,16 @@ def check_moment_coisotropy(cfg: VerifyConfig) -> dict:
 
 def check_moment_surjectivity(cfg: VerifyConfig) -> dict:
     rng = _rng(cfg, 13)
-    worst = 0.0
-    for _ in range(cfg.n_surjectivity):
-        omega = rng.uniform(0.5, 20.0)
-        g = random_mobius(rng, 0.7)
-        y = adjoint(g, LieVector(omega, 0.0, 0.0))
-        p = cone_preimage(y)
-        defect = (moment_vector(p) - y).norm_inf()
-        worst = max(worst, defect / max(1.0, y.norm_inf()))
+    omega = rng.uniform(0.5, 20.0, N_SURJECTIVITY)
+    g = random_mobius(rng, 0.7, size=N_SURJECTIVITY)
+    y = adjoint(g, LieVector(omega, 0.0, 0.0))
+    defect = (moment_vector(cone_preimage(y)) - y).norm_inf()
+    worst = _worst(defect / np.maximum(1.0, y.norm_inf()))
     return _entry(
         PASS if worst <= 1e-9 else FAIL,
-        {"max_rel_defect": float(worst)},
+        {"max_rel_defect": worst},
         1e-9,
-        f"cone_preimage inverts the moment map on {cfg.n_surjectivity} "
+        f"cone_preimage inverts the moment map on {N_SURJECTIVITY} "
         f"elliptic-positive targets Ad(g)(omega xi), omega in [0.5, 20], "
         f"|zeta(g)| <= 0.7",
     )
@@ -466,19 +402,22 @@ def check_moment_surjectivity(cfg: VerifyConfig) -> dict:
 # plurisubharmonicity checks
 
 
-def _rho_uv(u: complex, v: complex) -> float:
+def _rho_uv(u, v):
     return poincare_distance((u + v) / 2.0, (u - v) / 2.0)
 
 
-def _hermitian_hessian(u0: complex, v0: complex, h: float) -> np.ndarray:
-    def f(u: complex, v: complex) -> float:
+def _hermitian_hessian(u0, v0, h: float):
+    """Entries (H_uu, H_vv, H_uv) of the complex Hessian of rho at
+    (u0, v0) from quarter-Laplacian and cross stencils of step h."""
+
+    def f(u, v):
         return _rho_uv(u0 + u, v0 + v)
 
     base = 4.0 * f(0.0, 0.0)
     huu = (f(h, 0) + f(-h, 0) + f(1j * h, 0) + f(-1j * h, 0) - base) / (4.0 * h * h)
     hvv = (f(0, h) + f(0, -h) + f(0, 1j * h) + f(0, -1j * h) - base) / (4.0 * h * h)
 
-    def cross(du: complex, dv: complex) -> float:
+    def cross(du: complex, dv: complex):
         return (f(du, dv) - f(du, -dv) - f(-du, dv) + f(-du, -dv)) / (4.0 * h * h)
 
     pxx = cross(h, h)
@@ -486,73 +425,52 @@ def _hermitian_hessian(u0: complex, v0: complex, h: float) -> np.ndarray:
     pxy = cross(h, 1j * h)
     pyx = cross(1j * h, h)
     huv = 0.25 * ((pxx + pyy) + 1j * (pxy - pyx))
-    return np.array([[huu, huv], [np.conj(huv), hvv]])
+    return huu, hvv, huv
 
 
-def _min_eig(m: np.ndarray) -> float:
-    a = m[0, 0].real
-    d = m[1, 1].real
-    off = abs(m[0, 1])
-    return 0.5 * (a + d) - math.sqrt(0.25 * (a - d) ** 2 + off * off)
+def _min_eig(huu, hvv, huv):
+    """Smaller eigenvalue of the Hermitian [[huu, huv], [conj(huv), hvv]]."""
+    return 0.5 * (huu + hvv) - np.sqrt(0.25 * (huu - hvv) ** 2 + np.abs(huv) ** 2)
 
 
 def check_psh_hessian_grid(cfg: VerifyConfig) -> dict:
-    h = cfg.fd_step_second
-    grid = np.linspace(-cfg.grid_halfwidth, cfg.grid_halfwidth, cfg.grid_n)
-    min_eig = math.inf
-    worst_res = 0.0
-    n_points = 0
-    for zr in grid:
-        for wi in grid:
-            z = complex(zr, 0.0)
-            w = complex(0.0, wi)
-            if abs(z - w) < 10.0 * h:
-                continue
-            u0 = z + w
-            v0 = z - w
-            e1 = _min_eig(_hermitian_hessian(u0, v0, h))
-            e2 = _min_eig(_hermitian_hessian(u0, v0, 2.0 * h))
-            extrap, res = _richardson(e1, e2)
-            min_eig = min(min_eig, extrap)
-            worst_res = max(worst_res, res / max(1.0, abs(extrap)))
-            n_points += 1
+    h = FD_STEP_SECOND
+    grid = np.linspace(-GRID_HALFWIDTH, GRID_HALFWIDTH, GRID_N)
+    z, w = np.meshgrid(grid + 0j, 1j * grid, indexing="ij")
+    keep = np.abs(z - w) >= 10.0 * h
+    u0, v0 = z[keep] + w[keep], z[keep] - w[keep]
+    extrap, res = richardson(lambda s: _min_eig(*_hermitian_hessian(u0, v0, s)), h)
+    worst_res = _worst(res / np.maximum(1.0, np.abs(extrap)))
     if worst_res > cfg.fd_tol:
         return _step_failure(cfg.fd_tol, worst_res, "complex Hessian grid")
+    min_eig = float(np.min(extrap, initial=math.inf))
     return _entry(
         PASS if min_eig > 0.0 else FAIL,
-        {"min_eigenvalue": float(min_eig), "points": n_points, "max_rel_residual": float(worst_res)},
+        {"min_eigenvalue": min_eig, "points": int(np.sum(keep)), "max_rel_residual": worst_res},
         0.0,
         f"the complex Hessian of rho in the rotated coordinates "
         f"(u, v) = (z + w, z - w) is positive definite on a "
-        f"{cfg.grid_n}x{cfg.grid_n} grid (z real, w imaginary, halfwidth "
-        f"{cfg.grid_halfwidth}, pairs with |z - w| < 10h excluded; "
+        f"{GRID_N}x{GRID_N} grid (z real, w imaginary, halfwidth "
+        f"{GRID_HALFWIDTH}, pairs with |z - w| < 10h excluded; "
         f"Richardson-certified quarter-Laplacian and cross stencils, h={h:g})",
     )
 
 
 def check_psh_mixed_on_slice(cfg: VerifyConfig) -> dict:
-    h = cfg.fd_step_second
-    worst = 0.0
-    worst_res = 0.0
-    for t in np.linspace(0.1, 0.9, 9):
-        u0 = 0.0 + 0.0j
-        v0 = complex(2.0 * t, 0.0)
-        m1 = _hermitian_hessian(u0, v0, h)
-        m2 = _hermitian_hessian(u0, v0, 2.0 * h)
-        d1 = abs(m1[0, 1])
-        d2 = abs(m2[0, 1])
-        extrap, res = _richardson(d1, d2)
-        # cancellation noise floor of the second-difference stencil; the
-        # raw residual can vanish exactly by conjugation symmetry
-        floor = 4.0 * 2.3e-16 * _rho_uv(u0, v0) / (h * h)
-        res = max(res, floor)
-        worst = max(worst, abs(extrap))
-        worst_res = max(worst_res, res)
+    h = FD_STEP_SECOND
+    u0 = 0.0
+    v0 = 2.0 * np.linspace(0.1, 0.9, 9) + 0j
+    extrap, res = richardson(lambda s: np.abs(_hermitian_hessian(u0, v0, s)[2]), h)
+    # cancellation noise floor of the second-difference stencil; the
+    # raw residual can vanish exactly by conjugation symmetry
+    floor = 4.0 * 2.3e-16 * _rho_uv(u0, v0) / (h * h)
+    worst = _worst(np.abs(extrap))
+    worst_res = _worst(np.maximum(res, floor))
     if worst_res > cfg.fd_tol:
         return _step_failure(cfg.fd_tol, worst_res, "mixed Hessian entry on the slice")
     return _entry(
         PASS if worst <= 1e-5 else FAIL,
-        {"max_mixed_entry": float(worst), "max_residual": float(worst_res)},
+        {"max_mixed_entry": worst, "max_residual": worst_res},
         1e-5,
         f"the mixed Hessian entry H_uv vanishes along the antisymmetric "
         f"locus (u = 0, v = 2t), t in [0.1, 0.9] (step h={h:g})",
@@ -560,31 +478,28 @@ def check_psh_mixed_on_slice(cfg: VerifyConfig) -> dict:
 
 
 def check_psh_radial_convexity(cfg: VerifyConfig) -> dict:
-    h = cfg.fd_step_second
+    h = FD_STEP_SECOND
 
-    def profile(x: float) -> float:
-        r = math.exp(x)
+    def profile(x):
+        r = np.exp(x)
         return poincare_distance(r, -r)
 
-    worst_rel = 0.0
-    worst_res = 0.0
-    min_near_zero = math.inf
-    for x in np.linspace(-3.0, -0.1, 30):
-        extrap, res = _certified_second(profile, float(x), h)
-        ref = 2.0 * math.cosh(x) / math.sinh(x) ** 2
-        worst_rel = max(worst_rel, abs(extrap - ref) / abs(ref))
-        worst_res = max(worst_res, res / max(1.0, abs(extrap)))
-    for x in (-0.01, -0.001):
-        extrap, _ = _certified_second(profile, x, min(h, abs(x) / 4.0))
-        min_near_zero = min(min_near_zero, extrap)
+    x = np.linspace(-3.0, -0.1, 30)
+    extrap, res = _certified_second(profile, x, h)
+    ref = 2.0 * np.cosh(x) / np.sinh(x) ** 2
+    worst_rel = _worst(np.abs(extrap - ref) / np.abs(ref))
+    worst_res = _worst(res / np.maximum(1.0, np.abs(extrap)))
+    near = np.array([-0.01, -0.001])
+    near_zero, _ = _certified_second(profile, near, np.minimum(h, np.abs(near) / 4.0))
+    min_near_zero = float(np.min(near_zero))
     if worst_res > cfg.fd_tol:
         return _step_failure(cfg.fd_tol, worst_res, "radial profile second derivative")
     ok = worst_rel <= 1e-4 and min_near_zero > 1e3
     return _entry(
         PASS if ok else FAIL,
         {
-            "max_rel_defect": float(worst_rel),
-            "min_second_derivative_near_zero": float(min_near_zero),
+            "max_rel_defect": worst_rel,
+            "min_second_derivative_near_zero": min_near_zero,
         },
         1e-4,
         f"d^2/dx^2 rho(e^x, -e^x) = 2 cosh(x)/sinh(x)^2 > 0 on "
@@ -594,7 +509,7 @@ def check_psh_radial_convexity(cfg: VerifyConfig) -> dict:
 
 
 def check_psh_radial_sech_form(cfg: VerifyConfig) -> dict:
-    h = cfg.fd_step_second
+    h = FD_STEP_SECOND
 
     def sech_profile(x: float) -> float:
         # radial Schwarz-distance profile d_S(e^x, -e^x) = sech(x),
@@ -624,30 +539,25 @@ def check_psh_radial_sech_form(cfg: VerifyConfig) -> dict:
 
 
 def check_psh_curve_positivity(cfg: VerifyConfig) -> dict:
-    worst_delta = math.inf
-    worst_second = math.inf
-    worst_ineq = -math.inf
     r = 0.01
-    for t in (0.2, 0.5, 0.8):
+    t = np.array([[0.2], [0.5], [0.8]])
+    u = r * np.exp(1j * math.pi * np.arange(8) / 4.0)
 
-        def gamma_rho(u: complex, tt: float = t) -> float:
-            return poincare_distance(tt + u, -tt + u)
+    def gamma_rho(u):
+        return poincare_distance(t + u, -t + u)
 
-        base = gamma_rho(0.0)
-        for k in range(8):
-            u = r * np.exp(1j * math.pi * k / 4.0)
-            worst_delta = min(worst_delta, gamma_rho(u) - base)
-            lhs = (1.0 + t * t - abs(u) ** 2) ** 2 + 4.0 * t * t * u.imag**2
-            worst_ineq = max(worst_ineq, lhs - (1.0 + t * t) ** 2)
-        second = (gamma_rho(r) - 2.0 * base + gamma_rho(-r)) / (r * r)
-        worst_second = min(worst_second, second)
+    base = gamma_rho(0.0)
+    worst_delta = float(np.min(gamma_rho(u) - base))
+    worst_second = float(np.min((gamma_rho(r) - 2.0 * base + gamma_rho(-r)) / (r * r)))
+    lhs = (1.0 + t * t - np.abs(u) ** 2) ** 2 + 4.0 * t * t * u.imag**2
+    worst_ineq = float(np.max(lhs - (1.0 + t * t) ** 2))
     ok = worst_delta > 0.0 and worst_second > 0.0 and worst_ineq < 0.0
     return _entry(
         PASS if ok else FAIL,
         {
-            "min_delta": float(worst_delta),
-            "min_second_difference": float(worst_second),
-            "max_inequality_slack": float(worst_ineq),
+            "min_delta": worst_delta,
+            "min_second_difference": worst_second,
+            "max_inequality_slack": worst_ineq,
         },
         0.0,
         "rho increases off the antisymmetric slice along the translated "

@@ -251,6 +251,17 @@ def test_spectrum_tiny_grid_is_finite(tmp_path):
     assert abs(table.f_quad[0] / (x / 24.0) - 1.0) < 1e-9
 
 
+def test_spectrum_huge_grid_is_finite(tmp_path):
+    # u rounds to 1 above x ~ 3e8, and x~^2, x~^3 overflow further out
+    out = tmp_path / "huge.csv"
+    assert run(["spectrum", "--grid", "1:1e300:7", "--out", str(out)]) == EXIT_OK
+    table = read_spectrum_csv(str(out))
+    for name in TABLE_COLUMNS:
+        assert np.all(np.isfinite(getattr(table, name))), name
+    assert table.F_quad[-1] >= 1.0 - 1e-8
+    assert table.F_derived[-1] >= 1.0 - 1e-8
+
+
 def test_weight_table_accepted(tmp_path):
     good = tmp_path / "w.csv"
     good.write_text("rho,weight\n0.0,1.0\n50.0,0.5\n")

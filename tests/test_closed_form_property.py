@@ -19,7 +19,7 @@ mpmath = pytest.importorskip("mpmath")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bidisk.spectral import _cdf_and_tail
+from bidisk.spectral import _cdf_and_tail, cdf_closed_paper_prop, pdf_closed_paper
 
 # relative tolerances set from the rounding analysis: just above the series
 # cut F = 1 - (1 - F) inherits the ~6/u^4 cancellation of the closed form
@@ -62,3 +62,17 @@ def test_core_matches_fifty_digit_closed_form(x):
     ref_cdf, ref_tail = reference(x)
     assert math.isclose(cdf[0], ref_cdf, rel_tol=F_RTOL, abs_tol=ABS_FLOOR)
     assert math.isclose(tail[0], ref_tail, rel_tol=TAIL_RTOL, abs_tol=ABS_FLOOR)
+
+
+def test_rescaled_candidates_far_out_match_fifty_digits():
+    # spans the switch to the leading terms at x~ = 1e50 and the overflow
+    # of x~^3 (~6e102) and x~^2 (~1.3e154)
+    t = np.geomspace(1e20, 1e300, 57)
+    prop, pdf = cdf_closed_paper_prop(t), pdf_closed_paper(t)
+    with mpmath.workdps(50):
+        for i, v in enumerate(t):
+            tm = mpmath.mpf(float(v))
+            ref_prop = -2 * mpmath.log1p(tm**2) / tm**2 + 1 / (1 + tm**2)
+            ref_pdf = 4 * mpmath.log1p(tm**2) / tm**3 - (6 * tm**2 + 4) / (tm * (1 + tm**2) ** 2)
+            assert math.isclose(prop[i], float(ref_prop), rel_tol=1e-14, abs_tol=ABS_FLOOR)
+            assert math.isclose(pdf[i], float(ref_pdf), rel_tol=1e-14, abs_tol=ABS_FLOOR)

@@ -41,7 +41,7 @@ from bidisk.spectral import (
     weighted_mean,
     weighted_truncated_second_moment,
 )
-from bidisk.spectral import SampleBatch, _cached_distribution, _cdf_and_tail
+from bidisk.spectral import SampleBatch, _cached_distribution, _cdf_and_tail, _pdf_batch
 
 # frozen distribution values F(x)
 CDF_REFERENCE = {
@@ -343,6 +343,10 @@ def test_pdf_quadrature_frozen_values():
 def test_pdf_quadrature_vanishes_off_support():
     assert pdf_quadrature(0.0) == 0.0
     assert pdf_quadrature(-1.0) == 0.0
+    # the batch stencil agrees at 0, and the zero entry leaves the others alone
+    batch = _pdf_batch(np.array([0.0, 1.0]))
+    assert batch[0] == 0.0
+    assert batch[1] == _pdf_batch(np.array([1.0]))[0]
 
 
 def test_pdf_quadrature_small_x_is_linear():

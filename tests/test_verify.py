@@ -66,19 +66,8 @@ FD_CHECKS = {
     "ledger_pdf_paper_internal_consistency",
 }
 
-# small-sample configuration for the fast structural tests
-FAST = VerifyConfig(
-    n_property=50,
-    n_classify=200,
-    n_isometry=100,
-    n_cone=200,
-    n_equivariance=100,
-    n_surjectivity=30,
-    n_coisotropy=30,
-    n_fiber=100,
-    grid_n=6,
-    include_ledger=False,
-)
+# the geometry checks alone, at their full sample sizes
+GEOMETRY_ONLY = VerifyConfig(include_ledger=False)
 
 
 def test_run_all_default_has_no_failures():
@@ -101,7 +90,7 @@ def test_run_all_is_deterministic():
 
 
 def test_run_all_without_ledger():
-    report = run_all(FAST)
+    report = run_all(GEOMETRY_ONLY)
     assert set(report) == GEOMETRY_CHECKS
     assert count_status(report, FAIL) == 0
 
@@ -132,7 +121,7 @@ def test_slice_fd_check_detail():
 
 
 def test_hessian_grid_check_detail():
-    entry = check_psh_hessian_grid(VerifyConfig(grid_n=8))
+    entry = check_psh_hessian_grid(VerifyConfig())
     assert entry["status"] == PASS
     assert entry["value"]["min_eigenvalue"] > 0.0
 
@@ -144,7 +133,7 @@ def test_mixed_term_vanishes_on_slice():
 
 
 def test_coisotropy_check_detail():
-    entry = check_moment_coisotropy(VerifyConfig(n_coisotropy=50))
+    entry = check_moment_coisotropy(VerifyConfig())
     assert entry["status"] == PASS
 
 
@@ -172,7 +161,7 @@ def test_radial_convexity_reference_value():
 
 
 def test_sech_profile_discrepancy_is_standing():
-    report = run_all(FAST)
+    report = run_all(GEOMETRY_ONLY)
     entry = report["psh_radial_sech_form"]
     assert entry["status"] == DISCREPANCY
     assert abs(entry["value"]["second_derivative_at_0"] + 1.0) < 1e-6
@@ -181,8 +170,5 @@ def test_sech_profile_discrepancy_is_standing():
 
 
 def test_seed_changes_nothing_structural():
-    a = run_all(VerifyConfig(seed=1, include_ledger=False, n_property=50,
-                             n_classify=100, n_isometry=50, n_cone=100,
-                             n_equivariance=50, n_surjectivity=20,
-                             n_coisotropy=20, n_fiber=50, grid_n=5))
+    a = run_all(VerifyConfig(seed=1, include_ledger=False))
     assert count_status(a, FAIL) == 0

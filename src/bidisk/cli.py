@@ -32,10 +32,10 @@ from .spectral import (
     TABLE_COLUMNS,
     WeightSpec,
     _cached_distribution,
-    _pdf_batch,
     mc_mean,
     mc_sample,
     mean_quadrature,
+    pdf_quadrature,
     second_moment_tail_model,
     truncated_second_moment,
     weighted_mean,
@@ -190,6 +190,8 @@ def resolve_options(ns: argparse.Namespace) -> dict:
     opts.update(given)
     if opts["threads"] < 1:
         raise CliError("--threads must be >= 1")
+    if opts.get("n", 1) < 1:
+        raise CliError("--n must be >= 1")
     return opts
 
 
@@ -281,8 +283,6 @@ def cmd_spectrum(opts: dict) -> int:
 
 
 def cmd_sample(opts: dict) -> int:
-    if opts["n"] < 1:
-        raise CliError("--n must be >= 1")
     weight = parse_weight(opts["weight"])
     batch = mc_sample(opts["n"], opts["seed"], weight, streams=opts["streams"])
     rows = zip(batch.omega.tolist(), batch.weight.tolist())
@@ -475,7 +475,7 @@ def cmd_plot(opts: dict) -> int:
 def cmd_reweight(opts: dict) -> int:
     weight = parse_weight(opts["weight"])
     x = _grid_from(opts)
-    f_quad = _pdf_batch(x)
+    f_quad = pdf_quadrature(x)
     if weight.kind == "uniform":
         w = np.ones_like(x)
         f_rw = f_quad

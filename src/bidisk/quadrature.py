@@ -1,7 +1,9 @@
-"""Adaptive Gauss-Kronrod (G7, K15) quadrature on finite intervals.
+"""Gauss-Kronrod (G7, K15) quadrature on finite intervals.
 
 Integrands receive a numpy array of nodes and must return an array of
-values.  The adaptive driver keeps a worst-panel heap and splits until the
+values.  ``composite_k15`` applies a fixed k-panel rule on [0, 1] to a
+batch of integrands at once, with the summed |K15 - G7| as its error
+estimate.  The adaptive driver keeps a worst-panel heap and splits until the
 summed error estimate drops under the requested absolute tolerance; panels
 narrower than a relative width floor are frozen rather than split, so the
 driver terminates even on integrands with endpoint singularities.
@@ -15,57 +17,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# 15-point Kronrod abscissae on [-1, 1], ascending; the 7-point Gauss rule
-# sits at the odd indices.
-_X = np.array(
+# QUADPACK's qk15 abscissae in [0, 1) and their weights (Piessens et al.,
+# 1983), outermost first; the rule on [-1, 1] mirrors them about 0.
+_XH = np.array(
     [
-        -0.991455371120813,
-        -0.949107912342759,
-        -0.864864423359769,
-        -0.741531185599394,
-        -0.586087235467691,
-        -0.405845151377397,
-        -0.207784955007898,
+        0.991455371120812639206854697526329,
+        0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926,
+        0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013,
+        0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245,
         0.0,
-        0.207784955007898,
-        0.405845151377397,
-        0.586087235467691,
-        0.741531185599394,
-        0.864864423359769,
-        0.949107912342759,
-        0.991455371120813,
     ]
 )
-_WK = np.array(
+_WKH = np.array(
     [
-        0.022935322010529,
-        0.063092092629979,
-        0.104790010322250,
-        0.140653259715525,
-        0.169004726639267,
-        0.190350578064785,
-        0.204432940075298,
-        0.209482141084728,
-        0.204432940075298,
-        0.190350578064785,
-        0.169004726639267,
-        0.140653259715525,
-        0.104790010322250,
-        0.063092092629979,
-        0.022935322010529,
+        0.022935322010529224963732008058970,
+        0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518,
+        0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550,
+        0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649,
+        0.209482141084727828012999174891714,
     ]
 )
-_WG = np.array(
-    [
-        0.129484966168870,
-        0.279705391489277,
-        0.381830050505119,
-        0.417959183673469,
-        0.381830050505119,
-        0.279705391489277,
-        0.129484966168870,
-    ]
+# weights of the 7-point Gauss rule on the nodes _XH[1::2]
+_WGH = np.array(
+    [0.129484966168869693, 0.279705391489276668, 0.381830050505118945, 0.417959183673469388]
 )
+# the 15 Kronrod nodes on [-1, 1], ascending; the Gauss rule sits at the
+# odd indices
+_X = np.concatenate((-_XH[:-1], _XH[::-1]))
+_WK = np.concatenate((_WKH[:-1], _WKH[::-1]))
+_WG = np.concatenate((_WGH[:-1], _WGH[::-1]))
 _GAUSS_IDX = np.arange(1, 15, 2)
 
 
@@ -136,6 +122,23 @@ def composite_nodes(k: int) -> tuple[np.ndarray, np.ndarray]:
     nodes = (starts[:, None] + 0.5 * width * (1.0 + _X)[None, :]).ravel()
     weights = np.tile(0.5 * width * _WK, k)
     return nodes, weights
+
+
+def composite_k15(f, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k-panel composite K15 rule for int_0^1 f(v) dv over a batch of
+    integrands, with the summed |K15 - G7| of the panels as error estimate.
+
+    ``f`` receives the nodes with shape (15, 1, k) (node, integrand, panel)
+    and returns values of shape (15, m, k); returns (value, estimate) of
+    shape (m,).  The sums run in a fixed order within each integrand, so
+    its result does not depend on the other integrands in the batch.
+    """
+    nodes = np.ascontiguousarray(composite_nodes(k)[0].reshape(k, 15).T)
+    fv = f(nodes[:, None, :])
+    k15 = sum(w * fj for w, fj in zip(_WK, fv))
+    g7 = sum(w * fv[j] for w, j in zip(_WG, _GAUSS_IDX))
+    half = 0.5 / k
+    return half * k15.sum(axis=-1), half * np.abs(k15 - g7).sum(axis=-1)
 
 
 def richardson(estimate, h):

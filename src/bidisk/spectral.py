@@ -10,23 +10,22 @@ gives the distribution function
 
 whose closed form in u is 2/u^2 - 1 + 2 (1 - u^2) log(1 - u^2) / u^4.
 The closed form, evaluated on arrays, serves the reweighting table and the
-tabulated candidates; the quadrature routes (scalar adaptive and a
-vectorized batch rule) are the independent reference that the
-discrepancy ledger checks the closed forms against.  Monte Carlo
-sampling, moments, and importance reweighting by radial weights w(rho)
-complete the module.
+tabulated candidates; one quadrature kernel (F below x = 8, a
+cancellation-free 1 - F above, panels of width <= 1/Y, Y = log(1 + x^2/16))
+is the independent reference that the discrepancy ledger checks them
+against.  Monte Carlo sampling, moments, and importance reweighting by
+radial weights w(rho) complete the module.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .moment import mu_slice_invert
-from .quadrature import adaptive, central_difference, composite_nodes
+from .quadrature import adaptive, central_difference, composite_k15
 
 # closed forms switch to their Taylor series below this Schwarz radius u
 # (rescaled parameter x~ for the x~-forms); the direct expressions lose
@@ -75,72 +74,11 @@ def fiber_radius(s: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 # quadrature routes
 
-
-def _fiber_integrand(s, u: float):
-    r = u * (1.0 - s * s) / (1.0 - (s * u) ** 2)
-    return 2.0 * r * r * s
-
-
-def cdf_quadrature(x: float, tol: float = 1e-10) -> float:
-    """Distribution function by adaptive quadrature of the fiber areas.
-
-    When the requested absolute tolerance is not reached the value is
-    still returned and the achieved error is reported in a warning.
-    """
-    x = float(x)
-    if x < 0.0:
-        raise ValueError("spectral parameter must be nonnegative")
-    u = schwarz_threshold(x)
-    if u == 0.0:
-        return 0.0
-    res = adaptive(lambda s: _fiber_integrand(s, u), 0.0, 1.0, tol)
-    if not res.converged:
-        warnings.warn(
-            f"cdf quadrature at x={x!r}: achieved error {res.error:.3e} > tol {tol:.1e}",
-            stacklevel=2,
-        )
-    return res.value
-
-
-def _tail_integrand(tau, delta: float):
-    # complement integrand in tau = 1 - s; all sums are of positive terms,
-    # so it stays accurate down to delta ~ 1e-300
-    s = 1.0 - tau
-    s2 = s * s
-    tt = tau * (2.0 - tau)
-    den = delta * s2 + tt
-    num = delta * s2 * s2 + tt * (1.0 + s2)
-    return 2.0 * s * num / (den * den)
-
-
-def one_minus_cdf(x: float, rel_tol: float = 1e-10) -> float:
-    """Upper tail 1 - F(x), computed without cancellation.
-
-    Uses 1 - F = delta * int_0^1 g(tau) dtau with delta = 16/(16 + x^2)
-    and g positive, so the result carries a relative (not absolute)
-    tolerance even when the tail is ~1e-12.
-    """
-    x = float(x)
-    if x < 0.0:
-        raise ValueError("spectral parameter must be nonnegative")
-    if x == 0.0:
-        return 1.0
-    delta = 16.0 / (16.0 + x * x)
-    scale = max(1.0, -math.log(delta))
-    res = adaptive(lambda t: _tail_integrand(t, delta), 0.0, 1.0, rel_tol * scale)
-    return delta * res.value
-
-
-_BATCH_CHUNK = 16384
-# points x nodes per chunk: a full chunk at the minimum of 12 panels
-_BATCH_NODES = _BATCH_CHUNK * 15 * 12
-_node_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _nodes_for(k: int) -> tuple[np.ndarray, np.ndarray]:
-    if k not in _node_cache:
-        _node_cache[k] = composite_nodes(k)
-    return _node_cache[k]
+# F is integrated up to this x and 1 - F above it; each is the other's
+# complement
+_SWITCH = 8.0
+# points x nodes per chunk of the kernel: 2 MB per temporary array
+_CHUNK = 2**18
 
 
 def _quarter_square_log(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,63 +89,131 @@ def _quarter_square_log(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return s, np.where(s < np.inf, np.log1p(s), 2.0 * np.log(x / 4.0))
 
 
-def cdf_quadrature_batch(xs) -> np.ndarray:
-    """Vectorized distribution function on an array of x values in [0, inf].
+def _cdf_tail_quadrature(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """F(x), 1 - F(x) and an error estimate by quadrature, on an array of x
+    in [0, inf].
 
-    Evaluates the same fiber integral after the substitutions sigma = s^2
-    and 1 - sigma u^2 = (1 - u^2) e^{Y v}, Y = log(1 + x^2/16):
+    With Y = log(1 + x^2/16), delta = e^{-Y} = 16/(16 + x^2), u^2 = 1 - delta
+    and the substitutions sigma = s^2, 1 - sigma u^2 = delta e^{Y v}:
 
-        F = c^2 Y * int_0^1 g(v)^2 e^{-Y (1 - v)} dv,
-        g = expm1(-Y v) / Y,   c = (1 + 16/x^2) Y.
+        F     = (Y / u^4) int_0^1 expm1(-Y v)^2 e^{-Y (1 - v)} dv,
+        1 - F = (Y delta / u^2) int_0^1 1 + expm1(-Y v) expm1(-Y (1 - v)) / u^2 dv.
 
-    Every factor stays in range for all finite x: c -> 1 and g -> -v as
-    x -> 0, and the exponential never exceeds 1.  The v-integrand varies on
-    the scale 1/Y, so a composite K15 rule with panel width <= 0.4/Y
-    resolves it to full double precision; agreement with the adaptive
-    scalar route is checked in the test-suite at 1e-9.  Chunks are taken
-    in order of Y and capped in points x nodes.
+    F is integrated for x <= 8 and 1 - F, whose integrand lies in [1, 2],
+    above; the other value is one minus the integrated one, so F <= 1.
+    Both integrands vary on the scale 1/Y: each point gets the composite
+    K15 rule with k = max(1, ceil(Y)) panels, and points are batched only
+    with points of the same k and form, so a value does not depend on its
+    neighbours in the call.  delta is taken as (4 / hypot(x, 4))^2: exp(-Y)
+    would turn the absolute rounding of Y into relative error of the tail.
+
+    The estimate bounds the absolute error of the integrated value: the
+    summed |K15 - G7| of the panels plus a rounding floor of
+    50 eps (1 + Y) times the value.  The complement adds one rounding.
     """
-    xs = np.asarray(xs, dtype=float)
-    if not np.all(xs >= 0.0):
+    x = np.asarray(x, dtype=float)
+    if not np.all(x >= 0.0):
         raise ValueError("spectral parameter must be nonnegative")
-    flat = xs.ravel()
+    flat = x.ravel()
     s, y = _quarter_square_log(flat)
-    out = np.where(flat == np.inf, 1.0, 0.0)
-    # s underflows to 0 below x ~ 6e-162, where F ~ x^2/48 does too
-    pos = np.flatnonzero((s > 0.0) & (flat < np.inf))
-    order = pos[np.argsort(y[pos], kind="stable")]
-    start = 0
-    while start < order.size:
-        last = order[min(start + _BATCH_CHUNK, order.size) - 1]
-        k = max(12, math.ceil(y[last] / 0.4))
-        sel = order[start : start + max(1, _BATCH_NODES // (15 * k))]
-        start += sel.size
-        v, wv = _nodes_for(k)
-        ys = y[sel][:, None]
-        g = np.expm1(-ys * v) / ys
-        vals = (g * g * np.exp(-ys * (1.0 - v))) @ wv
-        c = y[sel] + y[sel] / s[sel]
-        out[sel] = c * c * y[sel] * vals
-    return out.reshape(xs.shape)
+    cdf = np.where(flat == np.inf, 1.0, 0.0)
+    tail = 1.0 - cdf
+    err = np.zeros_like(cdf)
+    # s underflows to 0 below x ~ 9e-162, where F ~ x^2/48 does too
+    live = np.flatnonzero((s > 0.0) & (flat < np.inf))
+    # batch key: 2 k + (1 for the tail form)
+    key = 2 * np.maximum(1.0, np.ceil(y[live])).astype(np.int64) + (flat[live] > _SWITCH)
+    for kv in np.flatnonzero(np.bincount(key)):
+        batch = live[key == kv]
+        k, tail_form = divmod(int(kv), 2)
+        step = max(1, _CHUNK // (15 * k))
+        for start in range(0, batch.size, step):
+            sel = batch[start : start + step]
+            yk = y[sel]
+            ys, u2 = yk[:, None], -np.expm1(-yk)
+
+            # the nodes are symmetric under v -> 1 - v, so expm1(-Y (1 - v))
+            # is expm1(-Y v) reversed along the node and panel axes
+            def integrand(v):
+                e = np.expm1(-ys * v)
+                if tail_form:
+                    return 1.0 + e * e[::-1, :, ::-1] / u2[:, None]
+                g = e / ys
+                return g * g * (1.0 + e[::-1, :, ::-1])
+
+            val, est = composite_k15(integrand, k)
+            if tail_form:
+                r = 4.0 / np.hypot(flat[sel], 4.0)
+                pre = yk * r * r / u2
+                tail[sel] = pre * val
+                cdf[sel] = 1.0 - tail[sel]
+            else:
+                c = yk / u2
+                pre = c * c * yk
+                cdf[sel] = pre * val
+                tail[sel] = 1.0 - cdf[sel]
+            err[sel] = pre * (est + 50.0 * np.finfo(float).eps * (1.0 + yk) * val)
+    return cdf.reshape(x.shape), tail.reshape(x.shape), err.reshape(x.shape)
 
 
-def pdf_quadrature(x: float, tol: float = 1e-8) -> float:
+def _scalar_or_array(x, out: np.ndarray):
+    return float(out) if np.ndim(x) == 0 else out
+
+
+def cdf_quadrature(x):
+    """Distribution function F(x) by quadrature of the fiber areas.
+
+    A view of the quadrature kernel: the composite K15 rule with panels
+    of width <= 1/Y, Y = log(1 + x^2/16), integrates F for x <= 8 and the
+    cancellation-free form of 1 - F above, where F = 1 - (1 - F) <= 1; its
+    error estimate (summed |K15 - G7| plus a rounding floor) bounds the
+    error of the integrated value.  Float in, float out; an array call
+    equals the per-element calls bit for bit.  NaN or negative x raises
+    ValueError.
+    """
+    return _scalar_or_array(x, _cdf_tail_quadrature(x)[0])
+
+
+def one_minus_cdf(x):
+    """Upper tail 1 - F(x) by the kernel of cdf_quadrature: 1 - F itself is
+    integrated above x = 8, from an integrand in [1, 2] on panels of width
+    <= 1/Y, so it keeps its relative accuracy (tested to 1e-13) wherever it
+    is above 1e-300; 0 at x = inf.  Float or array, as cdf_quadrature."""
+    return _scalar_or_array(x, _cdf_tail_quadrature(x)[1])
+
+
+def cdf_quadrature_batch(xs) -> np.ndarray:
+    """cdf_quadrature on an array of x values in [0, inf], always returning
+    an array: the kernel's F, integrated on panels of width <= 1/Y up to
+    x = 8 and taken as 1 - (1 - F) above."""
+    return _cdf_tail_quadrature(xs)[0]
+
+
+def pdf_quadrature(x):
     """Spectral density by Richardson-extrapolated central differences of
-    the quadrature distribution function."""
-    x = float(x)
-    if x <= 0.0:
-        return 0.0
-    h = min(max(1e-6, 1e-3 * x), 0.5 * x)
-    inner = max(1e-15, tol * h / 8.0)
-    return central_difference(lambda v: cdf_quadrature(v, inner), x, h)[0]
+    the quadrature kernel, with step h = min(max(1e-6, 1e-3 x), 0.5 x).
 
-
-def _pdf_batch(xs: np.ndarray) -> np.ndarray:
-    """pdf_quadrature's stencil on cdf_quadrature_batch; 0 at x = 0."""
-    xs = np.asarray(xs, dtype=float)
+    Where the centre x <= 8 the stencil differences F; above it, it
+    differences -(1 - F), whose relative accuracy carries into the far
+    tail.  Float or array, as cdf_quadrature; 0 for x <= 0 and at inf,
+    ValueError for NaN.
+    """
+    xa = np.asarray(x, dtype=float)
+    if np.any(np.isnan(xa)):
+        raise ValueError("spectral parameter must not be NaN")
+    inside = (xa > 0.0) & (xa < np.inf)
+    xs = np.where(inside, xa, 1.0)
     h = np.minimum(np.maximum(1e-6, 1e-3 * xs), 0.5 * xs)
-    with np.errstate(invalid="ignore"):  # 0/0 where x = h = 0
-        return np.where(xs > 0.0, central_difference(cdf_quadrature_batch, xs, h)[0], 0.0)
+    head = xs <= _SWITCH
+
+    def signed(v):
+        cdf, tail, _ = _cdf_tail_quadrature(v)
+        return np.where(head, cdf, -tail)
+
+    # x + 2h may overflow to inf (F = 1 there); h = 0 at the smallest subnormals
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = central_difference(signed, xs, h)[0]
+    return _scalar_or_array(x, np.where(inside & (h > 0.0), d, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -356,23 +362,17 @@ def mean_quadrature(rel_tol: float = 1e-8) -> tuple[float, float]:
     """Mean by integrating the upper tail: E = int_0^inf (1 - F) dx,
     evaluated in the compactifying variable x = 4 tan(phi).
 
-    Returns (value, error_bound); the bound combines the outer adaptive
-    estimate with the inner relative tolerance of the tail evaluations.
+    Returns (value, error_bound); the bound is twice the outer adaptive
+    estimate, since the panel estimates can be mildly optimistic near the
+    logarithmic endpoint.
     """
-    inner = 1e-9
 
     def integrand(phi):
-        phi = np.atleast_1d(phi)
         c = np.cos(phi)
-        x = 4.0 * np.tan(phi)
-        vals = np.array([one_minus_cdf(v, inner) for v in x])
-        return vals * 4.0 / (c * c)
+        return one_minus_cdf(4.0 * np.tan(phi)) * 4.0 / (c * c)
 
     res = adaptive(integrand, 0.0, math.pi / 2.0, tol=rel_tol * 20.0)
-    # factor 2: the panel estimates can be mildly optimistic near the
-    # logarithmic endpoint
-    bound = 2.0 * res.error + inner * (res.value + 1.0)
-    return res.value, bound
+    return res.value, 2.0 * res.error
 
 
 def truncated_second_moment(cut: float, rel_tol: float = 1e-9) -> float:
@@ -380,13 +380,8 @@ def truncated_second_moment(cut: float, rel_tol: float = 1e-9) -> float:
     cut = float(cut)
     if cut <= 0.0:
         return 0.0
-
-    def integrand(x):
-        x = np.atleast_1d(x)
-        return np.array([v * one_minus_cdf(v, 1e-10) for v in x])
-
-    res = adaptive(integrand, 0.0, cut, tol=rel_tol * max(100.0, cut))
-    return 2.0 * res.value - cut * cut * one_minus_cdf(cut, 1e-12)
+    res = adaptive(lambda x: x * one_minus_cdf(x), 0.0, cut, tol=rel_tol * max(100.0, cut))
+    return 2.0 * res.value - cut * cut * one_minus_cdf(cut)
 
 
 def second_moment_tail_model(c1: float, c2: float, c3: float) -> tuple[float, float]:
@@ -646,7 +641,7 @@ class SpectralTable:
             F_paper_u=np.where(edge, 1.0, cdf_closed_paper_u(u)),
             F_paper_prop=cdf_closed_paper_prop(xt),
             F_derived=np.where(edge, 1.0, cdf_closed_derived(u)),
-            f_quad=_pdf_batch(x),
+            f_quad=pdf_quadrature(x),
             f_paper=pdf_closed_paper(xt),
         )
 
@@ -698,7 +693,7 @@ def discrepancy_ledger(fd_tol: float = 1e-5) -> dict[str, dict]:
 
     # (b) u-form candidate against the quadrature value at u = 1/2
     x_half = 4.0 * 0.5 / math.sqrt(1.0 - 0.25)
-    f_quad_half = cdf_quadrature(x_half, 1e-11)
+    f_quad_half = cdf_quadrature(x_half)
     f_u_half = cdf_closed_paper_u(0.5)
     quad_ok = abs(f_quad_half - 0.0957) <= 1e-3
     out["ledger_cdf_paper_u_vs_quadrature"] = _ledger_entry(
@@ -779,7 +774,7 @@ def discrepancy_ledger(fd_tol: float = 1e-5) -> dict[str, dict]:
 
     # (e) small-x exponent of the density
     grid = np.geomspace(1e-3, 1e-2, 8)
-    dens = _pdf_batch(grid)
+    dens = pdf_quadrature(grid)
     slope, _ = np.polyfit(np.log(grid), np.log(dens), 1)
     slope = float(slope)
     status = "discrepancy" if abs(slope - SMALL_X_EXPONENT_CLAIMED) > 0.5 else "pass"

@@ -78,6 +78,13 @@ def test_sample_rejects_bad_n(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_moments_rejects_bad_n(n, capsys):
+    # a configuration error (exit 2), not a failed check (exit 1)
+    assert run(["moments", "--n", n]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: --n must be >= 1\n"
+
+
 def test_verify_json_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run(["verify", "--json", str(out)]) == EXIT_OK
@@ -260,6 +267,20 @@ def test_spectrum_huge_grid_is_finite(tmp_path):
         assert np.all(np.isfinite(getattr(table, name))), name
     assert table.F_quad[-1] >= 1.0 - 1e-8
     assert table.F_derived[-1] >= 1.0 - 1e-8
+    assert np.all(table.F_quad <= 1.0)
+    assert np.all(table.f_quad >= 0.0)
+
+
+def test_reweight_huge_grid_is_nonnegative(tmp_path):
+    # the density differences 1 - F out there, which keeps its sign
+    out = tmp_path / "rw.csv"
+    assert run(["reweight", "--weight", "exp", "--grid", "1:1e300:5", "--out", str(out)]) == EXIT_OK
+    rows = [r.split(",") for r in out.read_bytes().decode().split("\r\n")[1:] if r]
+    cols = np.array(rows, dtype=float)
+    assert cols.shape == (5, 5) and np.all(np.isfinite(cols))
+    for j in (2, 4):  # f_quad, f_reweighted
+        assert np.all(cols[:, j] >= 0.0)
+        assert not np.any(np.signbit(cols[:, j]))
 
 
 def test_weight_table_accepted(tmp_path):

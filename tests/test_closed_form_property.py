@@ -1,10 +1,12 @@
-"""Property test of the closed-form core against 50-digit arithmetic.
+"""Property tests of the closed-form core and the quadrature kernel
+against 50-digit arithmetic.
 
-F(x) and 1 - F(x) from ``spectral._cdf_and_tail`` are compared with the
-closed form evaluated in mpmath over log-uniform x in [1e-300, 1e300],
-plus 0 and inf.  The working precision grows as x shrinks, to cover the
-cancellation of the closed form near 0, so every reference value carries
-50 significant digits.
+F(x) and 1 - F(x) from ``spectral._cdf_and_tail``, and F, 1 - F, the
+density and the error estimate of the quadrature kernel, are compared with
+the closed form evaluated in mpmath over log-uniform x in [1e-300, 1e300],
+plus 0, the switch x = 8 and inf.  The working precision grows as x
+shrinks, to cover the cancellation of the closed form near 0, so every
+reference value carries 50 significant digits.
 """
 
 import math
@@ -19,7 +21,15 @@ mpmath = pytest.importorskip("mpmath")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bidisk.spectral import _cdf_and_tail, cdf_closed_paper_prop, pdf_closed_paper
+from bidisk.spectral import (
+    _cdf_and_tail,
+    _cdf_tail_quadrature,
+    cdf_closed_paper_prop,
+    cdf_quadrature,
+    one_minus_cdf,
+    pdf_closed_paper,
+    pdf_quadrature,
+)
 
 # relative tolerances set from the rounding analysis: just above the series
 # cut F = 1 - (1 - F) inherits the ~6/u^4 cancellation of the closed form
@@ -30,12 +40,13 @@ TAIL_RTOL = 1e-13
 ABS_FLOOR = sys.float_info.min
 
 
-def reference(x: float) -> tuple[float, float]:
-    """F and 1 - F of the closed form in u^2 = s / (1 + s), s = (x/4)^2."""
+def reference(x: float, exact: bool = False) -> tuple:
+    """F, 1 - F and the density f = dF/dx of the closed form in
+    u^2 = s / (1 + s), s = (x/4)^2; mpmath numbers when exact, else floats."""
     if x == 0.0:
-        return 0.0, 1.0
+        return 0.0, 1.0, 0.0
     if x == math.inf:
-        return 1.0, 0.0
+        return 1.0, 0.0, 0.0
     xm = mpmath.mpf(x)
     # the closed form cancels ~ 6 log10(4/x) digits as x -> 0
     extra = 8 * max(0, -int(mpmath.floor(mpmath.log10(xm))))
@@ -46,7 +57,9 @@ def reference(x: float) -> tuple[float, float]:
         y = mpmath.log1p(s)
         cdf = 2 / u2 - 1 - 2 * delta * y / u2**2
         tail = 2 * delta * (y - u2) / u2**2
-        return float(cdf), float(tail)
+        pdf = (xm / 4) * ((2 + s) * y - 2 * s) / s**3
+        values = cdf, tail, pdf
+        return values if exact else tuple(float(v) for v in values)
 
 
 log_uniform = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)
@@ -59,7 +72,7 @@ log_uniform = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e
 @example(4.0 * 0.25 / math.sqrt(1.0 - 0.25**2))  # the series cut u = 1/4
 def test_core_matches_fifty_digit_closed_form(x):
     cdf, tail = _cdf_and_tail(np.array([x]))
-    ref_cdf, ref_tail = reference(x)
+    ref_cdf, ref_tail, _ = reference(x)
     assert math.isclose(cdf[0], ref_cdf, rel_tol=F_RTOL, abs_tol=ABS_FLOOR)
     assert math.isclose(tail[0], ref_tail, rel_tol=TAIL_RTOL, abs_tol=ABS_FLOOR)
 
@@ -76,3 +89,53 @@ def test_rescaled_candidates_far_out_match_fifty_digits():
             ref_pdf = 4 * mpmath.log1p(tm**2) / tm**3 - (6 * tm**2 + 4) / (tm * (1 + tm**2) ** 2)
             assert math.isclose(prop[i], float(ref_prop), rel_tol=1e-14, abs_tol=ABS_FLOOR)
             assert math.isclose(pdf[i], float(ref_pdf), rel_tol=1e-14, abs_tol=ABS_FLOOR)
+
+
+# the quadrature kernel: 1 - F to 1e-13 relative wherever the tail is a
+# normal double, the density to 1e-10 relative on [1e-6, 1e60] (Richardson
+# truncation ~ 360 (1e-3)^4 / 30 ~ 1e-11 in the algebraic tail)
+KERNEL_TAIL_RTOL = 1e-13
+KERNEL_PDF_RTOL = 1e-10
+TAIL_FLOOR = 1e-300
+EPS = sys.float_info.epsilon
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(log_uniform)
+@example(0.0)
+@example(8.0)  # the switch from F to 1 - F
+@example(math.inf)
+def test_kernel_matches_fifty_digit_closed_form(x):
+    cdf, tail, err = (float(v) for v in _cdf_tail_quadrature(x))
+    pdf = pdf_quadrature(x)
+    ref_cdf, ref_tail, ref_pdf = reference(x, exact=True)
+    if ref_tail >= TAIL_FLOOR:
+        assert abs(tail - ref_tail) <= KERNEL_TAIL_RTOL * ref_tail
+    else:
+        assert abs(tail - ref_tail) <= TAIL_FLOOR
+    assert cdf <= 1.0 and tail >= 0.0
+    assert pdf >= 0.0
+    if 1e-6 <= x <= 1e60:
+        assert abs(pdf - ref_pdf) <= KERNEL_PDF_RTOL * ref_pdf
+    # the estimate covers the integrated value (F up to x = 8, 1 - F above);
+    # the complement adds one rounding
+    if x <= 8.0:
+        (value, ref), (other, ref_other) = (cdf, ref_cdf), (tail, ref_tail)
+    else:
+        (value, ref), (other, ref_other) = (tail, ref_tail), (cdf, ref_cdf)
+    assert abs(value - ref) <= err + ABS_FLOOR
+    assert abs(other - ref_other) <= err + EPS * abs(other) + ABS_FLOOR
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(log_uniform | st.sampled_from([0.0, 8.0, math.inf]), min_size=1, max_size=12))
+def test_kernel_array_call_equals_scalar_calls(xs):
+    arr = np.array(xs)
+    for fn in (cdf_quadrature, one_minus_cdf, pdf_quadrature):
+        scalars = [fn(v) for v in xs]
+        assert all(type(v) is float for v in scalars)
+        assert np.array_equal(fn(arr), scalars)
+    assert np.array_equal(
+        np.stack(_cdf_tail_quadrature(arr)),
+        np.array([_cdf_tail_quadrature(v) for v in xs]).T,
+    )

@@ -8,6 +8,7 @@ embedded below provides a second in-test route to the same integral.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from bidisk.spectral import (
     weighted_mean,
     weighted_truncated_second_moment,
 )
-from bidisk.spectral import SampleBatch, _cached_distribution, _cdf_and_tail, _pdf_batch
+from bidisk.spectral import SampleBatch, _cached_distribution, _cdf_and_tail
 
 # frozen distribution values F(x)
 CDF_REFERENCE = {
@@ -205,6 +206,19 @@ def test_one_minus_cdf_far_tail_keeps_relative_accuracy():
     assert 0.0 < v7 < v6
     assert abs(cdf_quadrature(1e6) + v6 - 1.0) < 1e-9
     assert one_minus_cdf(0.0) == 1.0
+    # out to the largest exponents and inf, against 50-digit arithmetic;
+    # below the smallest normal double only absolute accuracy is meaningful
+    mpmath = pytest.importorskip("mpmath")
+    for x in (1e8, 1e12, 1e154, 1e200, 1e300, math.inf):
+        got = one_minus_cdf(x)
+        if x == math.inf:
+            assert got == 0.0
+            continue
+        with mpmath.workdps(50):
+            s = (mpmath.mpf(x) / 4) ** 2
+            ref = float(2 * ((1 + s) * mpmath.log1p(s) - s) / s**2)
+        assert math.isclose(got, ref, rel_tol=1e-13, abs_tol=2.2250738585072014e-308)
+        assert 0.0 <= got < v7
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +357,27 @@ def test_pdf_quadrature_frozen_values():
 def test_pdf_quadrature_vanishes_off_support():
     assert pdf_quadrature(0.0) == 0.0
     assert pdf_quadrature(-1.0) == 0.0
-    # the batch stencil agrees at 0, and the zero entry leaves the others alone
-    batch = _pdf_batch(np.array([0.0, 1.0]))
+    # the array stencil agrees at 0, and the zero entry leaves the others alone
+    batch = pdf_quadrature(np.array([0.0, 1.0]))
     assert batch[0] == 0.0
-    assert batch[1] == _pdf_batch(np.array([1.0]))[0]
+    assert batch[1] == pdf_quadrature(np.array([1.0]))[0]
+
+
+def test_quadrature_views_at_extreme_arguments():
+    tiny, huge = 5e-324, sys.float_info.max
+    assert pdf_quadrature(tiny) == 0.0  # f ~ x/24 underflows; the step h is 0
+    assert pdf_quadrature(huge) == 0.0  # x + 2h overflows to inf, where F = 1
+    assert pdf_quadrature(math.inf) == 0.0
+    assert one_minus_cdf(huge) == 0.0 and cdf_quadrature(huge) == 1.0
+    for fn in (cdf_quadrature, one_minus_cdf, pdf_quadrature):
+        assert type(fn(2.0)) is float
+        with pytest.raises(ValueError):
+            fn(math.nan)
+        with pytest.raises(ValueError):
+            fn(np.array([1.0, math.nan]))
+    for fn in (cdf_quadrature, one_minus_cdf):
+        with pytest.raises(ValueError):
+            fn(-1e-300)
 
 
 def test_pdf_quadrature_small_x_is_linear():
@@ -358,7 +389,7 @@ def test_pdf_quadrature_small_x_is_linear():
 def test_pdf_is_derivative_of_cdf():
     for x in (1.0, 5.0, 10.0):
         h = 1e-4 * x
-        fd = (cdf_quadrature(x + h, 1e-12) - cdf_quadrature(x - h, 1e-12)) / (2.0 * h)
+        fd = (cdf_quadrature(x + h) - cdf_quadrature(x - h)) / (2.0 * h)
         assert abs(fd - pdf_quadrature(x)) < 1e-6 * max(1.0, pdf_quadrature(x))
 
 
@@ -380,6 +411,12 @@ def test_mean_quadrature_frozen_value():
     assert bound < 1e-5
 
 
+@pytest.mark.parametrize("rel_tol", [1e-7, 1e-8, 1e-9, 1e-10])
+def test_mean_quadrature_bound_covers_exact_error(rel_tol):
+    value, bound = mean_quadrature(rel_tol)
+    assert abs(value - 16.0 * math.pi / 3.0) <= bound
+
+
 def test_mean_disagrees_with_claimed_constant():
     value, _ = mean_quadrature()
     assert abs(value - MEAN_CLAIMED) > 10.0
@@ -391,6 +428,21 @@ def test_truncated_second_moment_frozen_values():
         got = truncated_second_moment(cut)
         assert abs(got / ref - 1.0) < 1e-9
     assert truncated_second_moment(0.0) == 0.0
+
+
+def test_truncated_second_moment_matches_exact_form():
+    # E2(c) = 32 G(c^2/16) - c^2 (1 - F(c)) with
+    # G(T) = 1 - log(1+T)/T - log(1+T) - Li2(-T), in 50-digit arithmetic
+    mpmath = pytest.importorskip("mpmath")
+    for cut in (1e2, 1e3, 1e4, 1e6):
+        with mpmath.workdps(50):
+            c = mpmath.mpf(cut)
+            t = c * c / 16
+            lg = mpmath.log1p(t)
+            g = 1 - lg / t - lg - mpmath.polylog(2, -t)
+            tail = 2 * ((1 + t) * lg - t) / t**2
+            exact = float(32 * g - c * c * tail)
+        assert abs(truncated_second_moment(cut) / exact - 1.0) <= 1e-10
 
 
 def test_second_moment_grows_like_log_squared():

@@ -16,13 +16,20 @@ CRLF line endings and repr float formatting, the verification report is
 sorted JSON, and sampling splits its substreams deterministically.
 --threads is accepted on every subcommand and changes neither the output
 nor the execution.
+
+Each output file is opened once and CSV tables are written in chunks of
+CSV_CHUNK_ROWS rows, never held whole as text; a failed write (full disk,
+closed stdout) exits 2 and may leave a partial file.  Weight and
+spectrum tables share one line-numbered CSV reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -36,11 +43,11 @@ from .spectral import (
     mc_sample,
     mean_quadrature,
     pdf_quadrature,
-    second_moment_tail_model,
-    truncated_second_moment,
+    second_moment_growth,
     weighted_mean,
     weighted_truncated_second_moment,
     MEAN_CLAIMED,
+    MOMENT_CUTS,
 )
 from .verify import (
     FAIL,
@@ -55,7 +62,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 
-MOMENT_CUTS = (1e2, 1e3, 1e4)
+CSV_CHUNK_ROWS = 4096  # rows per written piece of a CSV table
 
 
 class CliError(Exception):
@@ -218,28 +225,9 @@ def parse_weight(spec: str) -> WeightSpec:
         return WeightSpec(spec)
     if spec.startswith("table:"):
         path = spec[len("table:") :]
+        rho, val = _read_csv(path, ("rho", "weight"), "weight table")
         try:
-            with open(path, "r", encoding="utf-8", newline="") as fh:
-                reader = csv.reader(fh)
-                rows = list(reader)
-        except OSError as exc:
-            raise CliError(f"cannot read weight table {path}: {exc}") from exc
-        if not rows or [c.strip() for c in rows[0]] != ["rho", "weight"]:
-            raise CliError(f"{path}: line 1: expected header 'rho,weight'")
-        rho = []
-        val = []
-        for i, row in enumerate(rows[1:], 2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise CliError(f"{path}: line {i}: expected 2 columns")
-            try:
-                rho.append(float(row[0]))
-                val.append(float(row[1]))
-            except ValueError as exc:
-                raise CliError(f"{path}: line {i}: {exc}") from exc
-        try:
-            return WeightSpec("table", tuple(rho), tuple(val))
+            return WeightSpec("table", tuple(rho.tolist()), tuple(val.tolist()))
         except ValueError as exc:
             raise CliError(f"{path}: {exc}") from exc
     raise CliError(f"unknown weight {spec!r} (use uniform, exp, gauss, table:PATH)")
@@ -249,26 +237,67 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
+def _read_csv(path: str, header: tuple[str, ...], what: str) -> list[np.ndarray]:
+    """Float columns of the CSV file at path.  Its first line must be
+    header; blank lines are skipped, every other line must hold
+    len(header) floats, and errors name the line."""
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise CliError(f"cannot read {what} {path}: {exc}") from exc
+    if not rows or [c.strip() for c in rows[0]] != list(header):
+        raise CliError(f"{path}: line 1: expected header {','.join(header)!r}")
+    data: list[list[float]] = []
+    for i, row in enumerate(rows[1:], 2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise CliError(f"{path}: line {i}: expected {len(header)} columns, got {len(row)}")
+        try:
+            data.append(list(map(float, row)))
+        except ValueError as exc:
+            raise CliError(f"{path}: line {i}: {exc}") from exc
+    if not data:
+        raise CliError(f"{path}: no data rows")
+    return list(np.array(data).T)
+
+
+def _csv_text(header: tuple[str, ...], columns):
+    """Yield the CSV text of equal-length float64 columns: the header
+    line, then CRLF rows of repr floats, CSV_CHUNK_ROWS rows a piece."""
+    row = ",".join(["{!r}"] * len(columns)) + "\r\n"
+    yield ",".join(header) + "\r\n"
+    for i in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+        j = i + CSV_CHUNK_ROWS
+        yield "".join(map(row.format, *[c[i:j].tolist() for c in columns]))
+
+
+def _write_text(out, text: str) -> None:
+    out.write(text)
+
+
+def _emit(path: str | None, texts) -> None:
+    """Write texts in order to the file at path, opened once, or to stdout
+    when path is None.  A failed write raises CliError and may leave a
+    partial file."""
+    try:
+        if path is None:
+            for text in texts:
+                _write_text(sys.stdout, text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                for text in texts:
+                    _write_text(fh, text)
     except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}") from exc
-
-
-def _csv_text(header: tuple[str, ...], rows) -> str:
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
+        if path is None:
+            # stdout still holds the unwritten text, which the interpreter
+            # flushes at exit: send that to the null device, not the dead pipe
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        raise CliError(f"cannot write {'stdout' if path is None else path}: {exc}") from exc
 
 
 def _grid_from(opts: dict) -> np.ndarray:
@@ -278,15 +307,14 @@ def _grid_from(opts: dict) -> np.ndarray:
 
 def cmd_spectrum(opts: dict) -> int:
     table = SpectralTable.build(_grid_from(opts))
-    _write_text(opts["out"], _csv_text(TABLE_COLUMNS, table.rows()))
+    _emit(opts["out"], _csv_text(TABLE_COLUMNS, [getattr(table, c) for c in TABLE_COLUMNS]))
     return EXIT_OK
 
 
 def cmd_sample(opts: dict) -> int:
     weight = parse_weight(opts["weight"])
     batch = mc_sample(opts["n"], opts["seed"], weight, streams=opts["streams"])
-    rows = zip(batch.omega.tolist(), batch.weight.tolist())
-    _write_text(opts["out"], _csv_text(("omega", "weight"), rows))
+    _emit(opts["out"], _csv_text(("omega", "weight"), (batch.omega, batch.weight)))
     return EXIT_OK
 
 
@@ -296,16 +324,13 @@ def cmd_verify(opts: dict) -> int:
     text = to_json(report)
     json_path = opts["json"] or opts["out"]
     if json_path:
-        _write_text(json_path, text)
-        for name in sorted(report):
-            sys.stdout.write(f"{name}: {report[name]['status']}\n")
-        sys.stdout.write(
+        _emit(json_path, [text])
+        text = "".join(f"{name}: {report[name]['status']}\n" for name in sorted(report)) + (
             f"pass={count_status(report, 'pass')} "
             f"discrepancy={count_status(report, 'discrepancy')} "
             f"fail={count_status(report, 'fail')}\n"
         )
-    else:
-        sys.stdout.write(text)
+    _emit(None, [text])
     if has_step_size_failure(report):
         return EXIT_CONFIG
     if count_status(report, FAIL) > 0:
@@ -323,9 +348,7 @@ def cmd_moments(opts: dict) -> int:
     out["mc_n"] = opts["n"]
     if weight.kind == "uniform":
         mean_q, bound = mean_quadrature()
-        e2 = [truncated_second_moment(c) for c in MOMENT_CUTS]
-        ratio = (e2[2] - e2[1]) / (e2[1] - e2[0])
-        model_ratio, pure_ratio = second_moment_tail_model(*MOMENT_CUTS)
+        e2, ratio, model_ratio, pure_ratio = second_moment_growth()
         out.update(
             {
                 "mean_quadrature": mean_q,
@@ -358,44 +381,13 @@ def cmd_moments(opts: dict) -> int:
         )
     text = "\n".join(lines) + "\n"
     if opts["json"]:
-        import json as _json
-
-        _write_text(opts["json"], _json.dumps(out, sort_keys=True, indent=2) + "\n")
-        sys.stdout.write(text)
-    else:
-        _write_text(opts["out"], text)
+        _emit(opts["json"], [json.dumps(out, sort_keys=True, indent=2) + "\n"])
+    _emit(None if opts["json"] else opts["out"], [text])
     return EXIT_OK
 
 
 def read_spectrum_csv(path: str) -> SpectralTable:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
-    except OSError as exc:
-        raise CliError(f"cannot read table {path}: {exc}") from exc
-    if not rows:
-        raise CliError(f"{path}: empty table")
-    if [c.strip() for c in rows[0]] != list(TABLE_COLUMNS):
-        raise CliError(
-            f"{path}: line 1: expected header {','.join(TABLE_COLUMNS)!r}"
-        )
-    data: list[list[float]] = []
-    for i, row in enumerate(rows[1:], 2):
-        if not row:
-            continue
-        if len(row) != len(TABLE_COLUMNS):
-            raise CliError(
-                f"{path}: line {i}: expected {len(TABLE_COLUMNS)} columns, got {len(row)}"
-            )
-        try:
-            data.append([float(v) for v in row])
-        except ValueError as exc:
-            raise CliError(f"{path}: line {i}: {exc}") from exc
-    if not data:
-        raise CliError(f"{path}: no data rows")
-    cols = np.array(data, dtype=float).T
-    return SpectralTable(*cols)
+    return SpectralTable(*_read_csv(path, TABLE_COLUMNS, "table"))
 
 
 def render_spectrum_svg(table: SpectralTable) -> str:
@@ -468,7 +460,7 @@ def cmd_plot(opts: dict) -> int:
         table = read_spectrum_csv(opts["table"])
     else:
         table = SpectralTable.build(_grid_from(opts))
-    _write_text(opts["out"], render_spectrum_svg(table))
+    _emit(opts["out"], [render_spectrum_svg(table)])
     return EXIT_OK
 
 
@@ -483,9 +475,8 @@ def cmd_reweight(opts: dict) -> int:
         w = weight.weight_of_omega(x)
         z = _cached_distribution(weight).normalizer
         f_rw = f_quad * w / z
-    rows = zip(x.tolist(), (x / 4.0).tolist(), f_quad.tolist(), w.tolist(), f_rw.tolist())
     header = ("x", "x_tilde", "f_quad", "weight", "f_reweighted")
-    _write_text(opts["out"], _csv_text(header, rows))
+    _emit(opts["out"], _csv_text(header, (x, x / 4.0, f_quad, w, f_rw)))
     return EXIT_OK
 
 

@@ -407,6 +407,18 @@ def second_moment_tail_model(c1: float, c2: float, c3: float) -> tuple[float, fl
     return two_term, pure
 
 
+MOMENT_CUTS = (1e2, 1e3, 1e4)  # truncation cuts of the second moment
+
+
+def second_moment_growth() -> tuple[list[float], float, float, float]:
+    """Truncated second moments E2 at MOMENT_CUTS, their increment ratio
+    (E2(c3) - E2(c2)) / (E2(c2) - E2(c1)), and the tail model's two-term
+    and pure log^2 ratios at the same cuts."""
+    e2 = [float(truncated_second_moment(c)) for c in MOMENT_CUTS]
+    ratio = (e2[2] - e2[1]) / (e2[1] - e2[0])
+    return (e2, ratio, *second_moment_tail_model(*MOMENT_CUTS))
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo sampling
 
@@ -645,11 +657,6 @@ class SpectralTable:
             f_paper=pdf_closed_paper(xt),
         )
 
-    def rows(self):
-        cols = [getattr(self, name) for name in TABLE_COLUMNS]
-        for i in range(len(self.x)):
-            yield [float(col[i]) for col in cols]
-
 
 # ---------------------------------------------------------------------------
 # discrepancy ledger
@@ -793,18 +800,15 @@ def discrepancy_ledger(fd_tol: float = 1e-5) -> dict[str, dict]:
     )
 
     # (g) truncated second moment growth
-    cuts = (1e2, 1e3, 1e4)
-    e2 = [truncated_second_moment(c) for c in cuts]
-    ratio = (e2[2] - e2[1]) / (e2[1] - e2[0])
-    model_ratio, pure_ratio = second_moment_tail_model(*cuts)
+    e2, ratio, model_ratio, pure_ratio = second_moment_growth()
     ok = e2[0] < e2[1] < e2[2] and abs(ratio / model_ratio - 1.0) <= 0.2
     out["ledger_second_moment_growth"] = _ledger_entry(
         "pass" if ok else "fail",
         {
-            "E2_at_cuts": [float(v) for v in e2],
-            "increment_ratio": float(ratio),
-            "model_ratio": float(model_ratio),
-            "pure_log2_ratio": float(pure_ratio),
+            "E2_at_cuts": e2,
+            "increment_ratio": ratio,
+            "model_ratio": model_ratio,
+            "pure_log2_ratio": pure_ratio,
         },
         0.2,
         "truncated second moments at cuts (1e2, 1e3, 1e4) grow without "

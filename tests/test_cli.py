@@ -1,12 +1,21 @@
 """Command-line interface: byte determinism, exit codes, config
 precedence, and the file formats promised to downstream tooling."""
 
+import csv
+import io
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bidisk import cli
 from bidisk.cli import (
+    CSV_CHUNK_ROWS,
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_OK,
@@ -15,13 +24,24 @@ from bidisk.cli import (
     parse_weight,
     read_spectrum_csv,
 )
-from bidisk.spectral import TABLE_COLUMNS, SpectralTable
+from bidisk.spectral import TABLE_COLUMNS, UNIFORM_WEIGHT, SpectralTable, mc_sample
 
 GRID = "0.5:50:25"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(args):
     return main(list(args))
+
+
+def reference_csv(header, columns) -> bytes:
+    """Table bytes as csv.writer writes them: CRLF rows of repr floats."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    for row in zip(*columns):
+        writer.writerow([repr(float(v)) for v in row])
+    return buf.getvalue().encode()
 
 
 def test_spectrum_csv_format(tmp_path):
@@ -32,7 +52,104 @@ def test_spectrum_csv_format(tmp_path):
     assert lines[-1] == b""
     assert lines[0].decode() == ",".join(TABLE_COLUMNS)
     assert len(lines) == 25 + 2  # header + rows + trailing terminator
+    assert all(len(line.split(b",")) == len(TABLE_COLUMNS) for line in lines[:-1])
     assert b"\n" not in data.replace(b"\r\n", b"")
+
+
+# one row past two full chunks, and one row past a single chunk
+N_CHUNKED = 2 * CSV_CHUNK_ROWS + 3
+LINEAR = f"1:100:{CSV_CHUNK_ROWS + 1}"
+
+
+def test_sample_chunks_match_reference_writer(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert run(["sample", "--n", str(N_CHUNKED), "--seed", "5", "--out", str(out)]) == EXIT_OK
+    assert run(["sample", "--n", str(N_CHUNKED), "--seed", "5"]) == EXIT_OK
+    batch = mc_sample(N_CHUNKED, 5, UNIFORM_WEIGHT, streams=16)
+    ref = reference_csv(("omega", "weight"), (batch.omega, batch.weight))
+    assert out.read_bytes() == ref
+    assert capsys.readouterr().out.encode() == ref
+
+
+def test_spectrum_chunks_match_reference_writer(tmp_path):
+    out = tmp_path / "t.csv"
+    assert run(["spectrum", "--grid", LINEAR, "--linear", "--out", str(out)]) == EXIT_OK
+    table = SpectralTable.build(parse_grid(LINEAR, log=False))
+    columns = [getattr(table, name) for name in TABLE_COLUMNS]
+    assert out.read_bytes() == reference_csv(TABLE_COLUMNS, columns)
+
+
+def test_reweight_chunks_match_reference_writer(tmp_path):
+    out = tmp_path / "r.csv"
+    assert run(["reweight", "--weight", "exp", "--grid", LINEAR, "--linear", "--out", str(out)]) == EXIT_OK
+    data = out.read_bytes()
+    header, *rows = data.decode().split("\r\n")[:-1]
+    columns = np.array([r.split(",") for r in rows], dtype=float).T  # repr round-trips
+    assert np.array_equal(columns[0], parse_grid(LINEAR, log=False))
+    assert data == reference_csv(header.split(","), columns)
+
+
+def test_write_text_gets_every_byte_as_str(tmp_path, monkeypatch):
+    # the benchmark's tracer counts cli.out_bytes from _write_text's text
+    calls = []
+    write = cli._write_text
+
+    def recording(out, text):
+        calls.append(text)
+        write(out, text)
+
+    monkeypatch.setattr(cli, "_write_text", recording)
+    out = tmp_path / "s.csv"
+    n = 10000
+    assert run(["sample", "--n", str(n), "--out", str(out)]) == EXIT_OK
+    assert all(type(t) is str for t in calls)
+    assert sum(len(t.encode("utf-8")) for t in calls) == out.stat().st_size
+    assert len(calls) == 1 + math.ceil(n / CSV_CHUNK_ROWS)
+
+
+WRITERS = {
+    "spectrum": ["spectrum", "--grid", GRID, "--out"],
+    "sample": ["sample", "--n", "1000", "--out"],
+    "reweight": ["reweight", "--grid", GRID, "--out"],
+    "plot": ["plot", "--grid", GRID, "--out"],
+    "moments": ["moments", "--weight", "exp", "--n", "1000", "--json"],
+    "verify": ["verify", "--json"],
+}
+
+
+@pytest.mark.parametrize("target", ["directory", "/dev/full"])
+@pytest.mark.parametrize("command", sorted(WRITERS))
+def test_output_errors_exit_two(command, target, tmp_path, capsys):
+    if target == "directory":
+        path = str(tmp_path)
+    elif os.path.exists(target):
+        path = target  # every write fails with ENOSPC
+    else:
+        pytest.skip(f"{target} does not exist")
+    assert run(WRITERS[command] + [path]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
+
+
+@pytest.mark.parametrize("read_first", [0, 100])
+def test_closed_stdout_exits_two_without_traceback(read_first):
+    # like `bidisk sample | true` and `bidisk sample | head -c 100`, with
+    # stdout buffered as usual, so that the interpreter flushes it at exit
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bidisk", "sample", "--n", "100000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.read(read_first)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_CONFIG
+    assert "Traceback" not in err
+    assert err.startswith("error: cannot write stdout: ")
+    assert err.count("\n") == 1
 
 
 def test_spectrum_is_byte_deterministic(tmp_path):
@@ -289,6 +406,28 @@ def test_weight_table_accepted(tmp_path):
     spec = parse_weight(f"table:{good}")
     assert spec.kind == "table"
     assert spec.weight_of_rho(0.0) == 1.0
+
+
+def test_weight_table_accepts_quotes_and_blank_lines(tmp_path):
+    good = tmp_path / "w.csv"
+    good.write_bytes(b'rho,weight\r\n"0.0",1.0\r\n\r\n50.0," 0.5"\r\n')
+    spec = parse_weight(f"table:{good}")
+    assert spec.rho_grid == (0.0, 50.0)
+    assert spec.values == (1.0, 0.5)
+
+
+def test_empty_weight_table_has_no_data_rows(tmp_path, capsys):
+    empty = tmp_path / "w.csv"
+    empty.write_text("rho,weight\n\n")
+    assert run(["sample", "--n", "10", "--weight", f"table:{empty}"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {empty}: no data rows\n"
+
+
+def test_undecodable_table_exits_two(tmp_path, capsys):
+    bad = tmp_path / "t.csv"
+    bad.write_bytes(b"x,\xff\n")
+    assert run(["plot", "--table", str(bad)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: cannot read table {bad}: ")
 
 
 def test_spectrum_table_errors_are_line_numbered(tmp_path, capsys):

@@ -4,7 +4,12 @@ Subcommands: spectrum, sample, verify, moments, plot, reweight.  Every
 subcommand accepts --seed, --threads, --out and --config; flags take
 precedence over config-file values, which take precedence over built-in
 defaults.  Config files hold one key=value pair per line (# comments and
-blank lines allowed).
+blank lines allowed).  One table, OPTIONS, declares each option's type,
+accepted values and help for both its flag and its config key; the key
+fd_step is the flag --fd-step.  Every resolved value, whether from a flag,
+a config file or a default, must meet its requirement: --seed >= 0,
+--threads, --n and --streams >= 1, --tol and --fd-step positive and
+finite; a bad one exits 2 with "error: --<flag> must be <requirement>".
 
 Exit codes: 0 on success (standing discrepancies do not fail a run),
 1 when a verification check fails, 2 on configuration or IO errors,
@@ -20,7 +25,8 @@ nor the execution.
 Each output file is opened once and CSV tables are written in chunks of
 CSV_CHUNK_ROWS rows, never held whole as text; a failed write (full disk,
 closed stdout) exits 2 and may leave a partial file.  Weight and
-spectrum tables share one line-numbered CSV reader.
+spectrum tables share one line-numbered CSV reader, which accepts only
+finite values; a spectrum table's x must also be positive.
 """
 
 from __future__ import annotations
@@ -78,31 +84,40 @@ def _bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-DEFAULTS: dict[str, dict] = {
-    "spectrum": {"grid": "1e-3:100:400", "log": True, "linear": False},
-    "sample": {"n": 100000, "weight": "uniform", "streams": 16},
-    "verify": {"json": None, "tol": 1e-5, "fd_step": 1e-5},
-    "moments": {"weight": "uniform", "json": None, "n": 200000},
-    "plot": {"table": None, "grid": "1e-3:100:400", "log": True, "linear": False},
-    "reweight": {"weight": "exp", "grid": "1e-3:100:400", "log": True, "linear": False},
-}
-COMMON_DEFAULTS = {"seed": 1729, "threads": 1, "out": None, "config": None}
+def _positive_finite(v: float) -> bool:
+    return 0.0 < v < math.inf
 
-_TYPES = {
-    "seed": int,
-    "threads": int,
-    "out": str,
-    "config": str,
-    "grid": str,
-    "log": _bool,
-    "linear": _bool,
-    "n": int,
-    "weight": str,
-    "streams": int,
-    "json": str,
-    "tol": float,
-    "fd_step": float,
-    "table": str,
+
+# name: (type, accepted values or None for any, the requirement as text, help).
+# Flags and config keys both come from here: a _bool option is a store_true
+# flag, and the option a_b is the flag --a-b.
+OPTIONS: dict[str, tuple] = {
+    "seed": (int, lambda v: v >= 0, ">= 0", "RNG seed"),
+    "threads": (int, lambda v: v >= 1, ">= 1", "no effect on output or execution"),
+    "out": (str, None, None, "output path (default stdout)"),
+    "config": (str, None, None, "key=value config file"),
+    "grid": (str, None, None, "min:max:points (plot: when no --table)"),
+    "log": (_bool, None, None, "log-spaced grid"),
+    "linear": (_bool, None, None, "linear grid"),
+    "n": (int, lambda v: v >= 1, ">= 1", "sample size (moments: of the MC cross-check)"),
+    "weight": (str, None, None, "uniform | exp | gauss | table:PATH"),
+    "streams": (int, lambda v: v >= 1, ">= 1", "substream count"),
+    "json": (str, None, None, "write the JSON output here"),
+    "tol": (float, _positive_finite, "positive and finite", "FD certification tolerance"),
+    "fd_step": (float, _positive_finite, "positive and finite", "FD step size"),
+    "table": (str, None, None, "spectrum CSV to plot (else recompute)"),
+}
+
+COMMON_DEFAULTS = {"seed": 1729, "threads": 1, "out": None, "config": None}
+_GRID = {"grid": "1e-3:100:400", "log": True, "linear": False}
+# subcommand: (help, defaults of its own options)
+SUBCOMMANDS: dict[str, tuple[str, dict]] = {
+    "spectrum": ("tabulate the distribution and candidates", _GRID),
+    "sample": ("Monte Carlo rotation numbers", {"n": 100000, "weight": "uniform", "streams": 16}),
+    "verify": ("run the verification report", {"json": None, "tol": 1e-5, "fd_step": 1e-5}),
+    "moments": ("mean and truncated second moments", {"weight": "uniform", "json": None, "n": 200000}),
+    "plot": ("render the density curve as SVG", {"table": None, **_GRID}),
+    "reweight": ("tabulate a reweighted density", {"weight": "exp", **_GRID}),
 }
 
 
@@ -112,52 +127,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="spectral eigenvalue distribution of the bidisk moment map",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    S = argparse.SUPPRESS
-
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=S, help="RNG seed")
-        sp.add_argument("--threads", type=int, default=S, help="no effect on output or execution")
-        sp.add_argument("--out", default=S, help="output path (default stdout)")
-        sp.add_argument("--config", default=S, help="key=value config file")
-
-    sp = sub.add_parser("spectrum", help="tabulate the distribution and candidates")
-    common(sp)
-    sp.add_argument("--grid", default=S, help="min:max:points")
-    sp.add_argument("--log", action="store_true", default=S, help="log-spaced grid")
-    sp.add_argument("--linear", action="store_true", default=S, help="linear grid")
-
-    sp = sub.add_parser("sample", help="Monte Carlo rotation numbers")
-    common(sp)
-    sp.add_argument("--n", type=int, default=S, help="sample size")
-    sp.add_argument("--weight", default=S, help="uniform | exp | gauss | table:PATH")
-    sp.add_argument("--streams", type=int, default=S, help="substream count")
-
-    sp = sub.add_parser("verify", help="run the verification report")
-    common(sp)
-    sp.add_argument("--json", default=S, help="write the JSON report here")
-    sp.add_argument("--tol", type=float, default=S, help="FD certification tolerance")
-    sp.add_argument("--fd-step", dest="fd_step", type=float, default=S)
-
-    sp = sub.add_parser("moments", help="mean and truncated second moments")
-    common(sp)
-    sp.add_argument("--weight", default=S, help="uniform | exp | gauss | table:PATH")
-    sp.add_argument("--json", default=S, help="write machine-readable output here")
-    sp.add_argument("--n", type=int, default=S, help="MC cross-check sample size")
-
-    sp = sub.add_parser("plot", help="render the density curve as SVG")
-    common(sp)
-    sp.add_argument("--table", default=S, help="spectrum CSV to plot (else recompute)")
-    sp.add_argument("--grid", default=S, help="min:max:points when recomputing")
-    sp.add_argument("--log", action="store_true", default=S)
-    sp.add_argument("--linear", action="store_true", default=S)
-
-    sp = sub.add_parser("reweight", help="tabulate a reweighted density")
-    common(sp)
-    sp.add_argument("--weight", default=S, help="uniform | exp | gauss | table:PATH")
-    sp.add_argument("--grid", default=S, help="min:max:points")
-    sp.add_argument("--log", action="store_true", default=S)
-    sp.add_argument("--linear", action="store_true", default=S)
-
+    for cmd, (help_text, defaults) in SUBCOMMANDS.items():
+        sp = sub.add_parser(cmd, help=help_text)
+        for name in {**COMMON_DEFAULTS, **defaults}:
+            kind, _, _, help_line = OPTIONS[name]
+            how = {"action": "store_true"} if kind is _bool else {"type": kind}
+            sp.add_argument(
+                "--" + name.replace("_", "-"), default=argparse.SUPPRESS, help=help_line, **how
+            )
     return parser
 
 
@@ -180,25 +157,25 @@ def load_config(path: str) -> dict[str, str]:
 
 
 def resolve_options(ns: argparse.Namespace) -> dict:
-    """Merge defaults, config file and flags (flags win)."""
+    """Merge defaults, config file and flags (flags win), then check every
+    resolved value against OPTIONS."""
     cmd = ns.command
     given = {k: v for k, v in vars(ns).items() if k != "command"}
-    opts = {**COMMON_DEFAULTS, **DEFAULTS[cmd]}
-    config_path = given.get("config") or opts.get("config")
+    opts = {**COMMON_DEFAULTS, **SUBCOMMANDS[cmd][1]}
+    config_path = given.get("config")
     if config_path:
-        raw = load_config(config_path)
-        for key, sval in raw.items():
+        for key, sval in load_config(config_path).items():
             if key not in opts:
                 raise CliError(f"{config_path}: unknown key {key!r} for {cmd!r}")
             try:
-                opts[key] = _TYPES[key](sval)
+                opts[key] = OPTIONS[key][0](sval)
             except ValueError as exc:
                 raise CliError(f"{config_path}: bad value for {key!r}: {exc}") from exc
     opts.update(given)
-    if opts["threads"] < 1:
-        raise CliError("--threads must be >= 1")
-    if opts.get("n", 1) < 1:
-        raise CliError("--n must be >= 1")
+    for key, value in opts.items():
+        _, ok, requirement, _ = OPTIONS[key]
+        if ok is not None and not ok(value):
+            raise CliError(f"--{key.replace('_', '-')} must be {requirement}")
     return opts
 
 
@@ -225,7 +202,7 @@ def parse_weight(spec: str) -> WeightSpec:
         return WeightSpec(spec)
     if spec.startswith("table:"):
         path = spec[len("table:") :]
-        rho, val = _read_csv(path, ("rho", "weight"), "weight table")
+        _, (rho, val) = _read_csv(path, ("rho", "weight"), "weight table")
         try:
             return WeightSpec("table", tuple(rho.tolist()), tuple(val.tolist()))
         except ValueError as exc:
@@ -237,10 +214,11 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _read_csv(path: str, header: tuple[str, ...], what: str) -> list[np.ndarray]:
-    """Float columns of the CSV file at path.  Its first line must be
-    header; blank lines are skipped, every other line must hold
-    len(header) floats, and errors name the line."""
+def _read_csv(path: str, header: tuple[str, ...], what: str) -> tuple[list[int], list[np.ndarray]]:
+    """Line numbers and float columns of the data rows of the CSV file at
+    path.  Its first line must be header; blank lines are skipped, every
+    other line must hold len(header) finite floats, and errors name the
+    line."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -248,6 +226,7 @@ def _read_csv(path: str, header: tuple[str, ...], what: str) -> list[np.ndarray]
         raise CliError(f"cannot read {what} {path}: {exc}") from exc
     if not rows or [c.strip() for c in rows[0]] != list(header):
         raise CliError(f"{path}: line 1: expected header {','.join(header)!r}")
+    lines: list[int] = []
     data: list[list[float]] = []
     for i, row in enumerate(rows[1:], 2):
         if not row:
@@ -258,9 +237,18 @@ def _read_csv(path: str, header: tuple[str, ...], what: str) -> list[np.ndarray]
             data.append(list(map(float, row)))
         except ValueError as exc:
             raise CliError(f"{path}: line {i}: {exc}") from exc
+        lines.append(i)
     if not data:
         raise CliError(f"{path}: no data rows")
-    return list(np.array(data).T)
+    cells = np.array(data)
+    _reject_rows(path, lines, ~np.isfinite(cells).all(axis=1), "values must be finite")
+    return lines, list(cells.T)
+
+
+def _reject_rows(path: str, lines: list[int], bad: np.ndarray, message: str) -> None:
+    """CliError naming the line of the first row flagged in bad, if any."""
+    if bad.any():
+        raise CliError(f"{path}: line {lines[int(bad.argmax())]}: {message}")
 
 
 def _csv_text(header: tuple[str, ...], columns):
@@ -387,7 +375,9 @@ def cmd_moments(opts: dict) -> int:
 
 
 def read_spectrum_csv(path: str) -> SpectralTable:
-    return SpectralTable(*_read_csv(path, TABLE_COLUMNS, "table"))
+    lines, columns = _read_csv(path, TABLE_COLUMNS, "table")
+    _reject_rows(path, lines, columns[0] <= 0.0, "x must be positive")
+    return SpectralTable(*columns)
 
 
 def render_spectrum_svg(table: SpectralTable) -> str:

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .disk import _py
 from .moment import mu_slice_invert
 from .quadrature import adaptive, central_difference, composite_k15
 
@@ -156,10 +157,6 @@ def _cdf_tail_quadrature(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cdf.reshape(x.shape), tail.reshape(x.shape), err.reshape(x.shape)
 
 
-def _scalar_or_array(x, out: np.ndarray):
-    return float(out) if np.ndim(x) == 0 else out
-
-
 def cdf_quadrature(x):
     """Distribution function F(x) by quadrature of the fiber areas.
 
@@ -171,7 +168,7 @@ def cdf_quadrature(x):
     equals the per-element calls bit for bit.  NaN or negative x raises
     ValueError.
     """
-    return _scalar_or_array(x, _cdf_tail_quadrature(x)[0])
+    return _py(_cdf_tail_quadrature(x)[0])
 
 
 def one_minus_cdf(x):
@@ -179,7 +176,7 @@ def one_minus_cdf(x):
     integrated above x = 8, from an integrand in [1, 2] on panels of width
     <= 1/Y, so it keeps its relative accuracy (tested to 1e-13) wherever it
     is above 1e-300; 0 at x = inf.  Float or array, as cdf_quadrature."""
-    return _scalar_or_array(x, _cdf_tail_quadrature(x)[1])
+    return _py(_cdf_tail_quadrature(x)[1])
 
 
 def cdf_quadrature_batch(xs) -> np.ndarray:
@@ -213,7 +210,7 @@ def pdf_quadrature(x):
     # x + 2h may overflow to inf (F = 1 there); h = 0 at the smallest subnormals
     with np.errstate(over="ignore", invalid="ignore"):
         d = central_difference(signed, xs, h)[0]
-    return _scalar_or_array(x, np.where(inside & (h > 0.0), d, 0.0))
+    return _py(np.where(inside & (h > 0.0), d, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +269,7 @@ def _closed_form(arg, series, direct, upper: float, message: str, far=None):
     if not np.all((arg >= 0.0) & (arg < upper)):
         raise ValueError(message)
     out = np.piecewise(arg, [arg < SERIES_CUT, arg >= _FAR_CUT], [series, far or direct, direct])
-    return float(out) if out.ndim == 0 else out
+    return _py(out)
 
 
 def cdf_closed_derived(u):
@@ -493,12 +490,14 @@ def mc_sample(
 
     The n draws are split across ``streams`` SeedSequence-spawned
     substreams merged in index order, so the output is a pure function of
-    (n, seed, streams).
+    (n, seed, streams).  streams must be positive and is capped at n.
     """
-    n = int(n)
+    n, streams = int(n), int(streams)
     if n <= 0:
         raise ValueError("sample size must be positive")
-    streams = max(1, min(int(streams), n))
+    if streams <= 0:
+        raise ValueError("streams must be positive")
+    streams = min(streams, n)
     base = n // streams
     sizes = tuple(base + (1 if i < n % streams else 0) for i in range(streams))
     children = np.random.SeedSequence(seed).spawn(streams)
@@ -739,7 +738,7 @@ def discrepancy_ledger(fd_tol: float = 1e-5) -> dict[str, dict]:
         out["ledger_pdf_paper_internal_consistency"] = _ledger_entry(
             "fail",
             {"max_rel_difference": worst_rel, "max_rel_residual": worst_res},
-            1e-6,
+            fd_tol,
             f"step-size failure: Richardson residual {worst_res:.3e} exceeds "
             f"certification tolerance {fd_tol:.1e} on the x_tilde grid [0.05, 20]",
         )

@@ -79,7 +79,11 @@ class VerifyConfig:
     seed: int = 20260814
     fd_step: float = 1e-5
     fd_tol: float = 1e-5
-    include_ledger: bool = True
+
+    def __post_init__(self):
+        for name in ("fd_step", "fd_tol"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 def _entry(status: str, value, tolerance, details: str) -> dict:
@@ -599,8 +603,7 @@ def run_all(cfg: VerifyConfig | None = None) -> dict[str, dict]:
     report: dict[str, dict] = {}
     for name, fn in _CHECKS:
         report[name] = fn(cfg)
-    if cfg.include_ledger:
-        report.update(discrepancy_ledger(cfg.fd_tol))
+    report.update(discrepancy_ledger(cfg.fd_tol))
     return report
 
 

@@ -356,12 +356,41 @@ def test_weight_table_value_error_is_line_numbered(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("row", ["1.0,nan", "nan,1.0", "1.0,inf"])
+@pytest.mark.parametrize("row", ["1.0,nan", "nan,1.0", "1.0,inf", "1.0,1e400"])
 def test_weight_table_non_finite_rejected(tmp_path, capsys, row):
     bad = tmp_path / "w.csv"
-    bad.write_text(f"rho,weight\n0.0,1.0\n{row}\n2.0,1.0\n")
+    bad.write_text(f"rho,weight\n0.0,1.0\n\n{row}\n2.0,1.0\n")
     assert run(["sample", "--n", "10", "--weight", f"table:{bad}"]) == EXIT_CONFIG
-    assert "finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: line 4: ") and "finite" in err
+
+
+def _spectrum_rows(*rows):
+    return ",".join(TABLE_COLUMNS) + "\n" + "".join(r + "\n" for r in rows)
+
+
+GOOD_ROW = ",".join(["1.0"] * len(TABLE_COLUMNS))
+
+
+@pytest.mark.parametrize("column", range(len(TABLE_COLUMNS)))
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_spectrum_table_non_finite_rejected(tmp_path, capsys, column, value):
+    cells = ["2.0"] * len(TABLE_COLUMNS)
+    cells[column] = value
+    bad = tmp_path / "t.csv"
+    bad.write_text(_spectrum_rows(GOOD_ROW, "", ",".join(cells)))
+    assert run(["plot", "--table", str(bad)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: line 4: ") and "finite" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("x", ["-1.0", "0.0", "-0.0"])
+def test_spectrum_table_nonpositive_x_rejected(tmp_path, capsys, x):
+    bad = tmp_path / "t.csv"
+    bad.write_text(_spectrum_rows(GOOD_ROW, x + ",1,1,1,1,1,1,1", "2,1,1,1,1,1,1,1"))
+    assert run(["plot", "--table", str(bad)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {bad}: line 3: x must be positive\n"
 
 
 def test_spectrum_tiny_grid_is_finite(tmp_path):
@@ -444,6 +473,43 @@ def test_spectrum_table_errors_are_line_numbered(tmp_path, capsys):
 def test_threads_must_be_positive(capsys):
     assert run(["sample", "--n", "10", "--threads", "0"]) == EXIT_CONFIG
     assert "threads" in capsys.readouterr().err
+
+
+# values that break each requirement of the option table
+BAD_VALUES = {
+    ">= 0": ["-1"],
+    ">= 1": ["0", "-3"],
+    "positive and finite": ["0", "-1.0", "nan", "inf"],
+}
+BAD_OPTIONS = [
+    (cmd, name, value)
+    for cmd, (_, defaults) in cli.SUBCOMMANDS.items()
+    for name in {**cli.COMMON_DEFAULTS, **defaults}
+    if cli.OPTIONS[name][2] is not None
+    for value in BAD_VALUES[cli.OPTIONS[name][2]]
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("cmd,name,value", BAD_OPTIONS)
+def test_bad_option_value_exits_two(cmd, name, value, source, tmp_path, capsys):
+    flag = "--" + name.replace("_", "-")
+    if source == "flag":
+        args = [cmd, flag, value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{name}={value}\n")
+        args = [cmd, "--config", str(cfg)]
+    assert run(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: {flag} must be {cli.OPTIONS[name][2]}\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd", sorted(cli.SUBCOMMANDS))
+def test_subcommand_help_exits_zero(cmd, capsys):
+    assert run([cmd, "--help"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith(f"usage: bidisk {cmd} ")
 
 
 def test_bad_subcommand_exits_two(capsys):

@@ -483,6 +483,16 @@ def test_mc_sample_stream_partition():
         mc_sample(0, seed=1)
 
 
+@pytest.mark.parametrize("streams", [0, -3])
+def test_mc_sample_rejects_nonpositive_streams(streams):
+    with pytest.raises(ValueError, match="streams"):
+        mc_sample(10, seed=1, streams=streams)
+
+
+def test_mc_sample_caps_streams_at_n():
+    assert mc_sample(3, seed=1, streams=16).stream_sizes == (1, 1, 1)
+
+
 def test_mc_sample_weights_follow_spec():
     batch = mc_sample(2000, seed=12, weight=WeightSpec("exp"))
     expect = np.exp(-rho_of_omega(batch.omega))

@@ -5,6 +5,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from bidisk.verify import (
     DISCREPANCY,
@@ -66,9 +67,6 @@ FD_CHECKS = {
     "ledger_pdf_paper_internal_consistency",
 }
 
-# the geometry checks alone, at their full sample sizes
-GEOMETRY_ONLY = VerifyConfig(include_ledger=False)
-
 
 def test_run_all_default_has_no_failures():
     report = run_all()
@@ -89,12 +87,6 @@ def test_run_all_is_deterministic():
     assert to_json(run_all()) == to_json(run_all())
 
 
-def test_run_all_without_ledger():
-    report = run_all(GEOMETRY_ONLY)
-    assert set(report) == GEOMETRY_CHECKS
-    assert count_status(report, FAIL) == 0
-
-
 def test_uncertifiable_step_size_is_reported_not_silently_passed():
     cfg = VerifyConfig(fd_tol=1e-30)
     report = run_all(cfg)
@@ -107,10 +99,18 @@ def test_uncertifiable_step_size_is_reported_not_silently_passed():
     assert flagged == FD_CHECKS
     for name in flagged:
         assert report[name]["status"] == FAIL
+        assert report[name]["tolerance"] == cfg.fd_tol
     # everything that does not rest on finite differences is unaffected
     for name, entry in report.items():
         if name not in FD_CHECKS:
             assert entry["status"] in (PASS, DISCREPANCY)
+
+
+@pytest.mark.parametrize("field", ["fd_step", "fd_tol"])
+@pytest.mark.parametrize("value", [0.0, -1e-5, math.nan, math.inf])
+def test_config_rejects_step_and_tolerance_that_are_not_positive_and_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        VerifyConfig(**{field: value})
 
 
 def test_slice_fd_check_detail():
@@ -161,7 +161,7 @@ def test_radial_convexity_reference_value():
 
 
 def test_sech_profile_discrepancy_is_standing():
-    report = run_all(GEOMETRY_ONLY)
+    report = run_all(VerifyConfig())
     entry = report["psh_radial_sech_form"]
     assert entry["status"] == DISCREPANCY
     assert abs(entry["value"]["second_derivative_at_0"] + 1.0) < 1e-6
@@ -170,5 +170,5 @@ def test_sech_profile_discrepancy_is_standing():
 
 
 def test_seed_changes_nothing_structural():
-    a = run_all(VerifyConfig(seed=1, include_ledger=False))
+    a = run_all(VerifyConfig(seed=1))
     assert count_status(a, FAIL) == 0

@@ -10,6 +10,8 @@ fd_step is the flag --fd-step.  Every resolved value, whether from a flag,
 a config file or a default, must meet its requirement: --seed >= 0,
 --threads, --n and --streams >= 1, --tol and --fd-step positive and
 finite; a bad one exits 2 with "error: --<flag> must be <requirement>".
+A float flag takes a negative value in any notation, --tol -1e-5 as well
+as --tol=-1e-5.
 
 Exit codes: 0 on success (standing discrepancies do not fail a run),
 1 when a verification check fails, 2 on configuration or IO errors,
@@ -136,6 +138,25 @@ def build_parser() -> argparse.ArgumentParser:
                 "--" + name.replace("_", "-"), default=argparse.SUPPRESS, help=help_line, **how
             )
     return parser
+
+
+def _attach_float_values(argv: list[str]) -> list[str]:
+    """Join each float flag to a numeric next token (--tol -1e-5 becomes
+    --tol=-1e-5): argparse takes -1e-5 for an option, not a negative
+    number, and the option table never sees it."""
+    flags = {"--" + name.replace("_", "-") for name, spec in OPTIONS.items() if spec[0] is float}
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in flags:
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -388,7 +409,8 @@ def render_spectrum_svg(table: SpectralTable) -> str:
     if x1 <= x0:
         x1 = x0 + 1.0
     ymax = float(np.max(table.f_quad))
-    y1 = ymax * 1.06 if ymax > 0 else 1.0
+    # the headroom above a density near the largest double stays finite
+    y1 = min(ymax * 1.06, sys.float_info.max) if ymax > 0 else 1.0
 
     def px(v: float) -> float:
         return ml + (v - x0) / (x1 - x0) * (width - ml - mr)
@@ -416,7 +438,7 @@ def render_spectrum_svg(table: SpectralTable) -> str:
             f'text-anchor="middle">1e{d}</text>'
         )
     for k in range(1, 5):
-        yv = y1 * k / 5.0
+        yv = y1 / 5.0 * k
         yp = py(yv)
         parts.append(
             f'<line x1="{ml - 6:.2f}" y1="{yp:.2f}" x2="{ml:.2f}" y2="{yp:.2f}" '
@@ -483,7 +505,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_attach_float_values(sys.argv[1:] if argv is None else argv))
         opts = resolve_options(ns)
         return _COMMANDS[ns.command](opts)
     except CliError as exc:

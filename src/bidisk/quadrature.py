@@ -128,17 +128,30 @@ def composite_k15(f, k: int) -> tuple[np.ndarray, np.ndarray]:
     """k-panel composite K15 rule for int_0^1 f(v) dv over a batch of
     integrands, with the summed |K15 - G7| of the panels as error estimate.
 
-    ``f`` receives the nodes with shape (15, 1, k) (node, integrand, panel)
-    and returns values of shape (15, m, k); returns (value, estimate) of
-    shape (m,).  The sums run in a fixed order within each integrand, so
-    its result does not depend on the other integrands in the batch.
+    ``f`` receives the nodes with shape (15, k, 1) (node, panel, integrand)
+    and returns values of shape (15, k, m), integrand axis innermost;
+    returns (value, estimate) of shape (m,).  The node sums run in a fixed
+    order and each integrand's panels are summed along one contiguous row,
+    so its result does not depend on the other integrands in the batch.
     """
     nodes = np.ascontiguousarray(composite_nodes(k)[0].reshape(k, 15).T)
-    fv = f(nodes[:, None, :])
-    k15 = sum(w * fj for w, fj in zip(_WK, fv))
-    g7 = sum(w * fv[j] for w, j in zip(_WG, _GAUSS_IDX))
+    fv = f(nodes[:, :, None])
+    tmp = np.empty_like(fv[0])
+    k15 = fv[0] * _WK[0]
+    for w, fj in zip(_WK[1:], fv[1:]):
+        k15 += np.multiply(fj, w, out=tmp)
+    g7 = fv[1] * _WG[0]
+    for w, j in zip(_WG[1:], _GAUSS_IDX[1:]):
+        g7 += np.multiply(fv[j], w, out=tmp)
+    g7 -= k15
     half = 0.5 / k
-    return half * k15.sum(axis=-1), half * np.abs(k15 - g7).sum(axis=-1)
+    return half * _panel_sum(k15), half * _panel_sum(np.abs(g7, out=g7))
+
+
+def _panel_sum(a: np.ndarray) -> np.ndarray:
+    """Sums of a (k, m) array over its panels, each along one contiguous
+    row of length k, so numpy's pairwise order is that of the row alone."""
+    return np.ascontiguousarray(a.T).sum(axis=-1)
 
 
 def richardson(estimate, h):

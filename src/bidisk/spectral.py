@@ -122,37 +122,47 @@ def _cdf_tail_quadrature(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     err = np.zeros_like(cdf)
     # s underflows to 0 below x ~ 9e-162, where F ~ x^2/48 does too
     live = np.flatnonzero((s > 0.0) & (flat < np.inf))
-    # batch key: 2 k + (1 for the tail form)
-    key = 2 * np.maximum(1.0, np.ceil(y[live])).astype(np.int64) + (flat[live] > _SWITCH)
-    for kv in np.flatnonzero(np.bincount(key)):
-        batch = live[key == kv]
+    # batch key: 2 k + (1 for the tail form); k < 1420 even at the largest
+    # double, so the key fits int16 and one stable sort groups the points
+    key = 2 * np.maximum(1.0, np.ceil(y[live])).astype(np.int16) + (flat[live] > _SWITCH)
+    grouped = live[np.argsort(key, kind="stable")]
+    counts = np.bincount(key)
+    ends = np.cumsum(counts)
+    for kv in np.flatnonzero(counts):
+        batch = grouped[ends[kv] - counts[kv] : ends[kv]]
         k, tail_form = divmod(int(kv), 2)
         step = max(1, _CHUNK // (15 * k))
         for start in range(0, batch.size, step):
             sel = batch[start : start + step]
             yk = y[sel]
-            ys, u2 = yk[:, None], -np.expm1(-yk)
+            u2 = -np.expm1(-yk)
 
             # the nodes are symmetric under v -> 1 - v, so expm1(-Y (1 - v))
             # is expm1(-Y v) reversed along the node and panel axes
             def integrand(v):
-                e = np.expm1(-ys * v)
+                e = np.multiply(v, -yk)
+                np.expm1(e, out=e)
                 if tail_form:
-                    return 1.0 + e * e[::-1, :, ::-1] / u2[:, None]
-                g = e / ys
-                return g * g * (1.0 + e[::-1, :, ::-1])
+                    out = e * e[::-1, ::-1]
+                    out /= u2
+                    out += 1.0
+                    return out
+                out = 1.0 + e[::-1, ::-1]
+                e /= yk
+                out *= np.multiply(e, e, out=e)
+                return out
 
             val, est = composite_k15(integrand, k)
             if tail_form:
                 r = 4.0 / np.hypot(flat[sel], 4.0)
                 pre = yk * r * r / u2
-                tail[sel] = pre * val
-                cdf[sel] = 1.0 - tail[sel]
+                tail[sel] = t = pre * val
+                cdf[sel] = 1.0 - t
             else:
                 c = yk / u2
                 pre = c * c * yk
-                cdf[sel] = pre * val
-                tail[sel] = 1.0 - cdf[sel]
+                cdf[sel] = f = pre * val
+                tail[sel] = 1.0 - f
             err[sel] = pre * (est + 50.0 * np.finfo(float).eps * (1.0 + yk) * val)
     return cdf.reshape(x.shape), tail.reshape(x.shape), err.reshape(x.shape)
 
@@ -474,10 +484,10 @@ def _sample_stream(seq: np.random.SeedSequence, m: int) -> np.ndarray:
     az = rng.uniform(0.0, 2.0 * np.pi, m)
     rw = np.sqrt(rng.random(m))
     aw = rng.uniform(0.0, 2.0 * np.pi, m)
-    z = rz * np.exp(1j * az)
-    w = rw * np.exp(1j * aw)
-    q = np.abs(z - w) / np.abs(1.0 - np.conj(w) * z)
-    return 4.0 * q / np.sqrt((1.0 - q) * (1.0 + q))
+    # omega = 4 |z - w| / sqrt((1 - rz^2)(1 - rw^2)), |z - w|^2 by the half-angle sine
+    s = np.sin(0.5 * (az - aw))
+    d2 = (rz - rw) ** 2 + 4.0 * rz * rw * s * s
+    return 4.0 * np.sqrt(d2 / ((1.0 - rz) * (1.0 + rz) * (1.0 - rw) * (1.0 + rw)))
 
 
 def mc_sample(
@@ -509,19 +519,25 @@ def ks_distance(batch: SampleBatch, cdf) -> float:
     """Weighted Kolmogorov-Smirnov distance between the batch and cdf.
 
     ``cdf`` must accept a sorted numpy array.  Both one-sided gaps are
-    taken at the jump points of the weighted empirical distribution.
+    taken at the jump points of the weighted empirical distribution: the
+    upper gap at the last element of each run of equal omegas and the
+    lower gap at the first.  With nonnegative weights the running sum does
+    not decrease, so the maxima over all elements fall on those ends and
+    the statistic does not depend on the order the sort leaves ties in,
+    up to the rounding of the running sum.
     """
-    order = np.argsort(batch.omega, kind="stable")
+    order = np.argsort(batch.omega)
     xs = batch.omega[order]
-    w = batch.weight[order]
-    cum = np.cumsum(w)
+    cum = np.cumsum(batch.weight[order])
+    del order  # freed before cdf allocates its own arrays
     total = cum[-1]
     if total <= 0.0:
         raise ValueError("batch has no positive weight")
-    cum = cum / total
+    cum /= total
     fv = np.asarray(cdf(xs), dtype=float)
-    lower = np.concatenate(([0.0], cum[:-1]))
-    return float(max(np.max(cum - fv), np.max(fv - lower)))
+    upper = np.max(cum - fv)
+    lower = np.max(np.subtract(fv[1:], cum[:-1], out=cum[:-1]), initial=fv[0])
+    return float(max(upper, lower))
 
 
 def mc_mean(batch: SampleBatch) -> tuple[float, float]:
@@ -564,11 +580,16 @@ class ReweightedDistribution:
 
     def cdf(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        phi_x = np.arcsinh(xs / 4.0)
-        j = np.clip(np.searchsorted(self.phi, phi_x, side="right") - 1, 0, len(self.phi) - 2)
-        base = _cdf_and_tail(xs)[0]
-        vals = (self.cum[j] + self.w_mid[j] * (base - self.f_nodes[j])) / self.normalizer
-        return np.clip(vals, 0.0, 1.0)
+        j = np.searchsorted(self.phi, np.arcsinh(xs / 4.0), side="right")
+        j -= 1
+        np.clip(j, 0, len(self.phi) - 2, out=j)
+        # (cum + w (F - F_node)) / normalizer, in place on the base F
+        vals = _cdf_and_tail(xs)[0]
+        vals -= self.f_nodes[j]
+        vals *= self.w_mid[j]
+        vals += self.cum[j]
+        vals /= self.normalizer
+        return np.clip(vals, 0.0, 1.0, out=vals)
 
     def density(self, x: float) -> float:
         x = float(x)

@@ -393,6 +393,22 @@ def test_spectrum_table_nonpositive_x_rejected(tmp_path, capsys, x):
     assert capsys.readouterr().err == f"error: {bad}: line 3: x must be positive\n"
 
 
+@pytest.mark.parametrize("density", ["1e308", "1.7976931348623157e308"])
+def test_plot_huge_density_keeps_a_finite_scale(tmp_path, density):
+    table = tmp_path / "t.csv"
+    table.write_text(_spectrum_rows(f"1,0.25,0.1,0.1,0.1,0.1,{density},0.1", "2,0.5,0.2,0.2,0.2,0.2,0.5,0.2"))
+    svg = tmp_path / "f.svg"
+    assert run(["plot", "--table", str(table), "--out", str(svg)]) == EXIT_OK
+    text = svg.read_text()
+    assert "inf" not in text and "nan" not in text
+    ticks = [float(t.rsplit(">", 1)[1]) for t in text.split("</text>") if 'text-anchor="end"' in t]
+    assert len(ticks) == 4 and all(map(math.isfinite, ticks))
+    points = text.split('<polyline points="', 1)[1].split('"', 1)[0].split()
+    ys = [float(p.split(",")[1]) for p in points]
+    # the huge density is drawn inside the frame, the small one on the axis
+    assert 30.0 <= ys[0] < ys[1] == 510.0
+
+
 def test_spectrum_tiny_grid_is_finite(tmp_path):
     out = tmp_path / "tiny.csv"
     assert run(["spectrum", "--grid", "1e-100:1:3", "--out", str(out)]) == EXIT_OK
@@ -479,7 +495,8 @@ def test_threads_must_be_positive(capsys):
 BAD_VALUES = {
     ">= 0": ["-1"],
     ">= 1": ["0", "-3"],
-    "positive and finite": ["0", "-1.0", "nan", "inf"],
+    # argparse alone reads "-1e-5" after a flag as an option, not a value
+    "positive and finite": ["0", "-1.0", "-1e-5", "-2E3", "nan", "inf", "-inf"],
 }
 BAD_OPTIONS = [
     (cmd, name, value)
@@ -490,12 +507,14 @@ BAD_OPTIONS = [
 ]
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("source", ["flag", "flag=", "config"])
 @pytest.mark.parametrize("cmd,name,value", BAD_OPTIONS)
 def test_bad_option_value_exits_two(cmd, name, value, source, tmp_path, capsys):
     flag = "--" + name.replace("_", "-")
     if source == "flag":
         args = [cmd, flag, value]
+    elif source == "flag=":
+        args = [cmd, f"{flag}={value}"]
     else:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{name}={value}\n")
@@ -504,6 +523,11 @@ def test_bad_option_value_exits_two(cmd, name, value, source, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"error: {flag} must be {cli.OPTIONS[name][2]}\n"
     assert "Traceback" not in err
+
+
+def test_float_flag_without_value_is_a_usage_error(capsys):
+    assert run(["verify", "--tol", "--fd-step", "1e-5"]) == EXIT_CONFIG
+    assert "--tol: expected one argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cmd", sorted(cli.SUBCOMMANDS))

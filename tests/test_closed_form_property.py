@@ -6,7 +6,8 @@ density and the error estimate of the quadrature kernel, are compared with
 the closed form evaluated in mpmath over log-uniform x in [1e-300, 1e300],
 plus 0, the switch x = 8 and inf.  The working precision grows as x
 shrinks, to cover the cancellation of the closed form near 0, so every
-reference value carries 50 significant digits.
+reference value carries 50 significant digits.  The sampler's rotation
+numbers are checked the same way, at the double points it draws.
 """
 
 import math
@@ -21,9 +22,14 @@ mpmath = pytest.importorskip("mpmath")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bidisk.disk import BidiskPoint, schwarz_distance
+from bidisk.moment import omega_of_pair
 from bidisk.spectral import (
+    _CHUNK,
     _cdf_and_tail,
     _cdf_tail_quadrature,
+    _quarter_square_log,
+    mc_sample,
     cdf_closed_paper_prop,
     cdf_quadrature,
     one_minus_cdf,
@@ -139,3 +145,54 @@ def test_kernel_array_call_equals_scalar_calls(xs):
         np.stack(_cdf_tail_quadrature(arr)),
         np.array([_cdf_tail_quadrature(v) for v in xs]).T,
     )
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def test_kernel_value_does_not_depend_on_its_neighbours_at_scale():
+    # sparse over the whole double range, dense where the panel counts k <= 16
+    # repeat by the thousand, so a batch of one k runs over more than one
+    # chunk, k >= 8 included
+    xs = np.concatenate(
+        (
+            np.geomspace(1e-300, 1e300, 4001),
+            np.geomspace(1.0, 1e4, 3 * _CHUNK // 15),
+            [0.0, 8.0, math.inf],
+        )
+    )
+    k = np.ceil(_quarter_square_log(xs)[1])
+    for kv in (8, 12):
+        assert np.sum(k == kv) > _CHUNK // (15 * kv)
+    rng = np.random.default_rng(20261018)
+    ref = np.stack(_cdf_tail_quadrature(xs))
+    perm = rng.permutation(xs.size)
+    assert np.array_equal(bits(np.stack(_cdf_tail_quadrature(xs[perm]))), bits(ref[:, perm]))
+    subset = np.sort(rng.choice(xs.size, xs.size // 3, replace=False))
+    assert np.array_equal(bits(np.stack(_cdf_tail_quadrature(xs[subset]))), bits(ref[:, subset]))
+
+
+def test_sampled_omegas_match_fifty_digits_at_the_drawn_points():
+    seed, n = 7, 16 * 2000
+    batch = mc_sample(n, seed)
+    m = batch.stream_sizes[0]
+    # stream 0's four draws, in mc_sample's order
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(16)[0])
+    rz = np.sqrt(rng.random(m))
+    az = rng.uniform(0.0, 2.0 * np.pi, m)
+    rw = np.sqrt(rng.random(m))
+    aw = rng.uniform(0.0, 2.0 * np.pi, m)
+    omega = batch.omega[:m]
+    with mpmath.workdps(50):
+        for i in range(m):
+            z = mpmath.mpf(rz[i]) * mpmath.expj(mpmath.mpf(az[i]))
+            w = mpmath.mpf(rw[i]) * mpmath.expj(mpmath.mpf(aw[i]))
+            ref = 4 * abs(z - w) / mpmath.sqrt((1 - abs(z) ** 2) * (1 - abs(w) ** 2))
+            assert abs(omega[i] - ref) <= 4e-15 * ref, i
+    # the checked draws come close to the boundary, where 1 - q cancels
+    assert np.max(np.maximum(rz, rw)) > 1.0 - 1e-3
+    z, w = rz * np.exp(1j * az), rw * np.exp(1j * aw)
+    far = 1.0 - schwarz_distance(z, w) > 1e-3
+    assert np.sum(far) > m // 2
+    np.testing.assert_allclose(omega[far], omega_of_pair(BidiskPoint(z, w))[far], rtol=1e-12)

@@ -7,6 +7,7 @@ integral and are pinned here as constants; the composite-Simpson oracle
 embedded below provides a second in-test route to the same integral.
 """
 
+import itertools
 import math
 import sys
 
@@ -511,6 +512,25 @@ def test_ks_distance_synthetic_uniform():
     assert abs(d - 0.5 / n) < 1e-12
     # a cdf that is identically wrong gives the full distance
     assert ks_distance(batch, lambda xs: np.zeros_like(xs)) == pytest.approx(1.0)
+
+
+def test_ks_distance_does_not_depend_on_the_order_of_ties():
+    omega = np.array([0.3, 0.1, 0.3, 0.7, 0.1, 0.3, 0.9])
+    # integer weights sum exactly in any order
+    weight = np.array([1.0, 4.0, 2.0, 3.0, 5.0, 7.0, 6.0])
+
+    def cdf(xs):
+        return xs * xs
+
+    # the collapsed empirical distribution: one jump per distinct omega
+    ux, inverse = np.unique(omega, return_inverse=True)
+    cum = np.cumsum(np.bincount(inverse, weights=weight)) / weight.sum()
+    below = np.concatenate(([0.0], cum[:-1]))
+    expect = max(np.max(cum - cdf(ux)), np.max(cdf(ux) - below))
+    for perm in itertools.permutations(range(omega.size)):
+        idx = list(perm)
+        batch = SampleBatch(omega=omega[idx], weight=weight[idx], seed=0, stream_sizes=(7,))
+        assert ks_distance(batch, cdf) == expect
 
 
 def test_ks_distance_uniform_sampling_against_quadrature():

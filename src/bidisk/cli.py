@@ -11,7 +11,7 @@ a config file or a default, must meet its requirement: --seed >= 0,
 --threads, --n and --streams >= 1, --tol and --fd-step positive and
 finite; a bad one exits 2 with "error: --<flag> must be <requirement>".
 A float flag takes a negative value in any notation, --tol -1e-5 as well
-as --tol=-1e-5.
+as --tol=-1e-5, also when abbreviated (--to -1e-5).
 
 Exit codes: 0 on success (standing discrepancies do not fail a run),
 1 when a verification check fails, 2 on configuration or IO errors,
@@ -140,14 +140,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _names_float_option(token: str, flags: dict[str, str]) -> bool:
+    """Whether token names a float option among a subcommand's flags (flag:
+    option name), as argparse reads it: exactly, or as a prefix of that
+    flag alone."""
+    hits = [token] if token in flags else [f for f in flags if f.startswith(token)]
+    return len(hits) == 1 and OPTIONS[flags[hits[0]]][0] is float
+
+
 def _attach_float_values(argv: list[str]) -> list[str]:
     """Join each float flag to a numeric next token (--tol -1e-5 becomes
     --tol=-1e-5): argparse takes -1e-5 for an option, not a negative
-    number, and the option table never sees it."""
-    flags = {"--" + name.replace("_", "-") for name, spec in OPTIONS.items() if spec[0] is float}
+    number, and the option table never sees it.  An abbreviated flag is
+    joined too (--to -1e-5 becomes --to=-1e-5)."""
+    flags: dict[str, str] = {}
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in flags:
+        if not flags and token in SUBCOMMANDS:
+            names = {**COMMON_DEFAULTS, **SUBCOMMANDS[token][1]}
+            flags = {"--" + name.replace("_", "-"): name for name in names}
+        elif out and _names_float_option(out[-1], flags):
             try:
                 float(token)
             except ValueError:
@@ -440,13 +452,15 @@ def render_spectrum_svg(table: SpectralTable) -> str:
     for k in range(1, 5):
         yv = y1 / 5.0 * k
         yp = py(yv)
+        # fixed point keeps >= 3 digits and <= 12 characters in this range
+        label = f"{yv:.4f}" if 1e-2 <= yv < 1e7 else f"{yv:.4g}"
         parts.append(
             f'<line x1="{ml - 6:.2f}" y1="{yp:.2f}" x2="{ml:.2f}" y2="{yp:.2f}" '
             f'stroke="black" stroke-width="1"/>'
         )
         parts.append(
             f'<text x="{ml - 10:.2f}" y="{yp + 4:.2f}" font-size="12" '
-            f'text-anchor="end">{yv:.4f}</text>'
+            f'text-anchor="end">{label}</text>'
         )
     pts = " ".join(
         f"{px(float(v)):.2f},{py(float(fv)):.2f}"

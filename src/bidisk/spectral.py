@@ -478,6 +478,10 @@ class SampleBatch:
     stream_sizes: tuple[int, ...]
 
 
+# sorted points per cdf call of ks_distance: 128 kB per temporary array
+_KS_BLOCK = 2**14
+
+
 def _sample_stream(seq: np.random.SeedSequence, m: int) -> np.ndarray:
     rng = np.random.default_rng(seq)
     rz = np.sqrt(rng.random(m))
@@ -511,33 +515,49 @@ def mc_sample(
     base = n // streams
     sizes = tuple(base + (1 if i < n % streams else 0) for i in range(streams))
     children = np.random.SeedSequence(seed).spawn(streams)
-    omega = np.concatenate([_sample_stream(sq, m) for sq, m in zip(children, sizes)])
+    omega = np.empty(n)
+    start = 0
+    for sq, m in zip(children, sizes):
+        omega[start : start + m] = _sample_stream(sq, m)
+        start += m
     return SampleBatch(omega, weight.weight_of_omega(omega), int(seed), sizes)
 
 
 def ks_distance(batch: SampleBatch, cdf) -> float:
     """Weighted Kolmogorov-Smirnov distance between the batch and cdf.
 
-    ``cdf`` must accept a sorted numpy array.  Both one-sided gaps are
+    ``cdf`` is called on consecutive blocks of the sorted omegas, of at
+    most _KS_BLOCK points each, so its working set does not grow with the
+    batch.  It must therefore be elementwise: its value at a point may not
+    depend on the other points of the call.  Both one-sided gaps are
     taken at the jump points of the weighted empirical distribution: the
     upper gap at the last element of each run of equal omegas and the
     lower gap at the first.  With nonnegative weights the running sum does
     not decrease, so the maxima over all elements fall on those ends and
     the statistic does not depend on the order the sort leaves ties in,
-    up to the rounding of the running sum.
+    up to the rounding of the running sum.  The maxima are exact, so the
+    blocks give the statistic of one whole-array call bit for bit.
     """
     order = np.argsort(batch.omega)
     xs = batch.omega[order]
-    cum = np.cumsum(batch.weight[order])
+    cum = batch.weight[order]
     del order  # freed before cdf allocates its own arrays
+    np.cumsum(cum, out=cum)
     total = cum[-1]
     if total <= 0.0:
         raise ValueError("batch has no positive weight")
     cum /= total
-    fv = np.asarray(cdf(xs), dtype=float)
-    upper = np.max(cum - fv)
-    lower = np.max(np.subtract(fv[1:], cum[:-1], out=cum[:-1]), initial=fv[0])
-    return float(max(upper, lower))
+    # per-block maxima of the upper gap cum - F and the lower gap
+    # F - cum_prev, where cum_prev is the running sum just below each point
+    gaps = []
+    below = 0.0
+    for start in range(0, xs.size, _KS_BLOCK):
+        c = cum[start : start + _KS_BLOCK]
+        fv = np.asarray(cdf(xs[start : start + _KS_BLOCK]), dtype=float)
+        gaps.append(np.max(c - fv))
+        gaps.append(np.max(np.subtract(fv[1:], c[:-1], out=c[:-1]), initial=fv[0] - below))
+        below = c[-1]
+    return float(np.max(gaps))
 
 
 def mc_mean(batch: SampleBatch) -> tuple[float, float]:

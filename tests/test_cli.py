@@ -2,6 +2,7 @@
 precedence, and the file formats promised to downstream tooling."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -409,6 +410,30 @@ def test_plot_huge_density_keeps_a_finite_scale(tmp_path, density):
     assert 30.0 <= ys[0] < ys[1] == 510.0
 
 
+@pytest.mark.parametrize("density", ["1e308", "1.7976931348623157e308", "1e-300"])
+def test_plot_tick_labels_are_short(tmp_path, density):
+    table = tmp_path / "t.csv"
+    table.write_text(_spectrum_rows(f"1,0.25,0.1,0.1,0.1,0.1,{density},0.1", "2,0.5,0.2,0.2,0.2,0.2,0,0.2"))
+    svg = tmp_path / "f.svg"
+    assert run(["plot", "--table", str(table), "--out", str(svg)]) == EXIT_OK
+    text = svg.read_text()
+    labels = [t.rsplit(">", 1)[1] for t in text.split("</text>") if 'text-anchor="end"' in t]
+    assert len(labels) == 4
+    assert all(math.isfinite(float(s)) and len(s) <= 12 for s in labels), labels
+    assert len(set(labels)) == 4
+
+
+# sha256 of the SVG that plot --table writes for the README grid
+README_SVG_SHA256 = "16b151499cb551ab34b60cecd62eaf1b692db8729c05934b76fe687bf377fcfb"
+
+
+def test_plot_readme_grid_svg_is_frozen(tmp_path):
+    table, svg = tmp_path / "spec.csv", tmp_path / "spec.svg"
+    assert run(["spectrum", "--grid", "1e-3:100:400", "--out", str(table)]) == EXIT_OK
+    assert run(["plot", "--table", str(table), "--out", str(svg)]) == EXIT_OK
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == README_SVG_SHA256
+
+
 def test_spectrum_tiny_grid_is_finite(tmp_path):
     out = tmp_path / "tiny.csv"
     assert run(["spectrum", "--grid", "1e-100:1:3", "--out", str(out)]) == EXIT_OK
@@ -528,6 +553,20 @@ def test_bad_option_value_exits_two(cmd, name, value, source, tmp_path, capsys):
 def test_float_flag_without_value_is_a_usage_error(capsys):
     assert run(["verify", "--tol", "--fd-step", "1e-5"]) == EXIT_CONFIG
     assert "--tol: expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prefix,flag", [("--to", "--tol"), ("--fd", "--fd-step"), ("--fd-s", "--fd-step")])
+def test_abbreviated_float_flag_reaches_the_option_table(prefix, flag, capsys):
+    assert run(["verify", prefix, "-1e-5"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {flag} must be positive and finite\n"
+    ns = cli.build_parser().parse_args(cli._attach_float_values(["verify", prefix, "1e-5"]))
+    assert cli.resolve_options(ns)[flag[2:].replace("-", "_")] == 1e-5
+
+
+def test_ambiguous_float_flag_prefix_is_a_usage_error(capsys):
+    # --t names both --threads and --tol
+    assert run(["verify", "--t", "-1e-5"]) == EXIT_CONFIG
+    assert "ambiguous option: --t" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cmd", sorted(cli.SUBCOMMANDS))

@@ -10,6 +10,7 @@ embedded below provides a second in-test route to the same integral.
 import itertools
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,7 +45,13 @@ from bidisk.spectral import (
     weighted_mean,
     weighted_truncated_second_moment,
 )
-from bidisk.spectral import SampleBatch, _cached_distribution, _cdf_and_tail
+from bidisk.spectral import (
+    _KS_BLOCK,
+    SampleBatch,
+    _cached_distribution,
+    _cdf_and_tail,
+    _sample_stream,
+)
 
 # frozen distribution values F(x)
 CDF_REFERENCE = {
@@ -531,6 +538,77 @@ def test_ks_distance_does_not_depend_on_the_order_of_ties():
         idx = list(perm)
         batch = SampleBatch(omega=omega[idx], weight=weight[idx], seed=0, stream_sizes=(7,))
         assert ks_distance(batch, cdf) == expect
+
+
+def test_mc_sample_concatenates_its_streams():
+    n, seed, streams = 10007, 9, 16  # 10007 = 16 * 625 + 7
+    batch = mc_sample(n, seed=seed, streams=streams)
+    sizes = [626] * 7 + [625] * 9
+    assert batch.stream_sizes == tuple(sizes)
+    children = np.random.SeedSequence(seed).spawn(streams)
+    expect = np.concatenate([_sample_stream(sq, m) for sq, m in zip(children, sizes)])
+    assert np.array_equal(batch.omega, expect)
+
+
+def _ks_whole_array(batch, cdf):
+    """ks_distance's statistic from one cdf call on all sorted points."""
+    order = np.argsort(batch.omega)
+    xs = batch.omega[order]
+    cum = np.cumsum(batch.weight[order])
+    cum /= cum[-1]
+    fv = cdf(xs)
+    cum_prev = np.concatenate(([0.0], cum[:-1]))
+    return float(max(np.max(cum - fv), np.max(fv - cum_prev)))
+
+
+def _tied_batch(n, seed):
+    """Weighted draws with long runs of tied omegas and some zero weights."""
+    rng = np.random.default_rng(seed)
+    omega = rng.choice(mc_sample(max(2, n // 300), seed=seed).omega, size=n)
+    weight = np.exp(-rho_of_omega(omega))
+    weight[rng.random(n) < 0.1] = 0.0
+    return SampleBatch(omega=omega, weight=weight, seed=seed, stream_sizes=(n,))
+
+
+@pytest.mark.parametrize("n", [1, 1000, 3 * _KS_BLOCK + 17])
+@pytest.mark.parametrize("route", ["quadrature", "reweighted"])
+def test_ks_distance_blocks_equal_one_whole_array_call(n, route):
+    batch = _tied_batch(n, seed=n)
+    if n > _KS_BLOCK:
+        xs = np.sort(batch.omega)
+        # a run of ties straddles every block boundary
+        assert all(xs[k - 1] == xs[k] for k in range(_KS_BLOCK, n, _KS_BLOCK))
+    cdf = cdf_quadrature_batch if route == "quadrature" else _cached_distribution(WeightSpec("exp")).cdf
+    assert ks_distance(batch, cdf) == _ks_whole_array(batch, cdf)
+
+
+def test_ks_distance_calls_cdf_on_sorted_blocks():
+    batch = mc_sample(3 * _KS_BLOCK + 5, seed=4)
+    calls = []
+
+    def cdf(xs):
+        calls.append(xs.copy())
+        return cdf_quadrature_batch(xs)
+
+    ks_distance(batch, cdf)
+    assert max(c.size for c in calls) <= _KS_BLOCK
+    assert np.array_equal(np.concatenate(calls), np.sort(batch.omega))
+
+
+def test_ks_distance_memory_does_not_grow_with_the_cdf():
+    n = 2**20
+    weight = WeightSpec("exp")
+    dist = _cached_distribution(weight)
+    batch = mc_sample(n, seed=8, weight=weight)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ks_distance(batch, dist.cdf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the sorted omegas, the running sum and the sort's index array
+    assert peak - start < 5 * 8 * n
 
 
 def test_ks_distance_uniform_sampling_against_quadrature():

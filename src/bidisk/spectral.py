@@ -11,10 +11,11 @@ gives the distribution function
 whose closed form in u is 2/u^2 - 1 + 2 (1 - u^2) log(1 - u^2) / u^4.
 The closed form, evaluated on arrays, serves the reweighting table and the
 tabulated candidates; one quadrature kernel (F below x = 8, a
-cancellation-free 1 - F above, panels of width <= 1/Y, Y = log(1 + x^2/16))
-is the independent reference that the discrepancy ledger checks them
-against.  Monte Carlo sampling, moments, and importance reweighting by
-radial weights w(rho) complete the module.
+cancellation-free 1 - F above, and on request the density from its own
+nonnegative integrand on the same nodes; max(1, ceil(Y/4)) panels of width
+<= 4/Y, Y = log(1 + x^2/16)) is the independent reference that the
+discrepancy ledger checks them against.  Monte Carlo sampling, moments,
+and importance reweighting by radial weights w(rho) complete the module.
 """
 
 from __future__ import annotations
@@ -59,10 +60,27 @@ def schwarz_threshold(x: float) -> float:
     return 2.0 * t / (1.0 + t * t)
 
 
+def _rotation_numbers(omega) -> np.ndarray:
+    """omega as a float array; NaN or negative entries raise ValueError."""
+    omega = np.asarray(omega, dtype=float)
+    if not np.all(omega >= 0.0):
+        raise ValueError("rotation number must be nonnegative")
+    return omega
+
+
+def _rho_array(omega) -> np.ndarray:
+    """rho = 2 asinh(omega / 4) in one new array, also for a float."""
+    omega = _rotation_numbers(omega)
+    rho = np.divide(omega, 4.0, out=np.empty_like(omega))
+    np.arcsinh(rho, out=rho)
+    rho *= 2.0
+    return rho
+
+
 def rho_of_omega(omega):
     """Hyperbolic distance of a pair with rotation number omega:
-    rho = 2 asinh(omega / 4)."""
-    return 2.0 * np.arcsinh(np.asarray(omega, dtype=float) / 4.0)
+    rho = 2 asinh(omega / 4).  NaN or negative omega raises ValueError."""
+    return _rho_array(omega)[()]
 
 
 def fiber_radius(s: float, x: float) -> float:
@@ -80,6 +98,10 @@ def fiber_radius(s: float, x: float) -> float:
 _SWITCH = 8.0
 # points x nodes per chunk of the kernel: 2 MB per temporary array
 _CHUNK = 2**18
+_EPS = np.finfo(float).eps
+# below s = (x/4)^2 = eps^2 the density is x/24 to rounding (its relative
+# correction is -s), and Y v would near the subnormal range
+_LINEAR_S = _EPS**2
 
 
 def _quarter_square_log(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,27 +112,41 @@ def _quarter_square_log(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return s, np.where(s < np.inf, np.log1p(s), 2.0 * np.log(x / 4.0))
 
 
-def _cdf_tail_quadrature(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _panel_count(y: np.ndarray) -> np.ndarray:
+    """Panels k = max(1, ceil(Y/4)) of the kernel's composite K15 rule at
+    Y = log(1 + x^2/16): each panel is at most 4/Y wide, a few times the
+    scale 1/Y on which the integrands vary.  k < 360 even at the largest
+    double, so it fits int16."""
+    return np.maximum(1.0, np.ceil(y / 4.0)).astype(np.int16)
+
+
+def _cdf_tail_quadrature(x, density: bool = False) -> tuple[np.ndarray, ...]:
     """F(x), 1 - F(x) and an error estimate by quadrature, on an array of x
-    in [0, inf].
+    in [0, inf]; with density, also f(x) = dF/dx and its error estimate.
 
-    With Y = log(1 + x^2/16), delta = e^{-Y} = 16/(16 + x^2), u^2 = 1 - delta
-    and the substitutions sigma = s^2, 1 - sigma u^2 = delta e^{Y v}:
+    With Y = log(1 + x^2/16), delta = e^{-Y} = 16/(16 + x^2), u^2 = 1 - delta,
+    r = 4/hypot(x, 4) and the substitutions sigma = s^2,
+    1 - sigma u^2 = delta e^{Y v}, e = expm1(-Y v), e_rev = expm1(-Y (1 - v)):
 
-        F     = (Y / u^4) int_0^1 expm1(-Y v)^2 e^{-Y (1 - v)} dv,
-        1 - F = (Y delta / u^2) int_0^1 1 + expm1(-Y v) expm1(-Y (1 - v)) / u^2 dv.
+        F     = (Y / u^4) int_0^1 e^2 (1 + e_rev) dv,
+        1 - F = (Y delta / u^2) int_0^1 1 + e e_rev / u^2 dv,
+        f     = dF/du r^3 / 4,  dF/du = (2 Y / u^5) int_0^1 e^2 (1 - e_rev) dv.
 
     F is integrated for x <= 8 and 1 - F, whose integrand lies in [1, 2],
-    above; the other value is one minus the integrated one, so F <= 1.
-    Both integrands vary on the scale 1/Y: each point gets the composite
-    K15 rule with k = max(1, ceil(Y)) panels, and points are batched only
+    above; the other value is one minus the integrated one, so F <= 1.  The
+    density's integrand is a product of nonnegative factors, so one form
+    serves every x, and it shares the nodes' expm1 values with F's.  All
+    integrands vary on the scale 1/Y: each point gets the composite K15 rule
+    on _panel_count(Y) panels, of width <= 4/Y, and points are batched only
     with points of the same k and form, so a value does not depend on its
-    neighbours in the call.  delta is taken as (4 / hypot(x, 4))^2: exp(-Y)
-    would turn the absolute rounding of Y into relative error of the tail.
+    neighbours in the call.  delta is taken as r^2: exp(-Y) would turn the
+    absolute rounding of Y into relative error of the tail.  Below
+    s = (x/4)^2 = eps^2 the density is its limit x/24.
 
-    The estimate bounds the absolute error of the integrated value: the
+    Each estimate bounds the absolute error of its integrated value: the
     summed |K15 - G7| of the panels plus a rounding floor of
-    50 eps (1 + Y) times the value.  The complement adds one rounding.
+    50 eps (1 + Y) times the value.  The complement of F or 1 - F adds one
+    rounding.  Without density, f is not computed at all.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(x >= 0.0):
@@ -120,41 +156,57 @@ def _cdf_tail_quadrature(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cdf = np.where(flat == np.inf, 1.0, 0.0)
     tail = 1.0 - cdf
     err = np.zeros_like(cdf)
+    if density:
+        pdf, pdf_err = np.zeros_like(cdf), np.zeros_like(cdf)
     # s underflows to 0 below x ~ 9e-162, where F ~ x^2/48 does too
     live = np.flatnonzero((s > 0.0) & (flat < np.inf))
-    # batch key: 2 k + (1 for the tail form); k < 1420 even at the largest
-    # double, so the key fits int16 and one stable sort groups the points
-    key = 2 * np.maximum(1.0, np.ceil(y[live])).astype(np.int16) + (flat[live] > _SWITCH)
+    # batch key 2 k + (1 for the tail form): one stable sort groups the points
+    key = 2 * _panel_count(y[live]) + (flat[live] > _SWITCH)
     grouped = live[np.argsort(key, kind="stable")]
     counts = np.bincount(key)
     ends = np.cumsum(counts)
     for kv in np.flatnonzero(counts):
         batch = grouped[ends[kv] - counts[kv] : ends[kv]]
         k, tail_form = divmod(int(kv), 2)
-        step = max(1, _CHUNK // (15 * k))
+        step = max(1, _CHUNK // (15 * k * (1 + density)))
         for start in range(0, batch.size, step):
             sel = batch[start : start + step]
+            m = sel.size
             yk = y[sel]
             u2 = -np.expm1(-yk)
 
-            # the nodes are symmetric under v -> 1 - v, so expm1(-Y (1 - v))
-            # is expm1(-Y v) reversed along the node and panel axes
+            # the nodes are symmetric under v -> 1 - v, so e_rev is e
+            # reversed along the node and panel axes; with density the
+            # integrands of F (or 1 - F) and f sit side by side
             def integrand(v):
                 e = np.multiply(v, -yk)
                 np.expm1(e, out=e)
+                rev = e[::-1, ::-1]
+                out = np.empty(e.shape[:2] + (m * (1 + density),))
+                val, dens = out[..., :m], out[..., m:]
                 if tail_form:
-                    out = e * e[::-1, ::-1]
-                    out /= u2
-                    out += 1.0
-                    return out
-                out = 1.0 + e[::-1, ::-1]
-                e /= yk
-                out *= np.multiply(e, e, out=e)
+                    np.multiply(e, rev, out=val)
+                    val /= u2
+                    val += 1.0
+                else:
+                    np.add(1.0, rev, out=val)
+                if density:
+                    np.subtract(1.0, rev, out=dens)
+                if density or not tail_form:
+                    # (e / Y)^2, scaled so that it does not underflow as Y -> 0
+                    e /= yk
+                    np.multiply(e, e, out=e)
+                    if not tail_form:
+                        val *= e
+                    if density:
+                        dens *= e
                 return out
 
-            val, est = composite_k15(integrand, k)
-            if tail_form:
+            vals, ests = composite_k15(integrand, k)
+            val, est = vals[:m], ests[:m]
+            if tail_form or density:
                 r = 4.0 / np.hypot(flat[sel], 4.0)
+            if tail_form:
                 pre = yk * r * r / u2
                 tail[sel] = t = pre * val
                 cdf[sel] = 1.0 - t
@@ -163,64 +215,68 @@ def _cdf_tail_quadrature(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 pre = c * c * yk
                 cdf[sel] = f = pre * val
                 tail[sel] = 1.0 - f
-            err[sel] = pre * (est + 50.0 * np.finfo(float).eps * (1.0 + yk) * val)
-    return cdf.reshape(x.shape), tail.reshape(x.shape), err.reshape(x.shape)
+            floor = 50.0 * _EPS * (1.0 + yk)
+            err[sel] = pre * (est + floor * val)
+            if density:
+                # f = c^3 u r^3 / 2 times the scaled integral, with c = Y / u^2
+                # and u = x r / 4; (c r)^3 first, so no factor underflows
+                # before f does
+                g = yk / u2 * r
+                pre = g * g * g * (flat[sel] * r / 8.0)
+                pdf[sel] = pre * vals[m:]
+                pdf_err[sel] = pre * (ests[m:] + floor * vals[m:])
+    out = (cdf, tail, err)
+    if density:
+        small = s < _LINEAR_S
+        pdf[small] = flat[small] / 24.0
+        pdf_err[small] = _EPS * pdf[small]
+        out += (pdf, pdf_err)
+    return tuple(a.reshape(x.shape) for a in out)
 
 
 def cdf_quadrature(x):
     """Distribution function F(x) by quadrature of the fiber areas.
 
-    A view of the quadrature kernel: the composite K15 rule with panels
-    of width <= 1/Y, Y = log(1 + x^2/16), integrates F for x <= 8 and the
-    cancellation-free form of 1 - F above, where F = 1 - (1 - F) <= 1; its
-    error estimate (summed |K15 - G7| plus a rounding floor) bounds the
-    error of the integrated value.  Float in, float out; an array call
-    equals the per-element calls bit for bit.  NaN or negative x raises
-    ValueError.
+    A view of the quadrature kernel: the composite K15 rule with
+    max(1, ceil(Y/4)) panels of width <= 4/Y, Y = log(1 + x^2/16),
+    integrates F for x <= 8 and the cancellation-free form of 1 - F above,
+    where F = 1 - (1 - F) <= 1; its error estimate (summed |K15 - G7| plus
+    a rounding floor) bounds the error of the integrated value.  Float in,
+    float out; an array call equals the per-element calls bit for bit.
+    NaN or negative x raises ValueError.
     """
     return _py(_cdf_tail_quadrature(x)[0])
 
 
 def one_minus_cdf(x):
     """Upper tail 1 - F(x) by the kernel of cdf_quadrature: 1 - F itself is
-    integrated above x = 8, from an integrand in [1, 2] on panels of width
-    <= 1/Y, so it keeps its relative accuracy (tested to 1e-13) wherever it
-    is above 1e-300; 0 at x = inf.  Float or array, as cdf_quadrature."""
+    integrated above x = 8, from an integrand in [1, 2] on
+    max(1, ceil(Y/4)) panels of width <= 4/Y, so it keeps its relative
+    accuracy (tested to 1e-13) wherever it is above 1e-300; 0 at x = inf.
+    Float or array, as cdf_quadrature."""
     return _py(_cdf_tail_quadrature(x)[1])
 
 
 def cdf_quadrature_batch(xs) -> np.ndarray:
     """cdf_quadrature on an array of x values in [0, inf], always returning
-    an array: the kernel's F, integrated on panels of width <= 1/Y up to
-    x = 8 and taken as 1 - (1 - F) above."""
+    an array: the kernel's F, integrated on max(1, ceil(Y/4)) panels of
+    width <= 4/Y up to x = 8 and taken as 1 - (1 - F) above.  The density
+    is not computed."""
     return _cdf_tail_quadrature(xs)[0]
 
 
 def pdf_quadrature(x):
-    """Spectral density by Richardson-extrapolated central differences of
-    the quadrature kernel, with step h = min(max(1e-6, 1e-3 x), 0.5 x).
+    """Spectral density f = dF/dx by the quadrature kernel.
 
-    Where the centre x <= 8 the stencil differences F; above it, it
-    differences -(1 - F), whose relative accuracy carries into the far
-    tail.  Float or array, as cdf_quadrature; 0 for x <= 0 and at inf,
-    ValueError for NaN.
+    The kernel integrates dF/du = (2 Y / u^5) int_0^1 e^2 (1 - e_rev) dv,
+    whose integrand is a product of nonnegative factors, on the same nodes
+    and max(1, ceil(Y/4)) panels of width <= 4/Y as F, and takes
+    f = dF/du r^3 / 4, r = 4/hypot(x, 4); below s = (x/4)^2 = eps^2 it is
+    the limit x/24.  No finite differences: tested to 1e-13 relative
+    wherever f is a normal double.  Float or array, as cdf_quadrature; 0
+    for x <= 0 and at inf, ValueError for NaN.
     """
-    xa = np.asarray(x, dtype=float)
-    if np.any(np.isnan(xa)):
-        raise ValueError("spectral parameter must not be NaN")
-    inside = (xa > 0.0) & (xa < np.inf)
-    xs = np.where(inside, xa, 1.0)
-    h = np.minimum(np.maximum(1e-6, 1e-3 * xs), 0.5 * xs)
-    head = xs <= _SWITCH
-
-    def signed(v):
-        cdf, tail, _ = _cdf_tail_quadrature(v)
-        return np.where(head, cdf, -tail)
-
-    # x + 2h may overflow to inf (F = 1 there); h = 0 at the smallest subnormals
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = central_difference(signed, xs, h)[0]
-    return _py(np.where(inside & (h > 0.0), d, 0.0))
+    return _py(_cdf_tail_quadrature(np.maximum(x, 0.0), density=True)[3])
 
 
 # ---------------------------------------------------------------------------
@@ -452,17 +508,25 @@ class WeightSpec:
                 raise ValueError("weight table values must be nonnegative")
 
     def weight_of_rho(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        if self.kind == "uniform":
-            return np.ones_like(rho)
-        if self.kind == "exp":
-            return np.exp(-rho)
-        if self.kind == "gauss":
-            return np.exp(-rho * rho)
-        return np.interp(rho, np.asarray(self.rho_grid), np.asarray(self.values))
+        """w(rho) on a float or an array."""
+        return self._weight(np.array(rho, dtype=float))
 
     def weight_of_omega(self, omega):
-        return self.weight_of_rho(rho_of_omega(omega))
+        """w(rho(omega)); the uniform weight is ones without rho."""
+        if self.kind == "uniform":
+            return np.ones_like(_rotation_numbers(omega))
+        return self._weight(_rho_array(omega))
+
+    def _weight(self, rho: np.ndarray) -> np.ndarray:
+        """w(rho); exp and gauss overwrite rho, a new array of the caller."""
+        if self.kind == "uniform":
+            return np.ones_like(rho)
+        if self.kind == "table":
+            return np.interp(rho, np.asarray(self.rho_grid), np.asarray(self.values))
+        if self.kind == "gauss":
+            np.multiply(rho, rho, out=rho)
+        np.negative(rho, out=rho)
+        return np.exp(rho, out=rho)
 
 
 UNIFORM_WEIGHT = WeightSpec("uniform")
@@ -641,9 +705,12 @@ def reweight_density(weight: WeightSpec, x: float) -> float:
 def _weighted_moment(weight: WeightSpec, power: int, cut: float) -> float:
     """E(X^power; X <= cut) of the reweighted distribution, from the same
     Stieltjes table as the reweighted cdf."""
+    cut = float(cut)
+    if math.isnan(cut):
+        raise ValueError("truncation cut must not be NaN")
     dist = _cached_distribution(weight)
     x_mid = 0.5 * (dist.x_nodes[:-1] + dist.x_nodes[1:])
-    mask = x_mid <= float(cut)
+    mask = x_mid <= cut
     return float(np.sum(x_mid[mask] ** power * dist.mass[mask])) / dist.normalizer
 
 

@@ -2,7 +2,7 @@
 against 50-digit arithmetic.
 
 F(x) and 1 - F(x) from ``spectral._cdf_and_tail``, and F, 1 - F, the
-density and the error estimate of the quadrature kernel, are compared with
+density and the error estimates of the quadrature kernel, are compared with
 the closed form evaluated in mpmath over log-uniform x in [1e-300, 1e300],
 plus 0, the switch x = 8 and inf.  The working precision grows as x
 shrinks, to cover the cancellation of the closed form near 0, so every
@@ -28,10 +28,12 @@ from bidisk.spectral import (
     _CHUNK,
     _cdf_and_tail,
     _cdf_tail_quadrature,
+    _panel_count,
     _quarter_square_log,
     mc_sample,
     cdf_closed_paper_prop,
     cdf_quadrature,
+    cdf_quadrature_batch,
     one_minus_cdf,
     pdf_closed_paper,
     pdf_quadrature,
@@ -97,11 +99,11 @@ def test_rescaled_candidates_far_out_match_fifty_digits():
             assert math.isclose(pdf[i], float(ref_pdf), rel_tol=1e-14, abs_tol=ABS_FLOOR)
 
 
-# the quadrature kernel: 1 - F to 1e-13 relative wherever the tail is a
-# normal double, the density to 1e-10 relative on [1e-6, 1e60] (Richardson
-# truncation ~ 360 (1e-3)^4 / 30 ~ 1e-11 in the algebraic tail)
+# the quadrature kernel: 1 - F to 1e-13 relative wherever the tail is above
+# 1e-300, and the density, from its own integral, to 1e-13 relative wherever
+# it is a normal double
 KERNEL_TAIL_RTOL = 1e-13
-KERNEL_PDF_RTOL = 1e-10
+KERNEL_PDF_RTOL = 1e-13
 TAIL_FLOOR = 1e-300
 EPS = sys.float_info.epsilon
 
@@ -111,9 +113,13 @@ EPS = sys.float_info.epsilon
 @example(0.0)
 @example(8.0)  # the switch from F to 1 - F
 @example(math.inf)
+@example(1e-200)  # (x/4)^2 underflows; f = x/24 is a normal double
+@example(4.0 * math.sqrt(math.expm1(4.0)))  # Y = 4: the widest single panel
 def test_kernel_matches_fifty_digit_closed_form(x):
-    cdf, tail, err = (float(v) for v in _cdf_tail_quadrature(x))
-    pdf = pdf_quadrature(x)
+    cdf, tail, err, pdf, pdf_err = (float(v) for v in _cdf_tail_quadrature(x, density=True))
+    # the density rides along without touching F, 1 - F or their estimate
+    assert [cdf, tail, err] == [float(v) for v in _cdf_tail_quadrature(x)]
+    assert pdf == pdf_quadrature(x)
     ref_cdf, ref_tail, ref_pdf = reference(x, exact=True)
     if ref_tail >= TAIL_FLOOR:
         assert abs(tail - ref_tail) <= KERNEL_TAIL_RTOL * ref_tail
@@ -121,8 +127,9 @@ def test_kernel_matches_fifty_digit_closed_form(x):
         assert abs(tail - ref_tail) <= TAIL_FLOOR
     assert cdf <= 1.0 and tail >= 0.0
     assert pdf >= 0.0
-    if 1e-6 <= x <= 1e60:
+    if ref_pdf >= ABS_FLOOR:
         assert abs(pdf - ref_pdf) <= KERNEL_PDF_RTOL * ref_pdf
+    assert abs(pdf - ref_pdf) <= pdf_err + ABS_FLOOR
     # the estimate covers the integrated value (F up to x = 8, 1 - F above);
     # the complement adds one rounding
     if x <= 8.0:
@@ -141,10 +148,12 @@ def test_kernel_array_call_equals_scalar_calls(xs):
         scalars = [fn(v) for v in xs]
         assert all(type(v) is float for v in scalars)
         assert np.array_equal(fn(arr), scalars)
-    assert np.array_equal(
-        np.stack(_cdf_tail_quadrature(arr)),
-        np.array([_cdf_tail_quadrature(v) for v in xs]).T,
-    )
+    assert np.array_equal(cdf_quadrature_batch(arr), [cdf_quadrature_batch(v) for v in xs])
+    for density in (False, True):
+        assert np.array_equal(
+            np.stack(_cdf_tail_quadrature(arr, density)),
+            np.array([_cdf_tail_quadrature(v, density) for v in xs]).T,
+        )
 
 
 def bits(a):
@@ -154,23 +163,26 @@ def bits(a):
 def test_kernel_value_does_not_depend_on_its_neighbours_at_scale():
     # sparse over the whole double range, dense where the panel counts k <= 16
     # repeat by the thousand, so a batch of one k runs over more than one
-    # chunk, k >= 8 included
+    # chunk, k >= 8 included, with and without the density
     xs = np.concatenate(
         (
             np.geomspace(1e-300, 1e300, 4001),
-            np.geomspace(1.0, 1e4, 3 * _CHUNK // 15),
+            np.geomspace(1.0, 1e14, 3 * _CHUNK // 15),
             [0.0, 8.0, math.inf],
         )
     )
-    k = np.ceil(_quarter_square_log(xs)[1])
+    k = _panel_count(_quarter_square_log(xs[xs < math.inf])[1])
     for kv in (8, 12):
         assert np.sum(k == kv) > _CHUNK // (15 * kv)
     rng = np.random.default_rng(20261018)
-    ref = np.stack(_cdf_tail_quadrature(xs))
     perm = rng.permutation(xs.size)
-    assert np.array_equal(bits(np.stack(_cdf_tail_quadrature(xs[perm]))), bits(ref[:, perm]))
     subset = np.sort(rng.choice(xs.size, xs.size // 3, replace=False))
-    assert np.array_equal(bits(np.stack(_cdf_tail_quadrature(xs[subset]))), bits(ref[:, subset]))
+    for density in (False, True):
+        ref = np.stack(_cdf_tail_quadrature(xs, density))
+        got = np.stack(_cdf_tail_quadrature(xs[perm], density))
+        assert np.array_equal(bits(got), bits(ref[:, perm]))
+        got = np.stack(_cdf_tail_quadrature(xs[subset], density))
+        assert np.array_equal(bits(got), bits(ref[:, subset]))
 
 
 def test_sampled_omegas_match_fifty_digits_at_the_drawn_points():

@@ -50,6 +50,8 @@ from bidisk.spectral import (
     SampleBatch,
     _cached_distribution,
     _cdf_and_tail,
+    _panel_count,
+    _quarter_square_log,
     _sample_stream,
 )
 
@@ -134,6 +136,12 @@ def test_rho_of_omega_matches_slice_distance():
     for x in (0.5, 2.0, 10.0, 200.0):
         t = mu_slice_invert(x)
         assert abs(rho_of_omega(x) - poincare_distance(t, -t)) < 1e-12
+
+
+@pytest.mark.parametrize("omega", [math.nan, -1.0, -math.inf, [1.0, math.nan]])
+def test_rho_of_omega_rejects_nan_and_negative(omega):
+    with pytest.raises(ValueError):
+        rho_of_omega(omega)
 
 
 def test_fiber_radius_matches_hyperbolic_disk():
@@ -374,9 +382,11 @@ def test_pdf_quadrature_vanishes_off_support():
 
 def test_quadrature_views_at_extreme_arguments():
     tiny, huge = 5e-324, sys.float_info.max
-    assert pdf_quadrature(tiny) == 0.0  # f ~ x/24 underflows; the step h is 0
-    assert pdf_quadrature(huge) == 0.0  # x + 2h overflows to inf, where F = 1
+    assert pdf_quadrature(tiny) == 0.0  # f = x/24 underflows
+    assert pdf_quadrature(huge) == 0.0  # f ~ 128 log(x) / x^3 underflows
     assert pdf_quadrature(math.inf) == 0.0
+    # (x/4)^2 underflows, but f = x/24 is a normal double
+    assert pdf_quadrature(1e-200) == 1e-200 / 24.0
     assert one_minus_cdf(huge) == 0.0 and cdf_quadrature(huge) == 1.0
     for fn in (cdf_quadrature, one_minus_cdf, pdf_quadrature):
         assert type(fn(2.0)) is float
@@ -406,7 +416,15 @@ def test_pdf_batch_column_matches_scalar():
     xs = np.geomspace(0.1, 50.0, 12)
     table = SpectralTable.build(xs)
     scalar = np.array([pdf_quadrature(float(v)) for v in xs])
-    assert np.max(np.abs(table.f_quad - scalar)) < 1e-7
+    assert np.array_equal(table.f_quad, scalar)
+    assert np.array_equal(table.F_quad, cdf_quadrature_batch(xs))
+
+
+def test_kernel_mean_panel_count_on_sampled_draws():
+    # a timing-free guard of the kernel's cost on the criterion-1 draws:
+    # panels of width <= 4/Y give 1.12 panels per point (width 1/Y: 2.53)
+    omega = mc_sample(10**5, 20260814).omega
+    assert np.mean(_panel_count(_quarter_square_log(omega)[1])) <= 1.2
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +523,40 @@ def test_mc_sample_weights_follow_spec():
     batch = mc_sample(2000, seed=12, weight=WeightSpec("exp"))
     expect = np.exp(-rho_of_omega(batch.omega))
     assert np.max(np.abs(batch.weight - expect)) < 1e-15
+
+
+def test_weights_equal_their_direct_expressions_bit_for_bit():
+    omega = mc_sample(5000, seed=13).omega
+    rho = 2.0 * np.arcsinh(omega / 4.0)
+    grid, values = (0.0, 2.0, 5.0, 40.0), (1.0, 0.5, 0.25, 0.0)
+    expect = {
+        "uniform": np.ones_like(omega),
+        "exp": np.exp(-rho),
+        "gauss": np.exp(-rho * rho),
+        "table": np.interp(rho, np.asarray(grid), np.asarray(values)),
+    }
+    for kind, want in expect.items():
+        spec = WeightSpec(kind, grid, values) if kind == "table" else WeightSpec(kind)
+        assert np.array_equal(spec.weight_of_omega(omega), want)
+        rho_in = rho.copy()
+        assert np.array_equal(spec.weight_of_rho(rho_in), want)
+        assert np.array_equal(rho_in, rho)  # the caller's array is left alone
+
+
+@pytest.mark.parametrize("kind", ["uniform", "exp"])
+def test_mc_sample_memory_is_the_draws_and_their_weights(kind):
+    n = 2**20
+    mc_sample(16, seed=8)  # numpy.random's first use allocates its own state
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        mc_sample(n, seed=8, weight=WeightSpec(kind))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # omega and weight, plus a few kB of per-stream objects that do not grow
+    # with n; computing rho and exp(-rho) out of place would add 8n bytes each
+    assert peak - start <= 2 * 8 * n + 2**16
 
 
 def test_ks_distance_synthetic_uniform():
@@ -648,6 +700,22 @@ def test_weight_spec_table_interpolates():
     assert w.weight_of_rho(1.0) == 0.5
     assert abs(w.weight_of_rho(0.5) - 0.75) < 1e-15
     assert w.weight_of_omega(0.0) == 1.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: reweight_density(WeightSpec("exp"), -math.inf),
+        lambda: weighted_mean(WeightSpec("exp"), math.nan),
+        lambda: weighted_truncated_second_moment(WeightSpec("exp"), math.nan),
+        lambda: WeightSpec("exp").weight_of_omega(np.array([1.0, -1.0])),
+        lambda: UNIFORM_WEIGHT.weight_of_omega(math.nan),
+    ],
+    ids=["reweight_density", "weighted_mean", "weighted_E2", "exp_weight", "uniform_weight"],
+)
+def test_reweighting_rejects_nan_and_negative_arguments(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_uniform_reweight_is_bitwise_identity():

@@ -46,11 +46,11 @@ from .spectral import (
     SpectralTable,
     TABLE_COLUMNS,
     WeightSpec,
-    _cached_distribution,
     mc_mean,
     mc_sample,
     mean_quadrature,
     pdf_quadrature,
+    reweight_density,
     second_moment_growth,
     weighted_mean,
     weighted_truncated_second_moment,
@@ -493,15 +493,8 @@ def cmd_plot(opts: dict) -> int:
 def cmd_reweight(opts: dict) -> int:
     weight = parse_weight(opts["weight"])
     x = _grid_from(opts)
-    f_quad = pdf_quadrature(x)
-    if weight.kind == "uniform":
-        w = np.ones_like(x)
-        f_rw = f_quad
-    else:
-        w = weight.weight_of_omega(x)
-        z = _cached_distribution(weight).normalizer
-        f_rw = f_quad * w / z
     header = ("x", "x_tilde", "f_quad", "weight", "f_reweighted")
+    f_quad, w, f_rw = pdf_quadrature(x), weight.weight_of_omega(x), reweight_density(weight, x)
     _emit(opts["out"], _csv_text(header, (x, x / 4.0, f_quad, w, f_rw)))
     return EXIT_OK
 

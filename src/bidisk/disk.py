@@ -24,6 +24,7 @@ import numpy as np
 BOUNDARY_TOL = 1e-12
 DIAGONAL_TOL = 1e-13
 DET_TOL = 1e-10
+MATRIX_TOL = 1e-9
 
 
 def _py(x):
@@ -114,14 +115,15 @@ class MobiusTransform:
         return cls(np.exp(0.5j * np.asarray(phi, dtype=float)), 0.0)
 
     @classmethod
-    def from_matrix(cls, m, tol: float = 1e-9) -> "MobiusTransform":
-        """Automorphisms from a stack of SU(1,1) matrices, shape (..., 2, 2)."""
+    def from_matrix(cls, m) -> "MobiusTransform":
+        """Automorphisms from a stack of SU(1,1) matrices, shape (..., 2, 2);
+        ValueError for a matrix further than MATRIX_TOL from the pattern."""
         m = np.asarray(m, dtype=complex)
         if m.shape[-2:] != (2, 2):
             raise ValueError(f"expected 2x2 matrices, got shape {m.shape}")
         g = cls(m[..., 0, 0], m[..., 0, 1])
         gap = np.max(np.abs(m - g.matrix()), axis=(-2, -1))
-        if np.any(gap > tol * np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))):
+        if np.any(gap > MATRIX_TOL * np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))):
             raise ValueError("matrix is not in SU(1,1) within tolerance")
         return g
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import _mat2, _py
+from .disk import MATRIX_TOL, _mat2, _py
 
 ZERO_TOL = 1e-13
 
@@ -94,12 +94,12 @@ class SymplecticGenerator:
         return _mat2(self.a, -np.asarray(self.b), self.c, -np.asarray(self.a))
 
 
-def from_matrix(m, tol: float = 1e-9) -> LieVector:
+def from_matrix(m) -> LieVector:
     """Decompose 2x2 su(1,1) matrices, shape (..., 2, 2), on the
     (xi, eta, zeta) basis.
 
-    Raises ValueError when a matrix is further than ``tol`` (relative to
-    its own magnitude) from the su(1,1) pattern [[i a, c - i b], [c + i b, -i a]].
+    Raises ValueError when a matrix is further than MATRIX_TOL (relative
+    to its own magnitude) from the su(1,1) pattern [[i a, c - i b], [c + i b, -i a]].
     """
     m = np.asarray(m, dtype=complex)
     if m.shape[-2:] != (2, 2):
@@ -109,7 +109,7 @@ def from_matrix(m, tol: float = 1e-9) -> LieVector:
     c = (m[..., 0, 1].real + m[..., 1, 0].real) / 2.0
     x = LieVector(a, b, c)
     gap = np.max(np.abs(m - x.matrix()), axis=(-2, -1))
-    if np.any(gap > tol * np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))):
+    if np.any(gap > MATRIX_TOL * np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))):
         raise ValueError("matrix is not in su(1,1) within tolerance")
     return x
 
@@ -141,13 +141,14 @@ def adjoint(g, x: LieVector) -> LieVector:
     return from_matrix(m @ x.matrix() @ minv)
 
 
-def classify(x: LieVector, zero_tol: float = ZERO_TOL) -> SpectralClass:
+def classify(x: LieVector) -> SpectralClass:
     """Spectral class of x: zero, elliptic-positive/negative, or non-elliptic.
 
     Elliptic means b(x, x) < 0; omega = sqrt(-b(x, x)) is the rotation
-    number and the sign component is read off the xi coefficient.
+    number and the sign component is read off the xi coefficient; x is
+    zero when its largest coefficient is below ZERO_TOL.
     """
-    zero = np.asarray(x.norm_inf() < zero_tol)
+    zero = np.asarray(x.norm_inf() < ZERO_TOL)
     q = np.asarray(bform(x))
     elliptic = ~zero & (q < 0.0)
     kind = np.select(
@@ -177,6 +178,7 @@ def to_sp2(x: LieVector) -> SymplecticGenerator:
 
 
 def from_sp2(s: SymplecticGenerator) -> LieVector:
+    """Inverse of to_sp2: the su(1,1) vector whose Cayley conjugate is s."""
     return LieVector((-s.b - s.c) / 2.0, -s.a, (-s.b + s.c) / 2.0)
 
 

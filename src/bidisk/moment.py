@@ -35,15 +35,16 @@ def mu_slice(t):
 
 
 def mu_slice_invert(x):
-    """Inverse of mu_slice on [0, inf).
+    """Inverse of mu_slice on [0, inf); NaN, negative or infinite x raises
+    ValueError.
 
     Rationalized form x / (sqrt(16 + x^2) + 4) of (sqrt(16 + x^2) - 4) / x;
     free of cancellation, and for x < 1e-8 it evaluates to the series x/8
     exactly.  The root is taken by hypot, so large x does not overflow.
     """
     x = np.asarray(x, dtype=float)
-    if not np.all(x >= 0.0):
-        raise ValueError("moment value must be nonnegative")
+    if not np.all((x >= 0.0) & (x < np.inf)):
+        raise ValueError("moment value must be finite and nonnegative")
     return _py(x / (np.hypot(x, 4.0) + 4.0))
 
 

@@ -2,31 +2,31 @@
 
 For a pair drawn area-uniformly from the bidisk, the rotation number
 omega lies below x exactly when the second point falls in the Schwarz
-disk of radius u(x) = 2t/(1+t^2), t = mu_slice_invert(x), around the
-first.  Averaging the normalized area of that disk over the first point
-gives the distribution function
+disk of radius u(x) = x / sqrt(16 + x^2) around the first.  Averaging the
+normalized area of that disk over the first point gives the distribution
+function
 
     F(x) = 2 * int_0^1 (u (1 - s^2) / (1 - s^2 u^2))^2 s ds,
 
 whose closed form in u is 2/u^2 - 1 + 2 (1 - u^2) log(1 - u^2) / u^4.
-The closed form, evaluated on arrays, serves the reweighting table and the
-tabulated candidates; one quadrature kernel (F below x = 8, a
+One implementation, on arrays and tail first, serves the reweighting,
+F_derived and cdf_closed_derived; one quadrature kernel (F below x = 8, a
 cancellation-free 1 - F above, and on request the density from its own
 nonnegative integrand on the same nodes; max(1, ceil(Y/4)) panels of width
 <= 4/Y, Y = log(1 + x^2/16)) is the independent reference that the
-discrepancy ledger checks them against.  Monte Carlo sampling, moments,
-and importance reweighting by radial weights w(rho) complete the module.
+discrepancy ledger checks it against.  Monte Carlo sampling, moments, and
+importance reweighting by radial weights w(rho) complete the module.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .disk import _py
-from .moment import mu_slice_invert
 from .quadrature import adaptive, central_difference, composite_k15
 
 # closed forms switch to their Taylor series below this Schwarz radius u
@@ -53,13 +53,6 @@ TABLE_COLUMNS = (
 )
 
 
-def schwarz_threshold(x: float) -> float:
-    """Schwarz radius u with omega(u) = x, through the slice parameter;
-    algebraically x / sqrt(16 + x^2)."""
-    t = mu_slice_invert(x)
-    return 2.0 * t / (1.0 + t * t)
-
-
 def _rotation_numbers(omega) -> np.ndarray:
     """omega as a float array; NaN or negative entries raise ValueError."""
     omega = np.asarray(omega, dtype=float)
@@ -81,13 +74,6 @@ def rho_of_omega(omega):
     """Hyperbolic distance of a pair with rotation number omega:
     rho = 2 asinh(omega / 4).  NaN or negative omega raises ValueError."""
     return _rho_array(omega)[()]
-
-
-def fiber_radius(s: float, x: float) -> float:
-    """Schwarz radius u(x) rescaled to the Euclidean fiber radius at
-    center s: u (1 - s^2) / (1 - s^2 u^2)."""
-    u = schwarz_threshold(x)
-    return u * (1.0 - s * s) / (1.0 - (s * u) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -297,27 +283,34 @@ def _schwarz_radius(x) -> np.ndarray:
         return 1.0 / np.hypot(1.0, 4.0 / np.asarray(x, dtype=float))
 
 
-def _cdf_and_tail(x) -> tuple[np.ndarray, np.ndarray]:
-    """F(x) and 1 - F(x) from the closed form, on an array of x in [0, inf].
+def _closed_cdf_tail(u2, d, y) -> tuple[np.ndarray, np.ndarray]:
+    """F and 1 - F of the closed form from arrays of u^2, d = 2 r^2 with
+    r^2 = 1 - u^2, and Y = -log(1 - u^2), each taken without cancellation by
+    the caller.
 
     Below u = SERIES_CUT, F comes from the series.  Above it the tail is
-    taken first, as 1 - F = (2 r^2 / u^4) (Y - u^2) with r = 4/hypot(x, 4)
-    and Y = log(1 + x^2/16), so no x^2 overflows and the tail keeps its
-    relative accuracy out to the largest double.
+    taken first, as 1 - F = d (Y - u^2) / u^4, and F = 1 - (1 - F), so the
+    tail keeps the relative accuracy of d and Y; it is 0 where d is.  (d, not
+    r^2: 2 r^2 stays a normal double out to x ~ 3.8e154, r^2 to 2.7e154.)
     """
-    x = np.asarray(x, dtype=float)
-    u2 = _schwarz_radius(x) ** 2
     big = u2 >= SERIES_CUT**2
     cdf, tail = np.empty_like(u2), np.empty_like(u2)
     z = u2[~big]
     cdf[~big] = z * _series(z, _F_SERIES)
     tail[~big] = 1.0 - cdf[~big]
-    z, r = u2[big], 4.0 / np.hypot(x[big], 4.0)
-    y = _quarter_square_log(x[big])[1]
+    z, d = u2[big], d[big]
     with np.errstate(invalid="ignore"):  # 0 * inf at x = inf
-        tail[big] = np.where(r > 0.0, 2.0 * r * r * (y - z) / (z * z), 0.0)
+        tail[big] = np.where(d > 0.0, d * (y[big] - z) / (z * z), 0.0)
     cdf[big] = 1.0 - tail[big]
     return cdf, tail
+
+
+def _cdf_and_tail(x) -> tuple[np.ndarray, np.ndarray]:
+    """F(x) and 1 - F(x) by _closed_cdf_tail on an array of x in [0, inf], at
+    r = 4/hypot(x, 4) and Y = log(1 + x^2/16): no x^2 overflows."""
+    x = np.asarray(x, dtype=float)
+    r = 4.0 / np.hypot(x, 4.0)
+    return _closed_cdf_tail(_schwarz_radius(x) ** 2, 2.0 * r * r, _quarter_square_log(x)[1])
 
 
 _RADIUS = (1.0, "schwarz radius must lie in [0, 1)")
@@ -342,16 +335,14 @@ def cdf_closed_derived(u):
     """Closed form 2/u^2 - 1 + 2 (1 - u^2) log(1 - u^2) / u^4 of the fiber
     integral, as a function of the Schwarz radius u = x / sqrt(16 + x^2).
 
-    Accepts a float or an array.  Below u = 1/4 the expression is
-    evaluated by its series sum_{j>=1} 2 u^{2j} / ((j+1)(j+2)) to avoid
-    cancellation.
+    The implementation of _cdf_and_tail, entered at r^2 = (1 - u)(1 + u)
+    and Y = -log1p(-u^2).  Accepts a float or an array in [0, 1).
     """
-    return _closed_form(
-        u,
-        lambda u: u**2 * _series(u**2, _F_SERIES),
-        lambda u: 2.0 / u**2 - 1.0 + 2.0 * (1.0 - u**2) * np.log1p(-(u**2)) / u**4,
-        *_RADIUS,
-    )
+    u = np.asarray(u, dtype=float)
+    if not np.all((u >= 0.0) & (u < 1.0)):
+        raise ValueError(_RADIUS[1])
+    u2 = u * u
+    return _py(_closed_cdf_tail(u2, 2.0 * (1.0 - u) * (1.0 + u), -np.log1p(-u2))[0])
 
 
 def cdf_closed_paper_u(u):
@@ -407,43 +398,67 @@ def pdf_closed_paper(x_tilde):
     )
 
 
-def series_coefficient(k: int) -> float:
+def series_coefficient(k) -> float:
     """Coefficient ((-1)^k / 2) (k (k-1) / (k+1)) (1/4)^{2k-1} of x^{2k-1}
-    in the small-x expansion of pdf_closed_paper(x/4) / 4."""
+    in the small-x expansion of pdf_closed_paper(x/4) / 4.
+
+    k is an integer >= 1, or a float with such a value, else ValueError;
+    from k = 270 on the coefficient underflows to a signed zero.
+    """
+    if not (isinstance(k, numbers.Integral) or (math.isfinite(k) and k == int(k))) or k < 1:
+        raise ValueError("series index must be an integer >= 1")
     k = int(k)
-    if k < 1:
-        raise ValueError("series index must be >= 1")
     sign = -1.0 if k % 2 else 1.0
+    if k >= 270:  # (1/4)^{2k-1} <= 2^-1078 rounds to 0, and k (k-1) may overflow
+        return sign * 0.0
     return sign * 0.5 * (k * (k - 1.0) / (k + 1.0)) * 4.0 ** (-(2 * k - 1))
 
 
 # ---------------------------------------------------------------------------
 # moments
 
+# truncated_second_moment's tolerance grows with the cut, and so does its
+# unflagged error: 4.3e-9 relative at 1e8, 1.7e-6 at 1e10, 7.5% at 1e12
+E2_MAX_CUT = 1e8
 
-def mean_quadrature(rel_tol: float = 1e-8) -> tuple[float, float]:
+
+_MEAN_TOL = 2e-7  # absolute tolerance of the mean's outer adaptive rule
+
+
+def mean_quadrature() -> tuple[float, float]:
     """Mean by integrating the upper tail: E = int_0^inf (1 - F) dx,
     evaluated in the compactifying variable x = 4 tan(phi).
 
     Returns (value, error_bound); the bound is twice the outer adaptive
     estimate, since the panel estimates can be mildly optimistic near the
-    logarithmic endpoint.
+    logarithmic endpoint.  `moments` and the discrepancy ledger both report
+    this one value.
     """
+    return _mean_tail_quadrature(_MEAN_TOL)
+
+
+def _mean_tail_quadrature(tol: float) -> tuple[float, float]:
+    """`mean_quadrature` at outer tolerance `tol`; the tests use it to check
+    that the bound covers the exact error at tighter tolerances too."""
 
     def integrand(phi):
         c = np.cos(phi)
         return one_minus_cdf(4.0 * np.tan(phi)) * 4.0 / (c * c)
 
-    res = adaptive(integrand, 0.0, math.pi / 2.0, tol=rel_tol * 20.0)
+    res = adaptive(integrand, 0.0, math.pi / 2.0, tol=tol)
     return res.value, 2.0 * res.error
 
 
-def truncated_second_moment(cut: float, rel_tol: float = 1e-9) -> float:
-    """E(X^2; X <= cut) = 2 int_0^cut x (1 - F) dx - cut^2 (1 - F(cut))."""
+def truncated_second_moment(cut: float) -> float:
+    """E(X^2; X <= cut) = 2 int_0^cut x (1 - F) dx - cut^2 (1 - F(cut)),
+    within 1e-8 relative (or 1e-20 absolute) for cut up to E2_MAX_CUT = 1e8;
+    0 for cut <= 0.  A larger or NaN cut raises ValueError."""
     cut = float(cut)
+    if not cut <= E2_MAX_CUT:
+        raise ValueError(f"truncation cut must be at most {E2_MAX_CUT:g}")
     if cut <= 0.0:
         return 0.0
-    res = adaptive(lambda x: x * one_minus_cdf(x), 0.0, cut, tol=rel_tol * max(100.0, cut))
+    res = adaptive(lambda x: x * one_minus_cdf(x), 0.0, cut, tol=1e-9 * max(100.0, cut))
     return 2.0 * res.value - cut * cut * one_minus_cdf(cut)
 
 
@@ -642,15 +657,14 @@ class ReweightedDistribution:
     """Distribution with density proportional to f_quad(x) w(rho(x)).
 
     The normalizer and distribution function are accumulated as a
-    Stieltjes sum over a uniform grid in phi = asinh(x/4) = rho/2, with
+    Stieltjes sum over 20001 equally spaced phi = asinh(x/4) = rho/2 from 0
+    to asinh(1e6/4) + 12, with
     the base distribution evaluated by the closed form; no finite
     differencing is involved, so the table is smooth to ~1e-14.
     """
 
-    def __init__(self, weight: WeightSpec, x_max: float = 1e6, grid: int = 20001):
-        self.weight = weight
-        phi_hi = math.asinh(float(x_max) / 4.0) + 12.0
-        self.phi = np.linspace(0.0, phi_hi, int(grid))
+    def __init__(self, weight: WeightSpec):
+        self.phi = np.linspace(0.0, math.asinh(1e6 / 4.0) + 12.0, 20001)
         self.x_nodes = 4.0 * np.sinh(self.phi)
         self.f_nodes = _cdf_and_tail(self.x_nodes)[0]
         rho_mid = self.phi[:-1] + self.phi[1:]  # = 2 * phi at midpoints
@@ -675,31 +689,25 @@ class ReweightedDistribution:
         vals /= self.normalizer
         return np.clip(vals, 0.0, 1.0, out=vals)
 
-    def density(self, x: float) -> float:
-        x = float(x)
-        w = float(self.weight.weight_of_omega(x))
-        return pdf_quadrature(x) * w / self.normalizer
+
+_dist_cache: dict[WeightSpec, ReweightedDistribution] = {}
 
 
-_dist_cache: dict[tuple, ReweightedDistribution] = {}
+def _cached_distribution(weight: WeightSpec) -> ReweightedDistribution:
+    if weight not in _dist_cache:
+        _dist_cache[weight] = ReweightedDistribution(weight)
+    return _dist_cache[weight]
 
 
-def _cached_distribution(weight: WeightSpec, x_max: float = 1e6) -> ReweightedDistribution:
-    key = (weight.kind, weight.rho_grid, weight.values, float(x_max))
-    if key not in _dist_cache:
-        _dist_cache[key] = ReweightedDistribution(weight, x_max)
-    return _dist_cache[key]
-
-
-def reweight_density(weight: WeightSpec, x: float) -> float:
-    """Normalized reweighted density f_w(x) = f_quad(x) w(rho(x)) / Z.
-
-    The uniform weight short-circuits to pdf_quadrature itself (Z = 1
-    exactly), so reweighting by 1 is bitwise the identity.
-    """
+def reweight_density(weight: WeightSpec, x):
+    """Normalized reweighted density f_w(x) = f_quad(x) w(rho(x)) / Z on a
+    float or an array, equal to the per-element calls bit for bit.  The
+    uniform weight returns pdf_quadrature itself (Z = 1 exactly); the others
+    raise ValueError for NaN or negative x."""
     if weight.kind == "uniform":
-        return pdf_quadrature(float(x))
-    return _cached_distribution(weight).density(x)
+        return pdf_quadrature(x)
+    w = weight.weight_of_omega(x)
+    return _py(pdf_quadrature(x) * w / _cached_distribution(weight).normalizer)
 
 
 def _weighted_moment(weight: WeightSpec, power: int, cut: float) -> float:
@@ -750,16 +758,15 @@ class SpectralTable:
             raise ValueError("grid values must be positive")
         xt = x / 4.0
         u = _schwarz_radius(x)
-        # u rounds to 1 above x ~ 3e8, outside the u-forms' domain; both tend to 1
+        # u rounds to 1 above x ~ 3e8, outside the u-form's domain; it tends to 1
         edge = u == 1.0
-        u = np.where(edge, 0.0, u)
         return cls(
             x=x,
             x_tilde=xt,
             F_quad=cdf_quadrature_batch(x),
-            F_paper_u=np.where(edge, 1.0, cdf_closed_paper_u(u)),
+            F_paper_u=np.where(edge, 1.0, cdf_closed_paper_u(np.where(edge, 0.0, u))),
             F_paper_prop=cdf_closed_paper_prop(xt),
-            F_derived=np.where(edge, 1.0, cdf_closed_derived(u)),
+            F_derived=_cdf_and_tail(x)[0],
             f_quad=pdf_quadrature(x),
             f_paper=pdf_closed_paper(xt),
         )
@@ -792,10 +799,10 @@ def discrepancy_ledger(fd_tol: float = 1e-5) -> dict[str, dict]:
     """
     out: dict[str, dict] = {}
 
-    # (a) derived closed form against the quadrature route
+    # (a) the closed form, as the reweighting evaluates it, against quadrature
     xs = np.geomspace(1e-2, 1e3, 100)
     fq = cdf_quadrature_batch(xs)
-    fd = cdf_closed_derived(_schwarz_radius(xs))
+    fd = _cdf_and_tail(xs)[0]
     sup = float(np.max(np.abs(fq - fd)))
     out["ledger_cdf_derived_vs_quadrature"] = _ledger_entry(
         "pass" if sup <= 1e-8 else "fail",
@@ -862,7 +869,7 @@ def discrepancy_ledger(fd_tol: float = 1e-5) -> dict[str, dict]:
         )
 
     # (d) mean against the claimed 3*pi/2
-    mean_q, mean_bound = mean_quadrature(1e-7)
+    mean_q, mean_bound = mean_quadrature()
     batch = mc_sample(100000, 20260814)
     m_mc, se_mc = mc_mean(batch)
     exact_error = abs(mean_q - MEAN_EXACT)

@@ -76,6 +76,8 @@ FD_STEP_SECOND = 3e-4
 
 @dataclass(frozen=True)
 class VerifyConfig:
+    """Seed of the checks, and step and tolerance of their finite differences."""
+
     seed: int = 20260814
     fd_step: float = 1e-5
     fd_tol: float = 1e-5
@@ -599,6 +601,7 @@ _CHECKS = (
 
 
 def run_all(cfg: VerifyConfig | None = None) -> dict[str, dict]:
+    """Every check, then the discrepancy ledger, as one report keyed by name."""
     cfg = cfg or VerifyConfig()
     report: dict[str, dict] = {}
     for name, fn in _CHECKS:
@@ -608,6 +611,7 @@ def run_all(cfg: VerifyConfig | None = None) -> dict[str, dict]:
 
 
 def to_json(report: dict[str, dict]) -> str:
+    """The report as sorted, indented JSON with a final newline."""
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 

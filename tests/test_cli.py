@@ -25,7 +25,14 @@ from bidisk.cli import (
     parse_weight,
     read_spectrum_csv,
 )
-from bidisk.spectral import TABLE_COLUMNS, UNIFORM_WEIGHT, SpectralTable, mc_sample
+from bidisk.spectral import (
+    TABLE_COLUMNS,
+    UNIFORM_WEIGHT,
+    SpectralTable,
+    WeightSpec,
+    mc_sample,
+    reweight_density,
+)
 
 GRID = "0.5:50:25"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -248,6 +255,16 @@ def test_moments_uniform_output(tmp_path, capsys):
     assert "discrepancy" in text
 
 
+def test_verify_and_moments_report_one_mean(tmp_path):
+    # the ledger's mean entry and `moments` call the same quadrature
+    assert run(["verify", "--json", str(tmp_path / "v.json")]) == EXIT_OK
+    assert run(["moments", "--n", "2000", "--json", str(tmp_path / "m.json")]) == EXIT_OK
+    ledger = json.loads((tmp_path / "v.json").read_text())["ledger_mean_vs_claimed"]["value"]
+    moments = json.loads((tmp_path / "m.json").read_text())
+    assert ledger["mean_quadrature"] == moments["mean_quadrature"]
+    assert ledger["quadrature_bound"] == moments["mean_bound"]
+
+
 def test_moments_weighted_output(tmp_path):
     out = tmp_path / "m.txt"
     assert run(["moments", "--weight", "exp", "--n", "5000", "--out", str(out)]) == EXIT_OK
@@ -287,6 +304,15 @@ def test_reweight_uniform_copies_density_column(tmp_path):
         cols = line.split(",")
         assert cols[2] == cols[4]  # identical repr, i.e. bitwise equal
         assert cols[3] == "1.0"
+
+
+@pytest.mark.parametrize("kind", ["uniform", "exp", "gauss"])
+def test_reweight_column_is_the_library_density(kind, tmp_path):
+    out = tmp_path / "rw.csv"
+    assert run(["reweight", "--weight", kind, "--grid", GRID, "--out", str(out)]) == EXIT_OK
+    rows = [r.split(",") for r in out.read_bytes().decode().split("\r\n")[1:] if r]
+    x, f_rw = (np.array([float(r[i]) for r in rows]) for i in (0, 4))  # repr round-trips
+    assert np.array_equal(f_rw, reweight_density(WeightSpec(kind), x))
 
 
 def test_reweight_exp_weight_column_decays(tmp_path):

@@ -54,6 +54,12 @@ def test_mu_slice_invert_small_argument_is_linear():
     assert abs(mu_slice_invert(1e-9) / (1.25e-10) - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("x", [math.inf, [1.0, math.inf]])
+def test_mu_slice_invert_rejects_infinity(x):
+    with pytest.raises(ValueError):
+        mu_slice_invert(x)
+
+
 def test_slice_point_and_reduction_identity_on_slice():
     red = slice_reduce(BidiskPoint(0.3, -0.3))
     assert abs(red.t - 0.3) < 1e-14

@@ -27,7 +27,6 @@ from bidisk.spectral import (
     cdf_quadrature,
     cdf_quadrature_batch,
     discrepancy_ledger,
-    fiber_radius,
     ks_distance,
     mc_mean,
     mc_sample,
@@ -37,7 +36,6 @@ from bidisk.spectral import (
     pdf_quadrature,
     reweight_density,
     rho_of_omega,
-    schwarz_threshold,
     second_moment_growth,
     second_moment_tail_model,
     series_coefficient,
@@ -50,9 +48,11 @@ from bidisk.spectral import (
     SampleBatch,
     _cached_distribution,
     _cdf_and_tail,
+    _mean_tail_quadrature,
     _panel_count,
     _quarter_square_log,
     _sample_stream,
+    _schwarz_radius,
 )
 
 # frozen distribution values F(x)
@@ -114,19 +114,13 @@ def simpson_cdf(x: float, n: int = 4001) -> float:
 # parametrization and quadrature routes
 
 
-def test_schwarz_threshold_closed_form():
-    for x in np.geomspace(1e-6, 1e6, 40):
-        x = float(x)
-        assert abs(schwarz_threshold(x) - x / math.sqrt(16.0 + x * x)) < 1e-15
-
-
 def test_schwarz_threshold_huge_argument():
     # the slice root is taken by hypot, so x^2 never overflows
     from bidisk.moment import mu_slice_invert
 
     for x in (1e154, 1e200, 1e300, 1.7e308):
         assert abs(mu_slice_invert(x) - 1.0) < 1e-15
-        assert abs(schwarz_threshold(x) - 1.0) < 1e-15
+        assert abs(_schwarz_radius(x) - 1.0) < 1e-15
 
 
 def test_rho_of_omega_matches_slice_distance():
@@ -142,16 +136,6 @@ def test_rho_of_omega_matches_slice_distance():
 def test_rho_of_omega_rejects_nan_and_negative(omega):
     with pytest.raises(ValueError):
         rho_of_omega(omega)
-
-
-def test_fiber_radius_matches_hyperbolic_disk():
-    from bidisk.disk import hyperbolic_disk_euclidean
-
-    for s in (0.0, 0.3, 0.8):
-        for x in (0.5, 2.3094010767585031, 40.0):
-            u = schwarz_threshold(x)
-            _, r = hyperbolic_disk_euclidean(s, u)
-            assert abs(fiber_radius(s, x) - r) < 1e-14
 
 
 def test_cdf_quadrature_frozen_values():
@@ -250,7 +234,7 @@ def test_cdf_closed_derived_frozen_values():
 def test_cdf_closed_derived_matches_quadrature_everywhere():
     xs = np.geomspace(1e-2, 1e3, 100)
     sup = max(
-        abs(cdf_closed_derived(schwarz_threshold(float(x))) - cdf_quadrature(float(x)))
+        abs(cdf_closed_derived(_schwarz_radius(float(x))) - cdf_quadrature(float(x)))
         for x in xs
     )
     assert sup < 1e-8
@@ -355,6 +339,27 @@ def test_series_coefficients_exact_fractions():
         series_coefficient(0)
 
 
+@pytest.mark.parametrize("k", [1.5, math.inf, -math.inf, math.nan])
+def test_series_coefficient_rejects_bad_index(k):
+    with pytest.raises(ValueError):
+        series_coefficient(k)
+
+
+@pytest.mark.parametrize(
+    "k", [270, 271, 10**6, 1e300, 10**400], ids=["270", "271", "1e6", "1e300", "10**400"]
+)
+def test_series_coefficient_huge_index_underflows_to_signed_zero(k):
+    got = series_coefficient(k)
+    assert got == 0.0 and math.copysign(1.0, got) == (-1.0 if int(k) % 2 else 1.0)
+
+
+def test_series_coefficient_last_nonzero_index():
+    # (1/4)^{2k-1} = 2^-1074 at k = 269, the smallest subnormal, times ~134
+    got = series_coefficient(269)
+    assert got < 0.0 and got == -0.5 * (269 * 268.0 / 270.0) * 4.0**-537
+    assert series_coefficient(4.0) == series_coefficient(4)
+
+
 def test_series_matches_rescaled_density():
     # sum_k c_k x^{2k-1} is the small-x expansion of pdf_closed_paper(x/4)/4
     x = 0.4
@@ -440,8 +445,11 @@ def test_mean_quadrature_frozen_value():
 
 @pytest.mark.parametrize("rel_tol", [1e-7, 1e-8, 1e-9, 1e-10])
 def test_mean_quadrature_bound_covers_exact_error(rel_tol):
-    value, bound = mean_quadrature(rel_tol)
+    # 20 * 1e-8 is the tolerance mean_quadrature() uses
+    value, bound = _mean_tail_quadrature(rel_tol * 20.0)
     assert abs(value - 16.0 * math.pi / 3.0) <= bound
+    if rel_tol == 1e-8:
+        assert (value, bound) == mean_quadrature()
 
 
 def test_mean_disagrees_with_claimed_constant():
@@ -457,19 +465,36 @@ def test_truncated_second_moment_frozen_values():
     assert truncated_second_moment(0.0) == 0.0
 
 
-def test_truncated_second_moment_matches_exact_form():
-    # E2(c) = 32 G(c^2/16) - c^2 (1 - F(c)) with
-    # G(T) = 1 - log(1+T)/T - log(1+T) - Li2(-T), in 50-digit arithmetic
+def exact_second_moment(cut: float) -> float:
+    """E2(c) = 32 G(c^2/16) - c^2 (1 - F(c)) with
+    G(T) = 1 - log(1+T)/T - log(1+T) - Li2(-T), in 50-digit arithmetic."""
     mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        c = mpmath.mpf(float(cut))
+        t = c * c / 16
+        lg = mpmath.log1p(t)
+        g = 1 - lg / t - lg - mpmath.polylog(2, -t)
+        tail = 2 * ((1 + t) * lg - t) / t**2
+        return float(32 * g - c * c * tail)
+
+
+def test_truncated_second_moment_matches_exact_form():
     for cut in (1e2, 1e3, 1e4, 1e6):
-        with mpmath.workdps(50):
-            c = mpmath.mpf(cut)
-            t = c * c / 16
-            lg = mpmath.log1p(t)
-            g = 1 - lg / t - lg - mpmath.polylog(2, -t)
-            tail = 2 * ((1 + t) * lg - t) / t**2
-            exact = float(32 * g - c * c * tail)
-        assert abs(truncated_second_moment(cut) / exact - 1.0) <= 1e-10
+        assert abs(truncated_second_moment(cut) / exact_second_moment(cut) - 1.0) <= 1e-10
+
+
+def test_truncated_second_moment_on_log_spaced_cuts():
+    # 56 cuts across [1e-3, 1e8]: 4.3e-9 relative at 1e8, the closest to the
+    # bound; 3e-8 relative at 1e-3, where E2 ~ 1e-14 and the floor applies
+    for cut in np.geomspace(1e-3, 1e8, 56):
+        exact = exact_second_moment(cut)
+        assert abs(truncated_second_moment(cut) - exact) <= max(1e-8 * exact, 1e-20)
+
+
+@pytest.mark.parametrize("cut", [1.0000001e8, 1e12, 1e300, math.inf, math.nan])
+def test_truncated_second_moment_rejects_cuts_it_cannot_resolve(cut):
+    with pytest.raises(ValueError):
+        truncated_second_moment(cut)
 
 
 def test_second_moment_grows_like_log_squared():
@@ -723,6 +748,24 @@ def test_uniform_reweight_is_bitwise_identity():
         assert reweight_density(UNIFORM_WEIGHT, x) == pdf_quadrature(x)
 
 
+@pytest.mark.parametrize(
+    "weight",
+    [
+        UNIFORM_WEIGHT,
+        WeightSpec("exp"),
+        WeightSpec("gauss"),
+        WeightSpec("table", (0.0, 9.0), (1.0, 0.0)),
+    ],
+    ids=["uniform", "exp", "gauss", "table"],
+)
+def test_reweight_density_array_call_equals_scalar_calls(weight):
+    xs = np.concatenate(([0.0], np.geomspace(1e-3, 1e4, 97)))
+    vec = reweight_density(weight, xs)
+    scalars = [reweight_density(weight, float(v)) for v in xs]
+    assert all(type(v) is float for v in scalars)
+    assert np.array_equal(vec, scalars)
+
+
 def test_exp_reweight_normalizer_frozen_value():
     dist = _cached_distribution(WeightSpec("exp"))
     assert abs(dist.normalizer / Z_EXP_REFERENCE - 1.0) < 1e-5
@@ -740,7 +783,7 @@ def test_exp_reweight_density_consistent_with_cdf():
     # Simpson integral of the reweighted density against the cdf increment
     dist = _cached_distribution(WeightSpec("exp"))
     xs = np.linspace(1.0, 8.0, 401)
-    ys = np.array([dist.density(float(v)) for v in xs])
+    ys = reweight_density(WeightSpec("exp"), xs)
     h = xs[1] - xs[0]
     integral = h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum())
     increment = float(dist.cdf(np.array([8.0]))[0] - dist.cdf(np.array([1.0]))[0])
@@ -779,6 +822,13 @@ def test_spectral_table_build():
     assert np.all((table.F_quad > 0.0) & (table.F_quad < 1.0))
     assert np.max(np.abs(table.F_derived - table.F_quad)) < 1e-8
     assert np.all(table.f_quad > 0.0)
+
+
+def test_spectral_table_derived_column_is_the_reweighting_closed_form():
+    # one closed form: F_derived is what the reweighting table evaluates,
+    # also above x ~ 3e8, where u rounds to 1
+    xs = np.concatenate((np.geomspace(1e-3, 1e12, 500), [1e300]))
+    assert np.array_equal(SpectralTable.build(xs).F_derived, _cdf_and_tail(xs)[0])
 
 
 def test_spectral_table_rejects_bad_grid():

@@ -99,7 +99,6 @@ OPTIONS: dict[str, tuple] = {
     "out": (str, None, None, "output path (default stdout)"),
     "config": (str, None, None, "key=value config file"),
     "grid": (str, None, None, "min:max:points (plot: when no --table)"),
-    "log": (_bool, None, None, "log-spaced grid"),
     "linear": (_bool, None, None, "linear grid"),
     "n": (int, lambda v: v >= 1, ">= 1", "sample size (moments: of the MC cross-check)"),
     "weight": (str, None, None, "uniform | exp | gauss | table:PATH"),
@@ -111,7 +110,7 @@ OPTIONS: dict[str, tuple] = {
 }
 
 COMMON_DEFAULTS = {"seed": 1729, "threads": 1, "out": None, "config": None}
-_GRID = {"grid": "1e-3:100:400", "log": True, "linear": False}
+_GRID = {"grid": "1e-3:100:400", "linear": False}
 # subcommand: (help, defaults of its own options)
 SUBCOMMANDS: dict[str, tuple[str, dict]] = {
     "spectrum": ("tabulate the distribution and candidates", _GRID),
@@ -322,8 +321,7 @@ def _emit(path: str | None, texts) -> None:
 
 
 def _grid_from(opts: dict) -> np.ndarray:
-    log = bool(opts["log"]) and not bool(opts.get("linear", False))
-    return parse_grid(opts["grid"], log)
+    return parse_grid(opts["grid"], not opts["linear"])
 
 
 def cmd_spectrum(opts: dict) -> int:

@@ -77,8 +77,10 @@ class MobiusTransform:
 
     def __post_init__(self):
         a, b = np.broadcast_arrays(np.asarray(self.alpha, complex), np.asarray(self.beta, complex))
-        det = np.abs(a) ** 2 - np.abs(b) ** 2
-        unimodular = np.abs(det - 1.0) <= DET_TOL
+        a2, b2 = np.abs(a) * np.abs(a), np.abs(b) * np.abs(b)
+        det = a2 - b2
+        # det's own rounding, 16 eps (|alpha|^2 + |beta|^2), exceeds DET_TOL near the boundary
+        unimodular = np.abs(det - 1.0) <= np.maximum(DET_TOL, 16.0 * np.finfo(float).eps * (a2 + b2))
         if not unimodular.all():
             bad = float(det[~unimodular][0])
             raise ValueError(f"not an SU(1,1) pair: |alpha|^2 - |beta|^2 = {bad!r}")

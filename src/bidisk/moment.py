@@ -1,11 +1,13 @@
 """Moment geometry of the diagonal SU(1,1) action on the bidisk.
 
-Every off-diagonal pair is carried by a unique-up-to-stabilizer group
-element onto the antisymmetric slice {(t, -t) : 0 <= t < 1}, where the
-moment vector points along xi with value mu(t) = 8t / (1 - t^2).  The
-moment image of the off-diagonal locus is exactly the positive elliptic
-cone, and omega(p) = 4 q / sqrt(1 - q^2) for q the Schwarz distance of
-the pair.
+The moment map sends a pair p to Ad(g)(mu(t) xi), where g carries the slice
+pair (t, -t) onto p and mu(t) = 8t / (1 - t^2); slice_reduce and
+liealg.adjoint evaluate that definition, the tests' reference route.  As
+Ad(g) xi = N(g(0)), N(z) = (1 + |z|^2, 2 Re z, 2 Im z) / (1 - |z|^2), and
+g(0) is the hyperbolic midpoint of p, the map is mu(z, w) =
+2 d_S(z, w) (N(z) + N(w)); the inverse reads g(0) off y / omega by
+stereographic projection.  The image of the off-diagonal locus is the
+positive elliptic cone, and omega(p) = 4 q / sqrt(1 - q^2), q = d_S(z, w).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .disk import (
     schwarz_distance,
     translate,
 )
-from .liealg import ELLIPTIC_POSITIVE, LieVector, adjoint, classify
+from .liealg import ELLIPTIC_POSITIVE, LieVector, classify
 
 
 def mu_slice(t):
@@ -89,34 +91,29 @@ def slice_reduce(p: BidiskPoint) -> SliceReduction:
     return SliceReduction(_py(t), fwd.inverse())
 
 
+def _hyperboloid(z) -> np.ndarray:
+    """N(z) = (1 + |z|^2, 2 Re z, 2 Im z) / (1 - |z|^2) on axis 0: Ad(g) xi for g(0) = z."""
+    z = np.asarray(z)
+    r2 = z.real * z.real + z.imag * z.imag
+    return np.stack([1.0 + r2, 2.0 * z.real, 2.0 * z.imag]) / (1.0 - r2)
+
+
 def moment_vector(p: BidiskPoint) -> LieVector:
-    """Moment map value mu(p) = Ad(g) (mu_slice(t) * xi) from slice_reduce."""
-    red = slice_reduce(p)
-    return adjoint(red.g, LieVector(mu_slice(red.t), 0.0, 0.0))
+    """mu(p) = 2 d_S(z, w) (N(z) + N(w)), zero on the diagonal; equal to
+    Ad(g)(mu_slice(t) xi) for (t, g) from slice_reduce."""
+    s = 2.0 * np.where(p.is_diagonal, 0.0, schwarz_distance(p.z, p.w))
+    return LieVector(*(s * (_hyperboloid(p.z) + _hyperboloid(p.w))))
 
 
 def cone_preimage(y: LieVector) -> BidiskPoint:
-    """A bidisk pair whose moment vector is the elliptic-positive y.
-
-    Diagonalizes the matrix of y, normalizes its +1j*omega eigenvector to
-    the SU(1,1) first column, and pushes the slice pair of omega forward.
-    """
+    """A bidisk pair whose moment vector is the elliptic-positive y: the
+    translation taking 0 to m = (b + i c) / (a + omega) moves the slice
+    pair of omega there, as N(m) = y / omega."""
     cls = classify(y)
     kind = np.asarray(cls.kind)
     if not np.all(kind == ELLIPTIC_POSITIVE):
         bad = kind[kind != ELLIPTIC_POSITIVE][0]
         raise ValueError(f"target must be elliptic-positive, got {bad}")
-    omega = np.asarray(cls.omega)
-    vals, vecs = np.linalg.eig(y.matrix())
-    idx = np.argmin(np.abs(vals - 1j * omega[..., None]), axis=-1)
-    v = np.take_along_axis(vecs, idx[..., None, None], axis=-1)[..., 0]
-    m = np.abs(v)
-    nrm = m[..., 0] * m[..., 0] - m[..., 1] * m[..., 1]
-    if not np.all(nrm > 0.0):
-        raise ValueError("eigenvector is not positive for the indefinite form")
-    v = v / np.sqrt(nrm)[..., None]
-    # pin the free phase so alpha is real positive (|alpha| >= 1 always)
-    v = v * np.exp(-1j * np.angle(v[..., :1]))
-    g = MobiusTransform(v[..., 0], np.conj(v[..., 1]))
-    t = mu_slice_invert(omega)
-    return act_bidisk(g, slice_point(t))
+    den = np.asarray(y.a) + cls.omega
+    m = y.b / den + 1j * (y.c / den)
+    return act_bidisk(translate(-m), slice_point(mu_slice_invert(cls.omega)))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,18 +40,6 @@ _K = np.arange(30.0)
 _F_SERIES = 2.0 / ((_K + 2.0) * (_K + 3.0))
 # d/du (u^2 F(u)) = 4 u^3 T(u^2), T(z) = sum_k z^k / (k+3)
 _DF_SERIES = 1.0 / (_K + 3.0)
-
-TABLE_COLUMNS = (
-    "x",
-    "x_tilde",
-    "F_quad",
-    "F_paper_u",
-    "F_paper_prop",
-    "F_derived",
-    "f_quad",
-    "f_paper",
-)
-
 
 def _rotation_numbers(omega) -> np.ndarray:
     """omega as a float array; NaN or negative entries raise ValueError."""
@@ -398,6 +386,16 @@ def pdf_closed_paper(x_tilde):
     )
 
 
+def _whole(v, least: int, what: str) -> int:
+    """v as an int >= least, where an integral float such as 1e6 counts; else ValueError."""
+    if isinstance(v, numbers.Integral) or (
+        isinstance(v, numbers.Real) and math.isfinite(v) and v == int(v)
+    ):
+        if v >= least:
+            return int(v)
+    raise ValueError(f"{what} must be an integer >= {least}, got {v!r}")
+
+
 def series_coefficient(k) -> float:
     """Coefficient ((-1)^k / 2) (k (k-1) / (k+1)) (1/4)^{2k-1} of x^{2k-1}
     in the small-x expansion of pdf_closed_paper(x/4) / 4.
@@ -405,9 +403,7 @@ def series_coefficient(k) -> float:
     k is an integer >= 1, or a float with such a value, else ValueError;
     from k = 270 on the coefficient underflows to a signed zero.
     """
-    if not (isinstance(k, numbers.Integral) or (math.isfinite(k) and k == int(k))) or k < 1:
-        raise ValueError("series index must be an integer >= 1")
-    k = int(k)
+    k = _whole(k, 1, "series index")
     sign = -1.0 if k % 2 else 1.0
     if k >= 270:  # (1/4)^{2k-1} <= 2^-1078 rounds to 0, and k (k-1) may overflow
         return sign * 0.0
@@ -583,13 +579,13 @@ def mc_sample(
 
     The n draws are split across ``streams`` SeedSequence-spawned
     substreams merged in index order, so the output is a pure function of
-    (n, seed, streams).  streams must be positive and is capped at n.
+    (n, seed, streams).  n and streams are integers >= 1 (an integral
+    float counts), streams is capped at n, and seed is an integer >= 0;
+    other values raise ValueError.
     """
-    n, streams = int(n), int(streams)
-    if n <= 0:
-        raise ValueError("sample size must be positive")
-    if streams <= 0:
-        raise ValueError("streams must be positive")
+    n, streams = _whole(n, 1, "sample size"), _whole(streams, 1, "streams")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     streams = min(streams, n)
     base = n // streams
     sizes = tuple(base + (1 if i < n % streams else 0) for i in range(streams))
@@ -770,6 +766,10 @@ class SpectralTable:
             f_quad=pdf_quadrature(x),
             f_paper=pdf_closed_paper(xt),
         )
+
+
+# the spectrum CSV's header, in the order SpectralTable(*columns) takes them
+TABLE_COLUMNS = tuple(f.name for f in fields(SpectralTable))
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,19 @@ def test_spectrum_linear_grid(tmp_path):
     assert np.allclose(np.diff(table.x), 1.0)
 
 
+def test_linear_is_the_one_grid_switch(tmp_path, capsys):
+    cfg = tmp_path / "lin.cfg"
+    cfg.write_text("linear=true\n")
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(["spectrum", "--grid", "1:10:10", "--config", str(cfg), "--out", str(a)]) == EXIT_OK
+    assert run(["spectrum", "--grid", "1:10:10", "--linear", "--out", str(b)]) == EXIT_OK
+    assert a.read_bytes() == b.read_bytes()
+    cfg.write_text("log=false\n")
+    assert run(["spectrum", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "unknown key 'log'" in capsys.readouterr().err
+    assert run(["spectrum", "--log"]) == EXIT_CONFIG
+
+
 def test_sample_deterministic_and_thread_invariant(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -76,6 +76,16 @@ def test_translate_requires_interior_base_point():
         translate(1.0)
 
 
+@pytest.mark.parametrize("gap", [1e-6, 1e-8, 1e-10, 2e-12])
+def test_translate_near_boundary(gap):
+    # |alpha|^2 - |beta|^2 rounds at eps |alpha|^2, far above 1e-10 here
+    zeta = (1.0 - gap) * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False))
+    t = translate(zeta)
+    assert np.all(np.abs(t(zeta)) < 1e-3)
+    for z in zeta:
+        assert abs(translate(complex(z))(complex(z))) < 1e-3
+
+
 def test_rotation():
     r = MobiusTransform.rotation(math.pi / 2.0)
     assert abs(r(0.5) - 0.5j) < 1e-15
@@ -118,6 +128,11 @@ def test_from_matrix_rejects_bad_determinant():
         MobiusTransform.from_matrix(np.array([[2.0, 0.0], [0.0, 2.0]]))
     with pytest.raises(ValueError):
         MobiusTransform(alpha=0.5, beta=0.0)
+    # the rounding allowance grows with |alpha|^2 but admits no gross defect
+    with pytest.raises(ValueError):
+        MobiusTransform(alpha=1e6, beta=1e6)
+    with pytest.raises(ValueError):
+        MobiusTransform(alpha=1.0, beta=1e-4)
 
 
 def test_act_bidisk_applies_componentwise():

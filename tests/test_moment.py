@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bidisk.disk import BidiskPoint, act_bidisk, random_mobius, random_point
+from bidisk.disk import BidiskPoint, act_bidisk, random_mobius, random_point, translate
 from bidisk.liealg import (
     ELLIPTIC_POSITIVE,
     ETA,
@@ -165,6 +165,70 @@ def test_cone_preimage_roundtrip():
         back = moment_vector(q)
         scale = max(1.0, y.norm_inf())
         assert (back - y).norm_inf() < 1e-9 * scale
+
+
+def test_moment_vector_matches_slice_reduction_route():
+    # closed form 2 d_S (N(z) + N(w)) against the definition Ad(g)(mu(t) xi)
+    rng = np.random.default_rng(39)
+    p = BidiskPoint(random_point(rng, 0.9, 10_000), random_point(rng, 0.9, 10_000))
+    red = slice_reduce(p)
+    ref = adjoint(red.g, XI * mu_slice(red.t))
+    got = moment_vector(p)
+    gap = np.max([np.abs(got.a - ref.a), np.abs(got.b - ref.b), np.abs(got.c - ref.c)], axis=0)
+    assert np.all(gap <= 1e-12 * np.maximum(1.0, ref.norm_inf()))
+
+
+def _mp_moment(z: complex, w: complex):
+    """Ad(g)(mu(t) xi) along slice_reduce's steps, in 50-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        z, w = mpmath.mpc(z), mpmath.mpc(w)
+
+        def translation(zeta):
+            d = mpmath.sqrt(1 - abs(zeta) ** 2)
+            return mpmath.matrix([[1 / d, -zeta / d], [-mpmath.conj(zeta) / d, 1 / d]])
+
+        def rotation(phi):
+            e = mpmath.expj(phi / 2)
+            return mpmath.matrix([[e, 0], [0, mpmath.conj(e)]])
+
+        w1 = (w - z) / (1 - mpmath.conj(z) * w)
+        q = abs(w1)
+        t = q / (1 + mpmath.sqrt(1 - q * q))
+        fwd = rotation(mpmath.pi) * translation(t) * rotation(-mpmath.arg(w1)) * translation(z)
+        mu = 8 * t / (1 - t * t)
+        m = fwd**-1 * mpmath.matrix([[1j * mu, 0], [0, -1j * mu]]) * fwd
+        return (
+            mpmath.im(m[0, 0]),
+            (mpmath.im(m[1, 0]) - mpmath.im(m[0, 1])) / 2,
+            (mpmath.re(m[0, 1]) + mpmath.re(m[1, 0])) / 2,
+        )
+
+
+@pytest.mark.parametrize("rmax", [0.9, 0.999, 1.0 - 1e-6])
+def test_moment_vector_against_high_precision(rmax):
+    # mu is conditioned like 1 / (1 - |z|): one ulp of z moves it by
+    # eps / (1 - |z|) relative, so the bound scales with the nearer point
+    rng = np.random.default_rng(40)
+    p = BidiskPoint(random_point(rng, rmax, 60), random_point(rng, rmax, 60))
+    got = moment_vector(p)
+    for i in range(60):
+        ref = _mp_moment(complex(p.z[i]), complex(p.w[i]))
+        err = max(abs(float(x - r)) for x, r in zip((got.a[i], got.b[i], got.c[i]), ref))
+        edge = 1.0 - max(abs(p.z[i]), abs(p.w[i]))
+        assert err <= 1e-15 * max(1.0, float(ref[0])) / edge
+
+
+@pytest.mark.parametrize("omega", [0.5, 5.0])
+@pytest.mark.parametrize("ratio", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
+def test_cone_preimage_roundtrip_near_light_cone(omega, ratio):
+    # targets omega N(m) with a / omega = 1 / ratio, i.e. |m| near 1
+    k = 1.0 / ratio
+    for theta in np.linspace(0.0, 2.0 * math.pi, 6, endpoint=False):
+        m = math.sqrt((k - 1.0) / (k + 1.0)) * complex(math.cos(theta), math.sin(theta))
+        y = adjoint(translate(-m), LieVector(omega, 0.0, 0.0))
+        back = moment_vector(cone_preimage(y))
+        assert (back - y).norm_inf() < 1e-9 * max(1.0, y.norm_inf())
 
 
 def test_cone_preimage_on_axis_returns_slice_pair():

@@ -540,6 +540,35 @@ def test_mc_sample_rejects_nonpositive_streams(streams):
         mc_sample(10, seed=1, streams=streams)
 
 
+@pytest.mark.parametrize(
+    "kwargs,what",
+    [
+        ({"n": 2.7}, "sample size"),
+        ({"n": math.inf}, "sample size"),
+        ({"n": math.nan}, "sample size"),
+        ({"n": "10"}, "sample size"),
+        ({"streams": 2.5}, "streams"),
+        ({"streams": math.inf}, "streams"),
+        ({"seed": 1.0}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"seed": "1"}, "seed"),
+    ],
+    ids=["n-fraction", "n-inf", "n-nan", "n-str", "streams-fraction", "streams-inf",
+         "seed-float", "seed-negative", "seed-str"],
+)
+def test_mc_sample_rejects_arguments_outside_their_domain(kwargs, what):
+    args = {"n": 10, "seed": 1, **kwargs}
+    with pytest.raises(ValueError, match=what):
+        mc_sample(**args)
+
+
+def test_mc_sample_accepts_integral_floats():
+    a = mc_sample(2000.0, seed=np.int64(3), streams=4.0)
+    b = mc_sample(2000, seed=3, streams=4)
+    assert np.array_equal(a.omega, b.omega)
+    assert a.stream_sizes == b.stream_sizes
+
+
 def test_mc_sample_caps_streams_at_n():
     assert mc_sample(3, seed=1, streams=16).stream_sizes == (1, 1, 1)
 

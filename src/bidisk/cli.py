@@ -5,18 +5,17 @@ subcommand accepts --seed, --threads, --out and --config; flags take
 precedence over config-file values, which take precedence over built-in
 defaults.  Config files hold one key=value pair per line (# comments and
 blank lines allowed).  One table, OPTIONS, declares each option's type,
-accepted values and help for both its flag and its config key; the key
-fd_step is the flag --fd-step.  Every resolved value, whether from a flag,
-a config file or a default, must meet its requirement: --seed >= 0,
---threads, --n and --streams >= 1, --tol and --fd-step positive and
-finite; a bad one exits 2 with "error: --<flag> must be <requirement>".
-A float flag takes a negative value in any notation, --tol -1e-5 as well
-as --tol=-1e-5, also when abbreviated (--to -1e-5).
+accepted values and help for both its flag and its config key.  Every
+resolved value, whether from a flag, a config file or a default, must
+meet its requirement: --seed >= 0, and --threads, --n and --streams >= 1;
+a bad one exits 2 with "error: --<flag> must be <requirement>".  When
+--json and --out are both given, the JSON goes to --json and the text
+to --out, and the two must name different files.
 
 Exit codes: 0 on success (standing discrepancies do not fail a run),
-1 when a verification check fails, 2 on configuration or IO errors,
-which includes malformed inputs, bad flag values, and finite-difference
-step-size failures.
+1 when a verification check fails (a finite difference whose step cannot
+be certified among them), 2 on configuration or IO errors, which includes
+malformed inputs, bad flag values, and sizes too large to allocate.
 
 Output bytes are a pure function of the parsed options: CSV files use
 CRLF line endings and repr float formatting, the verification report is
@@ -59,9 +58,7 @@ from .spectral import (
 )
 from .verify import (
     FAIL,
-    VerifyConfig,
     count_status,
-    has_step_size_failure,
     run_all,
     to_json,
 )
@@ -86,13 +83,9 @@ def _bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _positive_finite(v: float) -> bool:
-    return 0.0 < v < math.inf
-
-
 # name: (type, accepted values or None for any, the requirement as text, help).
-# Flags and config keys both come from here: a _bool option is a store_true
-# flag, and the option a_b is the flag --a-b.
+# Flags and config keys both come from here: the option name is the flag
+# --name, and a _bool option is a store_true flag.
 OPTIONS: dict[str, tuple] = {
     "seed": (int, lambda v: v >= 0, ">= 0", "RNG seed"),
     "threads": (int, lambda v: v >= 1, ">= 1", "no effect on output or execution"),
@@ -104,8 +97,6 @@ OPTIONS: dict[str, tuple] = {
     "weight": (str, None, None, "uniform | exp | gauss | table:PATH"),
     "streams": (int, lambda v: v >= 1, ">= 1", "substream count"),
     "json": (str, None, None, "write the JSON output here"),
-    "tol": (float, _positive_finite, "positive and finite", "FD certification tolerance"),
-    "fd_step": (float, _positive_finite, "positive and finite", "FD step size"),
     "table": (str, None, None, "spectrum CSV to plot (else recompute)"),
 }
 
@@ -115,7 +106,7 @@ _GRID = {"grid": "1e-3:100:400", "linear": False}
 SUBCOMMANDS: dict[str, tuple[str, dict]] = {
     "spectrum": ("tabulate the distribution and candidates", _GRID),
     "sample": ("Monte Carlo rotation numbers", {"n": 100000, "weight": "uniform", "streams": 16}),
-    "verify": ("run the verification report", {"json": None, "tol": 1e-5, "fd_step": 1e-5}),
+    "verify": ("run the verification report", {"json": None}),
     "moments": ("mean and truncated second moments", {"weight": "uniform", "json": None, "n": 200000}),
     "plot": ("render the density curve as SVG", {"table": None, **_GRID}),
     "reweight": ("tabulate a reweighted density", {"weight": "exp", **_GRID}),
@@ -133,41 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
         for name in {**COMMON_DEFAULTS, **defaults}:
             kind, _, _, help_line = OPTIONS[name]
             how = {"action": "store_true"} if kind is _bool else {"type": kind}
-            sp.add_argument(
-                "--" + name.replace("_", "-"), default=argparse.SUPPRESS, help=help_line, **how
-            )
+            sp.add_argument("--" + name, default=argparse.SUPPRESS, help=help_line, **how)
     return parser
-
-
-def _names_float_option(token: str, flags: dict[str, str]) -> bool:
-    """Whether token names a float option among a subcommand's flags (flag:
-    option name), as argparse reads it: exactly, or as a prefix of that
-    flag alone."""
-    hits = [token] if token in flags else [f for f in flags if f.startswith(token)]
-    return len(hits) == 1 and OPTIONS[flags[hits[0]]][0] is float
-
-
-def _attach_float_values(argv: list[str]) -> list[str]:
-    """Join each float flag to a numeric next token (--tol -1e-5 becomes
-    --tol=-1e-5): argparse takes -1e-5 for an option, not a negative
-    number, and the option table never sees it.  An abbreviated flag is
-    joined too (--to -1e-5 becomes --to=-1e-5)."""
-    flags: dict[str, str] = {}
-    out: list[str] = []
-    for token in argv:
-        if not flags and token in SUBCOMMANDS:
-            names = {**COMMON_DEFAULTS, **SUBCOMMANDS[token][1]}
-            flags = {"--" + name.replace("_", "-"): name for name in names}
-        elif out and _names_float_option(out[-1], flags):
-            try:
-                float(token)
-            except ValueError:
-                pass
-            else:
-                out[-1] += "=" + token
-                continue
-        out.append(token)
-    return out
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -207,7 +165,10 @@ def resolve_options(ns: argparse.Namespace) -> dict:
     for key, value in opts.items():
         _, ok, requirement, _ = OPTIONS[key]
         if ok is not None and not ok(value):
-            raise CliError(f"--{key.replace('_', '-')} must be {requirement}")
+            raise CliError(f"--{key} must be {requirement}")
+    paths = [opts.get("json"), opts["out"]]
+    if None not in paths and len(set(map(os.path.realpath, paths))) == 1:
+        raise CliError("--json and --out must name different files")
     return opts
 
 
@@ -338,8 +299,7 @@ def cmd_sample(opts: dict) -> int:
 
 
 def cmd_verify(opts: dict) -> int:
-    cfg = VerifyConfig(seed=opts["seed"], fd_step=opts["fd_step"], fd_tol=opts["tol"])
-    report = run_all(cfg)
+    report = run_all(opts["seed"])
     text = to_json(report)
     json_path = opts["json"] or opts["out"]
     if json_path:
@@ -349,9 +309,7 @@ def cmd_verify(opts: dict) -> int:
             f"discrepancy={count_status(report, 'discrepancy')} "
             f"fail={count_status(report, 'fail')}\n"
         )
-    _emit(None, [text])
-    if has_step_size_failure(report):
-        return EXIT_CONFIG
+    _emit(opts["out"] if opts["json"] else None, [text])
     if count_status(report, FAIL) > 0:
         return EXIT_CHECK_FAILED
     return EXIT_OK
@@ -401,7 +359,7 @@ def cmd_moments(opts: dict) -> int:
     text = "\n".join(lines) + "\n"
     if opts["json"]:
         _emit(opts["json"], [json.dumps(out, sort_keys=True, indent=2) + "\n"])
-    _emit(None if opts["json"] else opts["out"], [text])
+    _emit(opts["out"], [text])
     return EXIT_OK
 
 
@@ -510,11 +468,15 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(_attach_float_values(sys.argv[1:] if argv is None else argv))
+        ns = parser.parse_args(argv)
         opts = resolve_options(ns)
         return _COMMANDS[ns.command](opts)
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # numpy refuses an array far beyond memory at once: a bad size
+        sys.stderr.write(f"error: out of memory: {exc}\n")
         return EXIT_CONFIG
     except SystemExit as exc:
         # argparse exits 2 on usage errors; normalize None to 0

@@ -154,6 +154,19 @@ def _panel_sum(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.T).sum(axis=-1)
 
 
+# step of the certified first differences, and the largest Richardson
+# residual that certifies an extrapolated finite difference
+FD_STEP = 1e-5
+FD_TOL = 1e-5
+
+
+def fd_constant(name: str) -> float:
+    """FD_STEP or FD_TOL as it stands; ValueError unless positive and finite."""
+    if not 0.0 < globals()[name] < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {globals()[name]!r}")
+    return globals()[name]
+
+
 def richardson(estimate, h):
     """(value, residual) of an O(h^2) estimate(step), extrapolated from
     steps h and 2h; the residual |e(h) - e(2h)| / 3 estimates its error."""

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import quadrature  # FD_STEP and FD_TOL, read at call time
 from .disk import _py
 from .quadrature import adaptive, central_difference, composite_k15
 
@@ -789,7 +790,7 @@ def _ledger_entry(status: str, value, tolerance: float | None, details: str) -> 
     }
 
 
-def discrepancy_ledger(fd_tol: float = 1e-5) -> dict[str, dict]:
+def discrepancy_ledger() -> dict[str, dict]:
     """Standing comparisons between the quadrature distribution and the
     closed-form candidates, plus the moment claims.
 
@@ -844,18 +845,21 @@ def discrepancy_ledger(fd_tol: float = 1e-5) -> dict[str, dict]:
     # (f) internal consistency: transcribed density is d/dx~ of the u-form
     xt = np.geomspace(0.05, 20.0, 16)
     extrap, res = central_difference(
-        lambda v: cdf_closed_paper_u(v / np.sqrt(1.0 + v * v)), xt, 1e-5 * np.maximum(1.0, xt)
+        lambda v: cdf_closed_paper_u(v / np.sqrt(1.0 + v * v)),
+        xt,
+        quadrature.fd_constant("FD_STEP") * np.maximum(1.0, xt),
     )
     ref = pdf_closed_paper(xt)
     worst_rel = float(np.max(np.abs(extrap - ref) / np.maximum(np.abs(ref), 1e-30)))
     worst_res = float(np.max(res / np.maximum(np.abs(extrap), 1.0)))
-    if worst_res > fd_tol:
+    tol = quadrature.fd_constant("FD_TOL")
+    if worst_res > tol:
         out["ledger_pdf_paper_internal_consistency"] = _ledger_entry(
             "fail",
             {"max_rel_difference": worst_rel, "max_rel_residual": worst_res},
-            fd_tol,
+            tol,
             f"step-size failure: Richardson residual {worst_res:.3e} exceeds "
-            f"certification tolerance {fd_tol:.1e} on the x_tilde grid [0.05, 20]",
+            f"certification tolerance {tol:.1e} on the x_tilde grid [0.05, 20]",
         )
     else:
         out["ledger_pdf_paper_internal_consistency"] = _ledger_entry(

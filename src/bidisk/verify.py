@@ -3,10 +3,11 @@
 Each named check returns a dict with keys status, value, tolerance and
 details.  Statuses: "pass" for required agreements, "discrepancy" for a
 stable measured disagreement between candidate descriptions (reported,
-not a failure), and "fail" for violated requirements.  Every
-finite-difference check is Richardson-extrapolated across step sizes h
-and 2h; when the extrapolation residual cannot be certified below the
-configured tolerance the check fails with details prefixed
+not a failure), and "fail" for violated requirements.  The checks that
+draw random samples take them from the one seed that run_all passes to
+every check.  Every finite-difference check is Richardson-extrapolated
+across step sizes h and 2h; when the extrapolation residual exceeds
+quadrature.FD_TOL the check fails like any other, with details prefixed
 "step-size failure:".
 """
 
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .moment import (
     slice_point,
     slice_reduce,
 )
+from . import quadrature  # FD_STEP and FD_TOL, read at call time
 from .quadrature import central_difference, richardson
 from .spectral import discrepancy_ledger
 
@@ -74,26 +75,12 @@ GRID_HALFWIDTH = 0.8
 FD_STEP_SECOND = 3e-4
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
-    """Seed of the checks, and step and tolerance of their finite differences."""
-
-    seed: int = 20260814
-    fd_step: float = 1e-5
-    fd_tol: float = 1e-5
-
-    def __post_init__(self):
-        for name in ("fd_step", "fd_tol"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-
-
 def _entry(status: str, value, tolerance, details: str) -> dict:
     return {"status": status, "value": value, "tolerance": tolerance, "details": details}
 
 
-def _rng(cfg: VerifyConfig, tag: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((cfg.seed, tag)))
+def _rng(seed: int, tag: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence((seed, tag)))
 
 
 def _worst(*defects) -> float:
@@ -105,13 +92,14 @@ def _certified_second(f, x, h):
     return richardson(lambda s: (f(x + s) - 2.0 * f(x) + f(x - s)) / (s * s), h)
 
 
-def _step_failure(name_tol: float, residual: float, where: str) -> dict:
+def _step_failure(residual: float, where: str) -> dict:
+    tol = quadrature.fd_constant("FD_TOL")
     return _entry(
         FAIL,
         {"max_rel_residual": float(residual)},
-        name_tol,
+        tol,
         f"{STEP_SIZE_PREFIX} Richardson residual {residual:.3e} exceeds "
-        f"certification tolerance {name_tol:.1e} ({where})",
+        f"certification tolerance {tol:.1e} ({where})",
     )
 
 
@@ -119,8 +107,8 @@ def _step_failure(name_tol: float, residual: float, where: str) -> dict:
 # Lie-algebra checks
 
 
-def check_lie_bform_signature(cfg: VerifyConfig) -> dict:
-    rng = _rng(cfg, 1)
+def check_lie_bform_signature(seed: int) -> dict:
+    rng = _rng(seed, 1)
     x = random_vector(rng, size=N_PROPERTY)
     y = random_vector(rng, size=N_PROPERTY)
     m = x.matrix() @ y.matrix()
@@ -143,8 +131,8 @@ def check_lie_bform_signature(cfg: VerifyConfig) -> dict:
     )
 
 
-def check_lie_bracket_jacobi(cfg: VerifyConfig) -> dict:
-    rng = _rng(cfg, 2)
+def check_lie_bracket_jacobi(seed: int) -> dict:
+    rng = _rng(seed, 2)
     x, y, z = (random_vector(rng, size=N_PROPERTY) for _ in range(3))
     mx, my = x.matrix(), y.matrix()
     worst_comm = _worst(np.abs(mx @ my - my @ mx - bracket(x, y).matrix()))
@@ -160,8 +148,8 @@ def check_lie_bracket_jacobi(cfg: VerifyConfig) -> dict:
     )
 
 
-def check_lie_classify_eigensolver(cfg: VerifyConfig) -> dict:
-    rng = _rng(cfg, 3)
+def check_lie_classify_eigensolver(seed: int) -> dict:
+    rng = _rng(seed, 3)
     x = random_vector(rng, size=N_CLASSIFY)
     cls = classify(x)
     ev = np.linalg.eigvals(x.matrix())
@@ -182,8 +170,8 @@ def check_lie_classify_eigensolver(cfg: VerifyConfig) -> dict:
     )
 
 
-def check_lie_adjoint_invariance(cfg: VerifyConfig) -> dict:
-    rng = _rng(cfg, 4)
+def check_lie_adjoint_invariance(seed: int) -> dict:
+    rng = _rng(seed, 4)
     g = random_mobius(rng, ZETA_MAX, size=N_PROPERTY)
     x = random_vector(rng, size=N_PROPERTY)
     y = random_vector(rng, size=N_PROPERTY)
@@ -201,8 +189,8 @@ def check_lie_adjoint_invariance(cfg: VerifyConfig) -> dict:
     )
 
 
-def check_lie_sp2_roundtrip(cfg: VerifyConfig) -> dict:
-    rng = _rng(cfg, 5)
+def check_lie_sp2_roundtrip(seed: int) -> dict:
+    rng = _rng(seed, 5)
     x = random_vector(rng, size=N_PROPERTY)
     s = to_sp2(x)
     mx, ms = x.matrix(), s.matrix()
@@ -235,8 +223,8 @@ def check_lie_sp2_roundtrip(cfg: VerifyConfig) -> dict:
 # disk checks
 
 
-def check_disk_mobius_isometry(cfg: VerifyConfig) -> dict:
-    rng = _rng(cfg, 6)
+def check_disk_mobius_isometry(seed: int) -> dict:
+    rng = _rng(seed, 6)
     g = random_mobius(rng, ZETA_MAX, size=N_ISOMETRY)
     z = random_point(rng, RMAX, size=N_ISOMETRY)
     w = random_point(rng, RMAX, size=N_ISOMETRY)
@@ -254,8 +242,8 @@ def check_disk_mobius_isometry(cfg: VerifyConfig) -> dict:
     )
 
 
-def check_disk_group_law(cfg: VerifyConfig) -> dict:
-    rng = _rng(cfg, 7)
+def check_disk_group_law(seed: int) -> dict:
+    rng = _rng(seed, 7)
     g, h, k = (random_mobius(rng, ZETA_MAX, size=N_ISOMETRY) for _ in range(3))
     z = random_point(rng, RMAX, size=N_ISOMETRY)
     comp = (g @ h) @ k
@@ -272,8 +260,8 @@ def check_disk_group_law(cfg: VerifyConfig) -> dict:
     )
 
 
-def check_disk_fiber_circle(cfg: VerifyConfig) -> dict:
-    rng = _rng(cfg, 8)
+def check_disk_fiber_circle(seed: int) -> dict:
+    rng = _rng(seed, 8)
     s = rng.uniform(0.0, 0.95, N_FIBER)
     u = rng.uniform(0.05, 0.95, N_FIBER)
     c, r = hyperbolic_disk_euclidean(s, u)
@@ -294,8 +282,8 @@ def check_disk_fiber_circle(cfg: VerifyConfig) -> dict:
 # moment checks
 
 
-def check_moment_diagonal_zero(cfg: VerifyConfig) -> dict:
-    rng = _rng(cfg, 9)
+def check_moment_diagonal_zero(seed: int) -> dict:
+    rng = _rng(seed, 9)
     z = random_point(rng, RMAX, size=100)
     worst = _worst(moment_vector(BidiskPoint(z, z)).norm_inf())
     return _entry(
@@ -306,8 +294,8 @@ def check_moment_diagonal_zero(cfg: VerifyConfig) -> dict:
     )
 
 
-def check_moment_cone_positive(cfg: VerifyConfig) -> dict:
-    rng = _rng(cfg, 10)
+def check_moment_cone_positive(seed: int) -> dict:
+    rng = _rng(seed, 10)
     p = BidiskPoint(*random_point(rng, RMAX, size=(2, N_CONE)))
     off = ~p.is_diagonal
     cls = classify(moment_vector(p))
@@ -327,8 +315,8 @@ def check_moment_cone_positive(cfg: VerifyConfig) -> dict:
     )
 
 
-def check_moment_slice_fd(cfg: VerifyConfig) -> dict:
-    h = cfg.fd_step
+def check_moment_slice_fd(seed: int) -> dict:
+    h = quadrature.fd_constant("FD_STEP")
     t = np.linspace(0.1, 0.9, 9)
 
     def rho_flow(s: float) -> np.ndarray:
@@ -338,8 +326,8 @@ def check_moment_slice_fd(cfg: VerifyConfig) -> dict:
     d, res = central_difference(rho_flow, 0.0, h)
     worst_defect = _worst(np.abs(-d - mu_slice(t)))
     worst_res = _worst(res / np.maximum(1.0, np.abs(d)))
-    if worst_res > cfg.fd_tol:
-        return _step_failure(cfg.fd_tol, worst_res, "slice moment derivative, t in [0.1, 0.9]")
+    if worst_res > quadrature.fd_constant("FD_TOL"):
+        return _step_failure(worst_res, "slice moment derivative, t in [0.1, 0.9]")
     return _entry(
         PASS if worst_defect <= 1e-6 else FAIL,
         {"max_defect": worst_defect, "max_rel_residual": worst_res},
@@ -350,8 +338,8 @@ def check_moment_slice_fd(cfg: VerifyConfig) -> dict:
     )
 
 
-def check_moment_equivariance(cfg: VerifyConfig) -> dict:
-    rng = _rng(cfg, 11)
+def check_moment_equivariance(seed: int) -> dict:
+    rng = _rng(seed, 11)
     p = BidiskPoint(*random_point(rng, RMAX, size=(2, N_EQUIVARIANCE)))
     g = random_mobius(rng, ZETA_MAX, size=N_EQUIVARIANCE)
     lhs = moment_vector(act_bidisk(g, p))
@@ -366,8 +354,8 @@ def check_moment_equivariance(cfg: VerifyConfig) -> dict:
     )
 
 
-def check_moment_coisotropy(cfg: VerifyConfig) -> dict:
-    rng = _rng(cfg, 12)
+def check_moment_coisotropy(seed: int) -> dict:
+    rng = _rng(seed, 12)
     delta = 1e-6
     t = rng.uniform(0.1, 0.8, N_COISOTROPY)
     g = random_mobius(rng, 0.7, size=N_COISOTROPY)
@@ -387,8 +375,8 @@ def check_moment_coisotropy(cfg: VerifyConfig) -> dict:
     )
 
 
-def check_moment_surjectivity(cfg: VerifyConfig) -> dict:
-    rng = _rng(cfg, 13)
+def check_moment_surjectivity(seed: int) -> dict:
+    rng = _rng(seed, 13)
     omega = rng.uniform(0.5, 20.0, N_SURJECTIVITY)
     g = random_mobius(rng, 0.7, size=N_SURJECTIVITY)
     y = adjoint(g, LieVector(omega, 0.0, 0.0))
@@ -439,7 +427,7 @@ def _min_eig(huu, hvv, huv):
     return 0.5 * (huu + hvv) - np.sqrt(0.25 * (huu - hvv) ** 2 + np.abs(huv) ** 2)
 
 
-def check_psh_hessian_grid(cfg: VerifyConfig) -> dict:
+def check_psh_hessian_grid(seed: int) -> dict:
     h = FD_STEP_SECOND
     grid = np.linspace(-GRID_HALFWIDTH, GRID_HALFWIDTH, GRID_N)
     z, w = np.meshgrid(grid + 0j, 1j * grid, indexing="ij")
@@ -447,8 +435,8 @@ def check_psh_hessian_grid(cfg: VerifyConfig) -> dict:
     u0, v0 = z[keep] + w[keep], z[keep] - w[keep]
     extrap, res = richardson(lambda s: _min_eig(*_hermitian_hessian(u0, v0, s)), h)
     worst_res = _worst(res / np.maximum(1.0, np.abs(extrap)))
-    if worst_res > cfg.fd_tol:
-        return _step_failure(cfg.fd_tol, worst_res, "complex Hessian grid")
+    if worst_res > quadrature.fd_constant("FD_TOL"):
+        return _step_failure(worst_res, "complex Hessian grid")
     min_eig = float(np.min(extrap, initial=math.inf))
     return _entry(
         PASS if min_eig > 0.0 else FAIL,
@@ -462,7 +450,7 @@ def check_psh_hessian_grid(cfg: VerifyConfig) -> dict:
     )
 
 
-def check_psh_mixed_on_slice(cfg: VerifyConfig) -> dict:
+def check_psh_mixed_on_slice(seed: int) -> dict:
     h = FD_STEP_SECOND
     u0 = 0.0
     v0 = 2.0 * np.linspace(0.1, 0.9, 9) + 0j
@@ -472,8 +460,8 @@ def check_psh_mixed_on_slice(cfg: VerifyConfig) -> dict:
     floor = 4.0 * 2.3e-16 * _rho_uv(u0, v0) / (h * h)
     worst = _worst(np.abs(extrap))
     worst_res = _worst(np.maximum(res, floor))
-    if worst_res > cfg.fd_tol:
-        return _step_failure(cfg.fd_tol, worst_res, "mixed Hessian entry on the slice")
+    if worst_res > quadrature.fd_constant("FD_TOL"):
+        return _step_failure(worst_res, "mixed Hessian entry on the slice")
     return _entry(
         PASS if worst <= 1e-5 else FAIL,
         {"max_mixed_entry": worst, "max_residual": worst_res},
@@ -483,7 +471,7 @@ def check_psh_mixed_on_slice(cfg: VerifyConfig) -> dict:
     )
 
 
-def check_psh_radial_convexity(cfg: VerifyConfig) -> dict:
+def check_psh_radial_convexity(seed: int) -> dict:
     h = FD_STEP_SECOND
 
     def profile(x):
@@ -498,8 +486,8 @@ def check_psh_radial_convexity(cfg: VerifyConfig) -> dict:
     near = np.array([-0.01, -0.001])
     near_zero, _ = _certified_second(profile, near, np.minimum(h, np.abs(near) / 4.0))
     min_near_zero = float(np.min(near_zero))
-    if worst_res > cfg.fd_tol:
-        return _step_failure(cfg.fd_tol, worst_res, "radial profile second derivative")
+    if worst_res > quadrature.fd_constant("FD_TOL"):
+        return _step_failure(worst_res, "radial profile second derivative")
     ok = worst_rel <= 1e-4 and min_near_zero > 1e3
     return _entry(
         PASS if ok else FAIL,
@@ -514,7 +502,7 @@ def check_psh_radial_convexity(cfg: VerifyConfig) -> dict:
     )
 
 
-def check_psh_radial_sech_form(cfg: VerifyConfig) -> dict:
+def check_psh_radial_sech_form(seed: int) -> dict:
     h = FD_STEP_SECOND
 
     def sech_profile(x: float) -> float:
@@ -525,8 +513,8 @@ def check_psh_radial_sech_form(cfg: VerifyConfig) -> dict:
     # tie the closed profile to the geometric route at an interior point
     link = abs(sech_profile(-0.5) - schwarz_distance(math.exp(-0.5), -math.exp(-0.5)))
     extrap, res = _certified_second(sech_profile, 0.0, h)
-    if res > cfg.fd_tol:
-        return _step_failure(cfg.fd_tol, res, "sech profile at 0")
+    if res > quadrature.fd_constant("FD_TOL"):
+        return _step_failure(res, "sech profile at 0")
     agrees = abs(extrap + 1.0) <= 1e-6 and link <= 1e-14
     return _entry(
         DISCREPANCY if agrees else FAIL,
@@ -544,7 +532,7 @@ def check_psh_radial_sech_form(cfg: VerifyConfig) -> dict:
     )
 
 
-def check_psh_curve_positivity(cfg: VerifyConfig) -> dict:
+def check_psh_curve_positivity(seed: int) -> dict:
     r = 0.01
     t = np.array([[0.2], [0.5], [0.8]])
     u = r * np.exp(1j * math.pi * np.arange(8) / 4.0)
@@ -600,26 +588,19 @@ _CHECKS = (
 )
 
 
-def run_all(cfg: VerifyConfig | None = None) -> dict[str, dict]:
-    """Every check, then the discrepancy ledger, as one report keyed by name."""
-    cfg = cfg or VerifyConfig()
+def run_all(seed: int = 20260814) -> dict[str, dict]:
+    """Every check at the given seed, then the discrepancy ledger, as one
+    report keyed by name."""
     report: dict[str, dict] = {}
     for name, fn in _CHECKS:
-        report[name] = fn(cfg)
-    report.update(discrepancy_ledger(cfg.fd_tol))
+        report[name] = fn(seed)
+    report.update(discrepancy_ledger())
     return report
 
 
 def to_json(report: dict[str, dict]) -> str:
     """The report as sorted, indented JSON with a final newline."""
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
-
-
-def has_step_size_failure(report: dict[str, dict]) -> bool:
-    return any(
-        str(entry.get("details", "")).startswith(STEP_SIZE_PREFIX)
-        for entry in report.values()
-    )
 
 
 def count_status(report: dict[str, dict], status: str) -> int:

@@ -23,7 +23,7 @@ from bidisk.spectral import (
     truncated_second_moment,
 )
 from bidisk.spectral import _cached_distribution
-from bidisk.verify import VerifyConfig, check_psh_hessian_grid, check_psh_mixed_on_slice
+from bidisk.verify import check_psh_hessian_grid, check_psh_mixed_on_slice
 from bidisk.cli import main as cli_main
 
 SEED = 20260814
@@ -98,8 +98,8 @@ def test_criterion_4_equivariance():
 
 
 def test_criterion_5_strict_plurisubharmonicity():
-    hess = check_psh_hessian_grid(VerifyConfig())
-    mixed = check_psh_mixed_on_slice(VerifyConfig())
+    hess = check_psh_hessian_grid(SEED)
+    mixed = check_psh_mixed_on_slice(SEED)
     min_eig = hess["value"]["min_eigenvalue"]
     mix = mixed["value"]["max_mixed_entry"]
     ok = hess["status"] == "pass" and min_eig > 0.0 and mix < 1e-5

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bidisk import cli
+from bidisk import cli, quadrature
 from bidisk.cli import (
     CSV_CHUNK_ROWS,
     EXIT_CHECK_FAILED,
@@ -247,13 +248,29 @@ def test_verify_json_is_byte_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_verify_uncertifiable_tolerance_exits_config(tmp_path, capsys):
+def test_verify_uncertifiable_step_exits_check_failed(tmp_path, capsys, monkeypatch):
+    # no step certifies a residual this small: the six FD entries fail
+    monkeypatch.setattr(quadrature, "FD_TOL", 1e-30)
     out = tmp_path / "r.json"
-    assert run(["verify", "--tol", "1e-30", "--json", str(out)]) == EXIT_CONFIG
+    assert run(["verify", "--json", str(out)]) == EXIT_CHECK_FAILED
     report = json.loads(out.read_text())
     assert any(
         str(e["details"]).startswith("step-size failure:") for e in report.values()
     )
+    assert "fail=6" in capsys.readouterr().out
+
+
+def test_verify_json_and_out_split_report_and_summary(tmp_path, capsys):
+    report, summary, alone = tmp_path / "r.json", tmp_path / "r.txt", tmp_path / "a.json"
+    assert run(["verify", "--json", str(report), "--out", str(summary)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert run(["verify", "--json", str(alone)]) == EXIT_OK
+    assert summary.read_text() == capsys.readouterr().out
+    assert report.read_bytes() == alone.read_bytes()
+    # --out alone still takes the report, and the summary goes to stdout
+    assert run(["verify", "--out", str(summary)]) == EXIT_OK
+    assert summary.read_bytes() == alone.read_bytes()
+    assert capsys.readouterr().out.endswith("fail=0\n")
 
 
 def test_moments_uniform_output(tmp_path, capsys):
@@ -276,6 +293,24 @@ def test_verify_and_moments_report_one_mean(tmp_path):
     moments = json.loads((tmp_path / "m.json").read_text())
     assert ledger["mean_quadrature"] == moments["mean_quadrature"]
     assert ledger["quadrature_bound"] == moments["mean_bound"]
+
+
+def test_moments_json_and_out_split_json_and_text(tmp_path, capsys):
+    blob, text, alone = tmp_path / "m.json", tmp_path / "m.txt", tmp_path / "a.json"
+    args = ["moments", "--weight", "exp", "--n", "2000"]
+    assert run(args + ["--json", str(blob), "--out", str(text)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert run(args + ["--json", str(alone)]) == EXIT_OK
+    assert text.read_text() == capsys.readouterr().out
+    assert blob.read_bytes() == alone.read_bytes()
+
+
+@pytest.mark.parametrize("cmd", ["verify", "moments"])
+def test_json_and_out_naming_one_file_exit_two(cmd, tmp_path, capsys):
+    path = tmp_path / "both"
+    assert run([cmd, "--json", str(path), "--out", str(tmp_path / "." / "both")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: --json and --out must name different files\n"
+    assert not path.exists()
 
 
 def test_moments_weighted_output(tmp_path):
@@ -559,8 +594,6 @@ def test_threads_must_be_positive(capsys):
 BAD_VALUES = {
     ">= 0": ["-1"],
     ">= 1": ["0", "-3"],
-    # argparse alone reads "-1e-5" after a flag as an option, not a value
-    "positive and finite": ["0", "-1.0", "-1e-5", "-2E3", "nan", "inf", "-inf"],
 }
 BAD_OPTIONS = [
     (cmd, name, value)
@@ -589,23 +622,36 @@ def test_bad_option_value_exits_two(cmd, name, value, source, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_float_flag_without_value_is_a_usage_error(capsys):
-    assert run(["verify", "--tol", "--fd-step", "1e-5"]) == EXIT_CONFIG
-    assert "--tol: expected one argument" in capsys.readouterr().err
+def test_readme_option_table_lists_every_requirement():
+    lines = (SRC.parent / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| option | requirement |") + 2
+    documented = {}
+    for row in lines[start:]:
+        if not row.startswith("|"):
+            break
+        flags, requirement = (cell.strip() for cell in row.strip("|").split("|"))
+        for name in re.findall(r"`--(\w+)`", flags):
+            documented[name] = requirement
+    required = {name: spec[2] for name, spec in cli.OPTIONS.items() if spec[2] is not None}
+    assert documented.keys() == required.keys()
+    for name, requirement in required.items():
+        assert documented[name].endswith(requirement), name
 
 
-@pytest.mark.parametrize("prefix,flag", [("--to", "--tol"), ("--fd", "--fd-step"), ("--fd-s", "--fd-step")])
-def test_abbreviated_float_flag_reaches_the_option_table(prefix, flag, capsys):
-    assert run(["verify", prefix, "-1e-5"]) == EXIT_CONFIG
-    assert capsys.readouterr().err == f"error: {flag} must be positive and finite\n"
-    ns = cli.build_parser().parse_args(cli._attach_float_values(["verify", prefix, "1e-5"]))
-    assert cli.resolve_options(ns)[flag[2:].replace("-", "_")] == 1e-5
+# far beyond any address space, so the allocation is refused before any
+# memory is touched
+HUGE = str(10**15)
 
 
-def test_ambiguous_float_flag_prefix_is_a_usage_error(capsys):
-    # --t names both --threads and --tol
-    assert run(["verify", "--t", "-1e-5"]) == EXIT_CONFIG
-    assert "ambiguous option: --t" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "args",
+    [["spectrum", "--grid", f"1e-3:100:{HUGE}"], ["sample", "--n", HUGE], ["moments", "--n", HUGE]],
+)
+def test_size_too_large_to_allocate_exits_two(args, capsys):
+    assert run(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("cmd", sorted(cli.SUBCOMMANDS))

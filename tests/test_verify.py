@@ -4,22 +4,20 @@ certification of every finite-difference-based check."""
 import json
 import math
 
-import numpy as np
 import pytest
 
+from bidisk import quadrature
 from bidisk.verify import (
     DISCREPANCY,
     FAIL,
     PASS,
     STEP_SIZE_PREFIX,
-    VerifyConfig,
     check_moment_coisotropy,
     check_moment_slice_fd,
     check_psh_hessian_grid,
     check_psh_mixed_on_slice,
     check_psh_radial_convexity,
     count_status,
-    has_step_size_failure,
     run_all,
     to_json,
 )
@@ -56,6 +54,8 @@ LEDGER_CHECKS = {
     "ledger_second_moment_growth",
 }
 
+SEED = 20260814  # run_all's default
+
 # the checks whose conclusions rest on finite differences; all of them
 # must refuse to report a result when the step cannot be certified
 FD_CHECKS = {
@@ -75,9 +75,9 @@ def test_run_all_default_has_no_failures():
     assert count_status(report, FAIL) == 0
     assert count_status(report, DISCREPANCY) >= 2
     assert count_status(report, PASS) + count_status(report, DISCREPANCY) == len(report)
-    assert not has_step_size_failure(report)
     for entry in report.values():
         assert set(entry) == {"status", "value", "tolerance", "details"}
+        assert not str(entry["details"]).startswith(STEP_SIZE_PREFIX)
     # the report is valid, round-trippable JSON
     text = to_json(report)
     assert json.loads(text) == report
@@ -87,10 +87,11 @@ def test_run_all_is_deterministic():
     assert to_json(run_all()) == to_json(run_all())
 
 
-def test_uncertifiable_step_size_is_reported_not_silently_passed():
-    cfg = VerifyConfig(fd_tol=1e-30)
-    report = run_all(cfg)
-    assert has_step_size_failure(report)
+def test_uncertifiable_step_size_is_reported_not_silently_passed(monkeypatch):
+    certified = run_all()
+    # no step certifies a residual this small
+    monkeypatch.setattr(quadrature, "FD_TOL", 1e-30)
+    report = run_all()
     flagged = {
         name
         for name, entry in report.items()
@@ -99,41 +100,46 @@ def test_uncertifiable_step_size_is_reported_not_silently_passed():
     assert flagged == FD_CHECKS
     for name in flagged:
         assert report[name]["status"] == FAIL
-        assert report[name]["tolerance"] == cfg.fd_tol
+        assert report[name]["tolerance"] == quadrature.FD_TOL
     # everything that does not rest on finite differences is unaffected
     for name, entry in report.items():
         if name not in FD_CHECKS:
+            assert entry["status"] == certified[name]["status"]
             assert entry["status"] in (PASS, DISCREPANCY)
 
 
 @pytest.mark.parametrize("field", ["fd_step", "fd_tol"])
 @pytest.mark.parametrize("value", [0.0, -1e-5, math.nan, math.inf])
-def test_config_rejects_step_and_tolerance_that_are_not_positive_and_finite(field, value):
-    with pytest.raises(ValueError, match=field):
-        VerifyConfig(**{field: value})
+def test_config_rejects_step_and_tolerance_that_are_not_positive_and_finite(
+    field, value, monkeypatch
+):
+    # a NaN or infinite tolerance would certify every residual
+    monkeypatch.setattr(quadrature, field.upper(), value)
+    with pytest.raises(ValueError, match=field.upper()):
+        check_moment_slice_fd(SEED)
 
 
 def test_slice_fd_check_detail():
-    entry = check_moment_slice_fd(VerifyConfig())
+    entry = check_moment_slice_fd(SEED)
     assert entry["status"] == PASS
     assert entry["value"]["max_defect"] < 1e-6
     assert entry["value"]["max_rel_residual"] < 1e-5
 
 
 def test_hessian_grid_check_detail():
-    entry = check_psh_hessian_grid(VerifyConfig())
+    entry = check_psh_hessian_grid(SEED)
     assert entry["status"] == PASS
     assert entry["value"]["min_eigenvalue"] > 0.0
 
 
 def test_mixed_term_vanishes_on_slice():
-    entry = check_psh_mixed_on_slice(VerifyConfig())
+    entry = check_psh_mixed_on_slice(SEED)
     assert entry["status"] == PASS
     assert entry["value"]["max_mixed_entry"] < 1e-5
 
 
 def test_coisotropy_check_detail():
-    entry = check_moment_coisotropy(VerifyConfig())
+    entry = check_moment_coisotropy(SEED)
     assert entry["status"] == PASS
 
 
@@ -154,14 +160,14 @@ def test_radial_convexity_reference_value():
     extrap = (4.0 * second(h) - second(2.0 * h)) / 3.0
     assert abs(extrap - ref) < 1e-6
 
-    entry = check_psh_radial_convexity(VerifyConfig())
+    entry = check_psh_radial_convexity(SEED)
     assert entry["status"] == PASS
     assert entry["value"]["max_rel_defect"] < 1e-4
     assert entry["value"]["min_second_derivative_near_zero"] > 1e3
 
 
 def test_sech_profile_discrepancy_is_standing():
-    report = run_all(VerifyConfig())
+    report = run_all(SEED)
     entry = report["psh_radial_sech_form"]
     assert entry["status"] == DISCREPANCY
     assert abs(entry["value"]["second_derivative_at_0"] + 1.0) < 1e-6
@@ -170,5 +176,5 @@ def test_sech_profile_discrepancy_is_standing():
 
 
 def test_seed_changes_nothing_structural():
-    a = run_all(VerifyConfig(seed=1))
+    a = run_all(1)
     assert count_status(a, FAIL) == 0

@@ -319,7 +319,11 @@ def cmd_moments(opts: dict) -> int:
     weight = parse_weight(opts["weight"])
     out: dict = {"weight": weight.kind, "cuts": list(MOMENT_CUTS)}
     batch = mc_sample(opts["n"], opts["seed"], weight)
-    m_mc, se_mc = mc_mean(batch)
+    try:
+        m_mc, se_mc = mc_mean(batch)
+    except ValueError as exc:
+        # a weight table that is zero wherever the draws fall
+        raise CliError(f"--weight {opts['weight']}: {exc}") from exc
     out["mean_mc"] = m_mc
     out["mc_stderr"] = se_mc
     out["mc_n"] = opts["n"]
@@ -450,7 +454,12 @@ def cmd_reweight(opts: dict) -> int:
     weight = parse_weight(opts["weight"])
     x = _grid_from(opts)
     header = ("x", "x_tilde", "f_quad", "weight", "f_reweighted")
-    f_quad, w, f_rw = pdf_quadrature(x), weight.weight_of_omega(x), reweight_density(weight, x)
+    try:
+        f_rw = reweight_density(weight, x)
+    except ValueError as exc:
+        # a weight table that is zero wherever the distribution has mass
+        raise CliError(f"--weight {opts['weight']}: {exc}") from exc
+    f_quad, w = pdf_quadrature(x), weight.weight_of_omega(x)
     _emit(opts["out"], _csv_text(header, (x, x / 4.0, f_quad, w, f_rw)))
     return EXIT_OK
 

@@ -518,6 +518,8 @@ class WeightSpec:
                 raise ValueError("weight table rho column must increase")
             if any(v < 0.0 for v in self.values):
                 raise ValueError("weight table values must be nonnegative")
+            if not any(self.values):
+                raise ValueError("weight table values must not all be zero")
 
     def weight_of_rho(self, rho):
         """w(rho) on a float or an array."""
@@ -556,6 +558,11 @@ class SampleBatch:
 
 # sorted points per cdf call of ks_distance: 128 kB per temporary array
 _KS_BLOCK = 2**14
+# sorted points per block of ks_distance's pruning bound
+_KS_EDGE = 64
+# ks_distance's tolerance for a decreasing cdf: its blocks are opened that
+# far below the lower bound, and a larger decrease raises ValueError
+_KS_SLACK = 1e-12
 
 
 def _sample_stream(seq: np.random.SeedSequence, m: int) -> np.ndarray:
@@ -599,49 +606,100 @@ def mc_sample(
     return SampleBatch(omega, weight.weight_of_omega(omega), int(seed), sizes)
 
 
+def _checked_batch(batch: SampleBatch) -> tuple[np.ndarray, np.ndarray]:
+    """The batch's omega and weight; a batch that is empty, of unequal
+    lengths, with NaN omega, NaN, infinite or negative weight, or with no
+    positive weight raises ValueError."""
+    omega = np.asarray(batch.omega, dtype=float)
+    weight = np.asarray(batch.weight, dtype=float)
+    if omega.ndim != 1 or omega.size == 0:
+        raise ValueError("batch must hold a nonempty 1-d array of omegas")
+    if weight.shape != omega.shape:
+        raise ValueError(f"batch has {omega.size} omegas but weights of shape {weight.shape}")
+    if np.isnan(omega).any():
+        raise ValueError("batch omega must not be NaN")
+    # NaN fails both comparisons
+    if not (weight.min() >= 0.0 and weight.max() < math.inf):
+        raise ValueError("batch weights must be finite and nonnegative")
+    if not weight.max() > 0.0:
+        raise ValueError("batch has no positive weight")
+    return omega, weight
+
+
+def _cdf_at(cdf, xs: np.ndarray) -> np.ndarray:
+    """cdf on ascending xs in calls of at most _KS_BLOCK points; a NaN
+    value raises ValueError."""
+    fv = np.empty(xs.size)
+    for start in range(0, xs.size, _KS_BLOCK):
+        fv[start : start + _KS_BLOCK] = cdf(xs[start : start + _KS_BLOCK])
+    if np.isnan(fv).any():
+        raise ValueError("cdf returned NaN")
+    return fv
+
+
 def ks_distance(batch: SampleBatch, cdf) -> float:
     """Weighted Kolmogorov-Smirnov distance between the batch and cdf.
 
-    ``cdf`` is called on consecutive blocks of the sorted omegas, of at
-    most _KS_BLOCK points each, so its working set does not grow with the
-    batch.  It must therefore be elementwise: its value at a point may not
-    depend on the other points of the call.  Both one-sided gaps are
-    taken at the jump points of the weighted empirical distribution: the
-    upper gap at the last element of each run of equal omegas and the
-    lower gap at the first.  With nonnegative weights the running sum does
-    not decrease, so the maxima over all elements fall on those ends and
-    the statistic does not depend on the order the sort leaves ties in,
-    up to the rounding of the running sum.  The maxima are exact, so the
-    blocks give the statistic of one whole-array call bit for bit.
+    The statistic is the largest upper gap cum[i] - F(x_i) and lower gap
+    F(x_i) - cum[i-1] (0 at i = 0) over the sorted omegas x_i, with cum
+    the normalized running sum of their weights.  ``cdf`` must be
+    elementwise, its value at a point not depending on the other points of
+    the call, and nondecreasing.  It is called on ascending points of the
+    batch, at most _KS_BLOCK per call, and only where the maximum can be:
+
+    1. on the first and last point of every block of _KS_EDGE sorted
+       points, whose gaps bound the statistic from below;
+    2. on the inner points of those blocks whose bound
+       max(cum[last] - F(first), F(last) - cum[first - 1]), which no gap
+       inside the block exceeds since cum and F do not decrease, comes
+       within _KS_SLACK of that lower bound.
+
+    The statistic is thus the maximum of the same elementwise gaps as one
+    cdf call on all sorted points, and equals it bit for bit; at n = 1e6
+    cdf sees about 4% of the points.  The working set is the sort index,
+    the sorted omegas and the running sum, plus O(n / _KS_EDGE) values for
+    the blocks.  An empty batch, omega and weight of unequal lengths, a NaN
+    omega, a NaN, infinite or negative weight, no positive weight, a NaN
+    cdf value, or a decrease of more than _KS_SLACK along the evaluated
+    points raises ValueError.
     """
-    order = np.argsort(batch.omega)
-    xs = batch.omega[order]
-    cum = batch.weight[order]
+    omega, weight = _checked_batch(batch)
+    order = np.argsort(omega)
+    xs = omega[order]
+    cum = weight[order]
     del order  # freed before cdf allocates its own arrays
     np.cumsum(cum, out=cum)
-    total = cum[-1]
-    if total <= 0.0:
-        raise ValueError("batch has no positive weight")
-    cum /= total
-    # per-block maxima of the upper gap cum - F and the lower gap
-    # F - cum_prev, where cum_prev is the running sum just below each point
-    gaps = []
-    below = 0.0
-    for start in range(0, xs.size, _KS_BLOCK):
-        c = cum[start : start + _KS_BLOCK]
-        fv = np.asarray(cdf(xs[start : start + _KS_BLOCK]), dtype=float)
-        gaps.append(np.max(c - fv))
-        gaps.append(np.max(np.subtract(fv[1:], c[:-1], out=c[:-1]), initial=fv[0] - below))
-        below = c[-1]
-    return float(np.max(gaps))
+    cum /= cum[-1]
+    n = xs.size
+    first = np.arange(0, n, _KS_EDGE)
+    last = np.minimum(first + (_KS_EDGE - 1), n - 1)
+    ends = np.column_stack((first, last)).ravel()
+    f_ends = _cdf_at(cdf, xs[ends])
+    below = np.where(ends > 0, cum[ends - 1], 0.0)  # the running sum before each end
+    best = max(np.max(cum[ends] - f_ends), np.max(f_ends - below))
+    bound = np.maximum(cum[last] - f_ends[0::2], f_ends[1::2] - below[0::2])
+    open_blocks = first[bound + _KS_SLACK >= best]
+    inner = (open_blocks[:, None] + np.arange(1, _KS_EDGE - 1)).ravel()
+    inner = inner[inner < n - 1]  # the last block may be short
+    # every evaluated point in sorted order, for the gaps and the monotonicity check
+    idx = np.concatenate((ends, inner))
+    fv = np.concatenate((f_ends, _cdf_at(cdf, xs[inner])))
+    by_index = np.argsort(idx, kind="stable")
+    idx, fv = idx[by_index], fv[by_index]
+    if np.any(np.diff(fv) < -_KS_SLACK):
+        raise ValueError(f"cdf decreases by more than {_KS_SLACK:g} along the sorted omegas")
+    below = np.where(idx > 0, cum[idx - 1], 0.0)
+    return float(max(np.max(cum[idx] - fv), np.max(fv - below)))
 
 
 def mc_mean(batch: SampleBatch) -> tuple[float, float]:
-    """Self-normalized weighted mean and its standard error."""
-    w = batch.weight
+    """Self-normalized weighted mean and its standard error.  An empty
+    batch, omega and weight of unequal lengths, a NaN omega, a NaN, infinite
+    or negative weight, or no positive weight raises ValueError."""
+    omega, w = _checked_batch(batch)
     total = float(np.sum(w))
-    mean = float(np.sum(w * batch.omega)) / total
-    dev = batch.omega - mean
+    mean = float(np.sum(w * omega)) / total
+    dev = omega - mean
     stderr = math.sqrt(float(np.sum((w * dev) ** 2))) / total
     return mean, stderr
 

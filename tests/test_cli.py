@@ -440,6 +440,26 @@ def test_weight_table_non_finite_rejected(tmp_path, capsys, row):
     assert err.startswith(f"error: {bad}: line 4: ") and "finite" in err
 
 
+@pytest.mark.parametrize("command", ["moments", "reweight"])
+def test_all_zero_weight_table_exits_two(command, tmp_path, capsys):
+    zero = tmp_path / "z.csv"
+    zero.write_text("rho,weight\n0.0,0.0\n1.0,0.0\n")
+    assert run([command, "--weight", f"table:{zero}"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {zero}: ") and "zero" in err
+
+
+@pytest.mark.parametrize("command", ["moments", "reweight"])
+def test_weight_table_zero_where_the_mass_lies_exits_two(command, tmp_path, capsys):
+    # positive only beyond rho = 60, where neither the draws nor the
+    # reweighting table reach (omega = 4 sinh(rho / 2) > 4e13)
+    far = tmp_path / "far.csv"
+    far.write_text("rho,weight\n0.0,0.0\n60.0,0.0\n61.0,1.0\n")
+    args = ["--n", "1000"] if command == "moments" else []
+    assert run([command, *args, "--weight", f"table:{far}"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: --weight table:{far}: ")
+
+
 def _spectrum_rows(*rows):
     return ",".join(TABLE_COLUMNS) + "\n" + "".join(r + "\n" for r in rows)
 

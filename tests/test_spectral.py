@@ -45,6 +45,7 @@ from bidisk.spectral import (
 )
 from bidisk.spectral import (
     _KS_BLOCK,
+    _KS_SLACK,
     SampleBatch,
     _cached_distribution,
     _cdf_and_tail,
@@ -688,17 +689,77 @@ def test_ks_distance_blocks_equal_one_whole_array_call(n, route):
     assert ks_distance(batch, cdf) == _ks_whole_array(batch, cdf)
 
 
-def test_ks_distance_calls_cdf_on_sorted_blocks():
+def _recording(cdf, calls):
+    def recorded(xs):
+        calls.append(xs.copy())
+        return cdf(xs)
+
+    return recorded
+
+
+def test_ks_distance_calls_cdf_on_ascending_batch_points():
     batch = mc_sample(3 * _KS_BLOCK + 5, seed=4)
     calls = []
+    ks_distance(batch, _recording(cdf_quadrature_batch, calls))
+    for c in calls:
+        assert 0 < c.size <= _KS_BLOCK
+        assert np.all(np.diff(c) >= 0.0)
+        assert np.all(np.isin(c, batch.omega))
+
+
+def test_ks_distance_evaluates_cdf_on_a_fraction_of_the_batch():
+    n = 2**18
+    batch = mc_sample(n, seed=4)
+    calls = []
+    ks_distance(batch, _recording(cdf_quadrature_batch, calls))
+    assert sum(c.size for c in calls) < n / 4
+
+
+def _batch(omega, weight):
+    omega, weight = np.asarray(omega, dtype=float), np.asarray(weight, dtype=float)
+    return SampleBatch(omega=omega, weight=weight, seed=0, stream_sizes=(omega.size,))
+
+
+@pytest.mark.parametrize("estimate", [lambda b: ks_distance(b, cdf_quadrature_batch), mc_mean], ids=["ks", "mean"])
+@pytest.mark.parametrize(
+    "omega, weight",
+    [
+        ([], []),
+        ([1.0, 2.0, 3.0], [1.0, 1.0]),
+        ([1.0, math.nan, 3.0], [1.0, 1.0, 1.0]),
+        ([1.0, 2.0, 3.0], [1.0, math.nan, 1.0]),
+        ([1.0, 2.0, 3.0], [1.0, -0.5, 1.0]),
+        ([1.0, 2.0, 3.0], [1.0, math.inf, 1.0]),
+        ([1.0, 2.0, 3.0], [0.0, 0.0, 0.0]),
+    ],
+    ids=["empty", "lengths", "nan_omega", "nan_weight", "negative_weight", "inf_weight", "no_positive_weight"],
+)
+def test_batch_estimates_reject_malformed_batches(estimate, omega, weight):
+    with pytest.raises(ValueError):
+        estimate(_batch(omega, weight))
+
+
+def test_ks_distance_rejects_a_nan_cdf_value():
+    batch = mc_sample(1000, seed=2)
+    with pytest.raises(ValueError, match="NaN"):
+        ks_distance(batch, lambda xs: np.where(xs > np.median(batch.omega), math.nan, 0.5))
+
+
+def test_ks_distance_rejects_a_decreasing_cdf():
+    batch = mc_sample(1000, seed=2)
+    with pytest.raises(ValueError, match="decreases"):
+        ks_distance(batch, lambda xs: 1.0 - cdf_quadrature_batch(xs))
+
+
+def test_ks_distance_forgives_a_decrease_within_the_slack():
+    batch = _batch(np.arange(1.0, 5.0), np.ones(4))
+    # F steps down by half the slack between the two middle points
+    fv = {1.0: 0.1, 2.0: 0.5, 3.0: 0.5 - _KS_SLACK / 2, 4.0: 0.9}
 
     def cdf(xs):
-        calls.append(xs.copy())
-        return cdf_quadrature_batch(xs)
+        return np.array([fv[x] for x in xs])
 
-    ks_distance(batch, cdf)
-    assert max(c.size for c in calls) <= _KS_BLOCK
-    assert np.array_equal(np.concatenate(calls), np.sort(batch.omega))
+    assert ks_distance(batch, cdf) == _ks_whole_array(batch, cdf)
 
 
 def test_ks_distance_memory_does_not_grow_with_the_cdf():
@@ -747,6 +808,8 @@ def test_weight_spec_validation():
         WeightSpec("table", (0.0, math.nan, 2.0), (1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
         WeightSpec("table", (0.0, 1.0), (1.0, math.inf))
+    with pytest.raises(ValueError, match="zero"):
+        WeightSpec("table", (0.0, 1.0), (0.0, 0.0))
 
 
 def test_weight_spec_table_interpolates():

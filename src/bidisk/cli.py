@@ -20,8 +20,11 @@ malformed inputs, bad flag values, and sizes too large to allocate.
 Output bytes are a pure function of the parsed options: CSV files use
 CRLF line endings and repr float formatting, the verification report is
 sorted JSON, and sampling splits its substreams deterministically.
---threads is accepted on every subcommand and changes neither the output
-nor the execution.
+--threads is accepted on every subcommand.  --threads N formats CSV rows
+in up to N processes, capped at the usable CPUs and the chunk count, and
+the output bytes never change.  The extra processes are forked, which
+needs POSIX, and write their rows to temporary files under TMPDIR; a
+failure there exits 2.
 
 Each output file is opened once and CSV tables are written in chunks of
 CSV_CHUNK_ROWS rows, never held whole as text; a failed write (full disk,
@@ -37,11 +40,15 @@ import csv
 import json
 import math
 import os
+import signal
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 
 from .spectral import (
+    SampleBatch,
     SpectralTable,
     TABLE_COLUMNS,
     WeightSpec,
@@ -55,6 +62,7 @@ from .spectral import (
     weighted_truncated_second_moment,
     MEAN_CLAIMED,
     MOMENT_CUTS,
+    _checked_batch,
 )
 from .verify import (
     FAIL,
@@ -68,6 +76,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 
 CSV_CHUNK_ROWS = 4096  # rows per written piece of a CSV table
+_COPY_CHARS = 1 << 16  # characters per piece copied from a CSV worker's file
 
 
 class CliError(Exception):
@@ -88,7 +97,7 @@ def _bool(s: str) -> bool:
 # --name, and a _bool option is a store_true flag.
 OPTIONS: dict[str, tuple] = {
     "seed": (int, lambda v: v >= 0, ">= 0", "RNG seed"),
-    "threads": (int, lambda v: v >= 1, ">= 1", "no effect on output or execution"),
+    "threads": (int, lambda v: v >= 1, ">= 1", "CSV formatting processes (output unchanged)"),
     "out": (str, None, None, "output path (default stdout)"),
     "config": (str, None, None, "key=value config file"),
     "grid": (str, None, None, "min:max:points (plot: when no --table)"),
@@ -244,14 +253,104 @@ def _reject_rows(path: str, lines: list[int], bad: np.ndarray, message: str) -> 
         raise CliError(f"{path}: line {lines[int(bad.argmax())]}: {message}")
 
 
-def _csv_text(header: tuple[str, ...], columns):
+def _csv_rows(columns, start: int, stop: int) -> str:
+    """CRLF rows start:stop of equal-length float64 columns, repr floats,
+    from one join of the cells interleaved with their separators."""
+    k, m = len(columns), stop - start
+    cells = [","] * (2 * k * m)
+    for c, column in enumerate(columns):
+        values = column[start:stop]
+        bits = values.view(np.uint64)
+        if (bits == bits[0]).all():
+            # one repr for a column of one bit pattern, such as uniform weights
+            cells[2 * c :: 2 * k] = [repr(values[0].item())] * m
+        else:
+            cells[2 * c :: 2 * k] = map(repr, values.tolist())
+    cells[2 * k - 1 :: 2 * k] = ["\r\n"] * m
+    return "".join(cells)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a POSIX system without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _part_bounds(rows: int, workers: int) -> list[tuple[int, int]]:
+    """Row ranges of up to `workers` contiguous parts of whole chunks, one
+    per process, capped at the usable CPUs and the chunk count."""
+    chunks = -(-rows // CSV_CHUNK_ROWS)
+    if not hasattr(os, "fork"):
+        workers = 1
+    workers = max(1, min(workers, _usable_cpus(), chunks))
+    cuts = [min(rows, chunks * p // workers * CSV_CHUNK_ROWS) for p in range(workers + 1)]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _fork_part(columns, start: int, stop: int):
+    """(pid, file) of a forked child that writes CSV rows start:stop into
+    the anonymous temporary file and exits 0, or 1 on any error: the child
+    never returns into the caller."""
+    tmp = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns that numpy's BLAS threads exist; the child
+            # runs no BLAS code, only repr, join and writes
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        tmp.close()
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            for i in range(start, stop, CSV_CHUNK_ROWS):
+                tmp.write(_csv_rows(columns, i, min(i + CSV_CHUNK_ROWS, stop)))
+            tmp.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    return pid, tmp
+
+
+def _csv_text(header: tuple[str, ...], columns, workers: int = 1):
     """Yield the CSV text of equal-length float64 columns: the header
-    line, then CRLF rows of repr floats, CSV_CHUNK_ROWS rows a piece."""
-    row = ",".join(["{!r}"] * len(columns)) + "\r\n"
+    line, then CRLF rows of repr floats.  The rows are split into up to
+    `workers` parts of whole CSV_CHUNK_ROWS chunks (see _part_bounds).
+    This process formats the first part and yields it a chunk a piece; a
+    forked child formats each other part into a temporary file, which is
+    yielded in pieces of at most _COPY_CHARS characters once the child has
+    exited.  The text is the same for every `workers`.  A failed child
+    raises CliError, and however the generator ends, every child is
+    killed and reaped and every temporary file closed."""
     yield ",".join(header) + "\r\n"
-    for i in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-        j = i + CSV_CHUNK_ROWS
-        yield "".join(map(row.format, *[c[i:j].tolist() for c in columns]))
+    (start, stop), *rest = _part_bounds(len(columns[0]), workers)
+    children: list[tuple[int, object]] = []
+    reaped: set[int] = set()
+    try:
+        try:
+            for part in rest:
+                children.append(_fork_part(columns, *part))
+        except OSError as exc:
+            raise CliError(f"cannot start a CSV worker: {exc}") from exc
+        for i in range(start, stop, CSV_CHUNK_ROWS):
+            yield _csv_rows(columns, i, min(i + CSV_CHUNK_ROWS, stop))
+        for pid, tmp in children:
+            status = os.waitpid(pid, 0)[1]
+            reaped.add(pid)
+            if status != 0:
+                code = os.waitstatus_to_exitcode(status)
+                raise CliError(f"a CSV worker failed with exit status {code}")
+            tmp.seek(0)
+            while piece := tmp.read(_COPY_CHARS):
+                yield piece
+    finally:
+        for pid, tmp in children:
+            if pid not in reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            tmp.close()
 
 
 def _write_text(out, text: str) -> None:
@@ -260,8 +359,8 @@ def _write_text(out, text: str) -> None:
 
 def _emit(path: str | None, texts) -> None:
     """Write texts in order to the file at path, opened once, or to stdout
-    when path is None.  A failed write raises CliError and may leave a
-    partial file."""
+    when path is None, and close texts if it is a generator.  A failed
+    write raises CliError and may leave a partial file."""
     try:
         if path is None:
             for text in texts:
@@ -279,6 +378,11 @@ def _emit(path: str | None, texts) -> None:
             os.dup2(null, sys.stdout.fileno())
             os.close(null)
         raise CliError(f"cannot write {'stdout' if path is None else path}: {exc}") from exc
+    finally:
+        # a _csv_text generator reaps its workers now, not at garbage collection
+        close = getattr(texts, "close", None)
+        if close is not None:
+            close()
 
 
 def _grid_from(opts: dict) -> np.ndarray:
@@ -287,14 +391,28 @@ def _grid_from(opts: dict) -> np.ndarray:
 
 def cmd_spectrum(opts: dict) -> int:
     table = SpectralTable.build(_grid_from(opts))
-    _emit(opts["out"], _csv_text(TABLE_COLUMNS, [getattr(table, c) for c in TABLE_COLUMNS]))
+    columns = [getattr(table, c) for c in TABLE_COLUMNS]
+    _emit(opts["out"], _csv_text(TABLE_COLUMNS, columns, opts["threads"]))
     return EXIT_OK
+
+
+def _draws(opts: dict, weight: WeightSpec, **kwargs) -> SampleBatch:
+    """mc_sample at opts' n and seed; a batch that _checked_batch rejects,
+    such as one from a weight table that is zero wherever the draws fall,
+    raises CliError."""
+    batch = mc_sample(opts["n"], opts["seed"], weight, **kwargs)
+    try:
+        _checked_batch(batch)
+    except ValueError as exc:
+        raise CliError(f"--weight {opts['weight']}: {exc}") from exc
+    return batch
 
 
 def cmd_sample(opts: dict) -> int:
     weight = parse_weight(opts["weight"])
-    batch = mc_sample(opts["n"], opts["seed"], weight, streams=opts["streams"])
-    _emit(opts["out"], _csv_text(("omega", "weight"), (batch.omega, batch.weight)))
+    batch = _draws(opts, weight, streams=opts["streams"])
+    columns = (batch.omega, batch.weight)
+    _emit(opts["out"], _csv_text(("omega", "weight"), columns, opts["threads"]))
     return EXIT_OK
 
 
@@ -318,12 +436,7 @@ def cmd_verify(opts: dict) -> int:
 def cmd_moments(opts: dict) -> int:
     weight = parse_weight(opts["weight"])
     out: dict = {"weight": weight.kind, "cuts": list(MOMENT_CUTS)}
-    batch = mc_sample(opts["n"], opts["seed"], weight)
-    try:
-        m_mc, se_mc = mc_mean(batch)
-    except ValueError as exc:
-        # a weight table that is zero wherever the draws fall
-        raise CliError(f"--weight {opts['weight']}: {exc}") from exc
+    m_mc, se_mc = mc_mean(_draws(opts, weight))
     out["mean_mc"] = m_mc
     out["mc_stderr"] = se_mc
     out["mc_n"] = opts["n"]
@@ -460,7 +573,7 @@ def cmd_reweight(opts: dict) -> int:
         # a weight table that is zero wherever the distribution has mass
         raise CliError(f"--weight {opts['weight']}: {exc}") from exc
     f_quad, w = pdf_quadrature(x), weight.weight_of_omega(x)
-    _emit(opts["out"], _csv_text(header, (x, x / 4.0, f_quad, w, f_rw)))
+    _emit(opts["out"], _csv_text(header, (x, x / 4.0, f_quad, w, f_rw), opts["threads"]))
     return EXIT_OK
 
 

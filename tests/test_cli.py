@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -70,14 +71,76 @@ N_CHUNKED = 2 * CSV_CHUNK_ROWS + 3
 LINEAR = f"1:100:{CSV_CHUNK_ROWS + 1}"
 
 
-def test_sample_chunks_match_reference_writer(tmp_path, capsys):
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the CSV workers that cli forks, with the usable CPUs
+    read as 3, so that --threads up to 3 forks on any host."""
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_sample_chunks_match_reference_writer(threads, tmp_path, capsys, forks):
     out = tmp_path / "s.csv"
-    assert run(["sample", "--n", str(N_CHUNKED), "--seed", "5", "--out", str(out)]) == EXIT_OK
-    assert run(["sample", "--n", str(N_CHUNKED), "--seed", "5"]) == EXIT_OK
+    args = ["sample", "--n", str(N_CHUNKED), "--seed", "5", "--threads", str(threads)]
+    assert run(args + ["--out", str(out)]) == EXIT_OK
+    assert run(args) == EXIT_OK
     batch = mc_sample(N_CHUNKED, 5, UNIFORM_WEIGHT, streams=16)
     ref = reference_csv(("omega", "weight"), (batch.omega, batch.weight))
     assert out.read_bytes() == ref
     assert capsys.readouterr().out.encode() == ref
+    assert len(forks) == 2 * (threads - 1)
+    assert_reaped(forks)
+
+
+CSV_VALUES = [-0.0, 0.0, 5e-324, 1e-05, 1e16, 1e300, math.nan, math.inf]
+
+
+@pytest.mark.parametrize("n_columns", [1, 2, 8])
+@pytest.mark.parametrize(
+    "rows", [1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, N_CHUNKED, 5 * CSV_CHUNK_ROWS + 1]
+)
+def test_csv_text_matches_reference_writer(rows, n_columns, forks):
+    rng = np.random.default_rng(rows + n_columns)
+    columns = []
+    for c in range(n_columns):
+        column = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+        special = (np.arange(rows) + c) % 3 == 0
+        column[special] = np.resize(np.roll(CSV_VALUES, c), rows)[special]
+        columns.append(column)
+    header = tuple(f"c{c}" for c in range(n_columns))
+    ref = reference_csv(header, columns)
+    for workers in (1, 2, 3):
+        assert "".join(cli._csv_text(header, columns, workers)).encode() == ref, workers
+    chunks = -(-rows // CSV_CHUNK_ROWS)
+    assert len(forks) == sum(min(w, chunks) - 1 for w in (1, 2, 3))
+    assert_reaped(forks)
+
+
+def test_csv_text_of_constant_columns_matches_reference_writer():
+    columns = [np.full(N_CHUNKED, v) for v in CSV_VALUES]
+    signed_zeros = np.zeros(N_CHUNKED)
+    signed_zeros[1::2] = -0.0  # equal values of two bit patterns, so two reprs
+    columns.append(signed_zeros)
+    header = tuple(f"c{c}" for c in range(len(columns)))
+    ref = reference_csv(header, columns)
+    assert "".join(cli._csv_text(header, columns)).encode() == ref
 
 
 def test_spectrum_chunks_match_reference_writer(tmp_path):
@@ -98,7 +161,8 @@ def test_reweight_chunks_match_reference_writer(tmp_path):
     assert data == reference_csv(header.split(","), columns)
 
 
-def test_write_text_gets_every_byte_as_str(tmp_path, monkeypatch):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_write_text_gets_every_byte_as_str(threads, tmp_path, monkeypatch, forks):
     # the benchmark's tracer counts cli.out_bytes from _write_text's text
     calls = []
     write = cli._write_text
@@ -110,10 +174,13 @@ def test_write_text_gets_every_byte_as_str(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_write_text", recording)
     out = tmp_path / "s.csv"
     n = 10000
-    assert run(["sample", "--n", str(n), "--out", str(out)]) == EXIT_OK
+    assert run(["sample", "--n", str(n), "--threads", str(threads), "--out", str(out)]) == EXIT_OK
     assert all(type(t) is str for t in calls)
     assert sum(len(t.encode("utf-8")) for t in calls) == out.stat().st_size
-    assert len(calls) == 1 + math.ceil(n / CSV_CHUNK_ROWS)
+    if threads == 1:
+        assert len(calls) == 1 + math.ceil(n / CSV_CHUNK_ROWS)
+    assert len(forks) == threads - 1
+    assert_reaped(forks)
 
 
 WRITERS = {
@@ -139,17 +206,20 @@ def test_output_errors_exit_two(command, target, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
 
 
-@pytest.mark.parametrize("read_first", [0, 100])
-def test_closed_stdout_exits_two_without_traceback(read_first):
+def assert_closed_stdout_exits_two(read_first, *args):
+    """`bidisk sample --n 100000 ARGS`, whose stdout reader closes after
+    read_first bytes, exits 2 with one line of error and no traceback, and
+    no process of its session outlives it."""
     # like `bidisk sample | true` and `bidisk sample | head -c 100`, with
     # stdout buffered as usual, so that the interpreter flushes it at exit
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
     env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.Popen(
-        [sys.executable, "-m", "bidisk", "sample", "--n", "100000"],
+        [sys.executable, "-m", "bidisk", "sample", "--n", "100000", *args],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
+        start_new_session=True,
     )
     proc.stdout.read(read_first)
     proc.stdout.close()
@@ -159,6 +229,81 @@ def test_closed_stdout_exits_two_without_traceback(read_first):
     assert "Traceback" not in err
     assert err.startswith("error: cannot write stdout: ")
     assert err.count("\n") == 1
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
+@pytest.mark.parametrize("read_first", [0, 100])
+def test_closed_stdout_exits_two_without_traceback(read_first):
+    assert_closed_stdout_exits_two(read_first)
+
+
+@pytest.mark.parametrize("read_first", [0, 100])
+def test_closed_stdout_with_workers_exits_two_without_traceback(read_first):
+    # on a host with one usable CPU nothing forks, and this is the test above
+    assert_closed_stdout_exits_two(read_first, "--threads", "2")
+
+
+# tables of more than one chunk, so that --threads 2 forks a worker
+WORKER_WRITERS = {
+    "spectrum": ["spectrum", "--grid", LINEAR, "--linear"],
+    "sample": ["sample", "--n", str(N_CHUNKED)],
+    "reweight": ["reweight", "--grid", LINEAR, "--linear"],
+}
+
+
+@pytest.mark.parametrize("target", ["directory", "/dev/full"])
+@pytest.mark.parametrize("command", sorted(WORKER_WRITERS))
+def test_output_errors_with_workers_exit_two_and_reap(command, target, tmp_path, capsys, forks):
+    if target == "directory":
+        path = str(tmp_path)
+    elif os.path.exists(target):
+        path = target
+    else:
+        pytest.skip(f"{target} does not exist")
+    args = WORKER_WRITERS[command] + ["--threads", "2", "--out", path]
+    assert run(args) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
+    # the directory cannot be opened, so nothing forks; /dev/full fails
+    # only when the first buffer of rows is flushed, after the fork
+    assert len(forks) == (target == "/dev/full")
+    assert_reaped(forks)
+
+
+def test_failing_worker_exits_two_without_traceback(tmp_path, capfd, monkeypatch, forks):
+    parent = os.getpid()
+    rows = cli._csv_rows
+
+    def failing_in_child(columns, start, stop):
+        if os.getpid() != parent:
+            raise RuntimeError("worker formatting failed")
+        return rows(columns, start, stop)
+
+    monkeypatch.setattr(cli, "_csv_rows", failing_in_child)
+    out = tmp_path / "s.csv"
+    assert run(["sample", "--n", str(N_CHUNKED), "--threads", "3", "--out", str(out)]) == EXIT_CONFIG
+    err = capfd.readouterr().err
+    assert err == "error: a CSV worker failed with exit status 1\n"
+    assert len(forks) == 2
+    assert_reaped(forks)
+
+
+def test_unusable_tmpdir_with_workers_exits_two(tmp_path, capsys, monkeypatch, forks):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    out = tmp_path / "s.csv"
+    assert run(["sample", "--n", str(N_CHUNKED), "--threads", "2", "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: cannot start a CSV worker: ")
+    assert forks == []
+
+
+def test_sample_weight_zero_at_every_draw_exits_two_before_out(tmp_path, capsys):
+    far = tmp_path / "far.csv"
+    far.write_text("rho,weight\n0.0,0.0\n60.0,0.0\n61.0,1.0\n")
+    out = tmp_path / "s.csv"
+    assert run(["sample", "--n", "100", "--weight", f"table:{far}", "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: --weight table:{far}: batch has no positive weight\n"
+    assert not out.exists()
 
 
 def test_spectrum_is_byte_deterministic(tmp_path):

@@ -7,7 +7,7 @@ defaults.  Config files hold one key=value pair per line (# comments and
 blank lines allowed).  One table, OPTIONS, declares each option's type,
 accepted values and help for both its flag and its config key.  Every
 resolved value, whether from a flag, a config file or a default, must
-meet its requirement: --seed >= 0, and --threads, --n and --streams >= 1;
+meet its requirement: --seed >= 0, and --threads and --n >= 1;
 a bad one exits 2 with "error: --<flag> must be <requirement>".  When
 --json and --out are both given, the JSON goes to --json and the text
 to --out, and the two must name different files.
@@ -19,7 +19,8 @@ malformed inputs, bad flag values, and sizes too large to allocate.
 
 Output bytes are a pure function of the parsed options: CSV files use
 CRLF line endings and repr float formatting, the verification report is
-sorted JSON, and sampling splits its substreams deterministically.
+sorted JSON, and sampling splits its draws over 16 substreams
+deterministically.
 --threads is accepted on every subcommand.  --threads N formats CSV rows
 in up to N processes, capped at the usable CPUs and the chunk count, and
 the output bytes never change.  The extra processes are forked, which
@@ -104,7 +105,6 @@ OPTIONS: dict[str, tuple] = {
     "linear": (_bool, None, None, "linear grid"),
     "n": (int, lambda v: v >= 1, ">= 1", "sample size (moments: of the MC cross-check)"),
     "weight": (str, None, None, "uniform | exp | gauss | table:PATH"),
-    "streams": (int, lambda v: v >= 1, ">= 1", "substream count"),
     "json": (str, None, None, "write the JSON output here"),
     "table": (str, None, None, "spectrum CSV to plot (else recompute)"),
 }
@@ -114,7 +114,7 @@ _GRID = {"grid": "1e-3:100:400", "linear": False}
 # subcommand: (help, defaults of its own options)
 SUBCOMMANDS: dict[str, tuple[str, dict]] = {
     "spectrum": ("tabulate the distribution and candidates", _GRID),
-    "sample": ("Monte Carlo rotation numbers", {"n": 100000, "weight": "uniform", "streams": 16}),
+    "sample": ("Monte Carlo rotation numbers", {"n": 100000, "weight": "uniform"}),
     "verify": ("run the verification report", {"json": None}),
     "moments": ("mean and truncated second moments", {"weight": "uniform", "json": None, "n": 200000}),
     "plot": ("render the density curve as SVG", {"table": None, **_GRID}),
@@ -396,11 +396,11 @@ def cmd_spectrum(opts: dict) -> int:
     return EXIT_OK
 
 
-def _draws(opts: dict, weight: WeightSpec, **kwargs) -> SampleBatch:
+def _draws(opts: dict, weight: WeightSpec) -> SampleBatch:
     """mc_sample at opts' n and seed; a batch that _checked_batch rejects,
     such as one from a weight table that is zero wherever the draws fall,
     raises CliError."""
-    batch = mc_sample(opts["n"], opts["seed"], weight, **kwargs)
+    batch = mc_sample(opts["n"], opts["seed"], weight)
     try:
         _checked_batch(batch)
     except ValueError as exc:
@@ -410,7 +410,7 @@ def _draws(opts: dict, weight: WeightSpec, **kwargs) -> SampleBatch:
 
 def cmd_sample(opts: dict) -> int:
     weight = parse_weight(opts["weight"])
-    batch = _draws(opts, weight, streams=opts["streams"])
+    batch = _draws(opts, weight)
     columns = (batch.omega, batch.weight)
     _emit(opts["out"], _csv_text(("omega", "weight"), columns, opts["threads"]))
     return EXIT_OK

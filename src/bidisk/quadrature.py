@@ -6,7 +6,12 @@ batch of integrands at once, with the summed |K15 - G7| as its error
 estimate.  The adaptive driver keeps a worst-panel heap and splits until the
 summed error estimate drops under the requested absolute tolerance; panels
 narrower than a relative width floor are frozen rather than split, so the
-driver terminates even on integrands with endpoint singularities.
+driver terminates even on integrands with endpoint singularities.  Its one
+caller is spectral.truncated_second_moment.
+
+The certified finite differences live here too: Richardson extrapolation
+over steps h and 2h, with ``uncertified`` as the one place that decides
+when a residual above FD_TOL is a step-size failure.
 """
 
 from __future__ import annotations
@@ -158,6 +163,7 @@ def _panel_sum(a: np.ndarray) -> np.ndarray:
 # residual that certifies an extrapolated finite difference
 FD_STEP = 1e-5
 FD_TOL = 1e-5
+STEP_SIZE_PREFIX = "step-size failure:"
 
 
 def fd_constant(name: str) -> float:
@@ -165,6 +171,19 @@ def fd_constant(name: str) -> float:
     if not 0.0 < globals()[name] < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {globals()[name]!r}")
     return globals()[name]
+
+
+def uncertified(residual: float, where: str) -> str | None:
+    """The step-size failure text for a Richardson residual above FD_TOL
+    (``where`` names the check's grid), or None when the residual certifies
+    the difference."""
+    tol = fd_constant("FD_TOL")
+    if residual > tol:
+        return (
+            f"{STEP_SIZE_PREFIX} Richardson residual {residual:.3e} exceeds "
+            f"certification tolerance {tol:.1e} ({where})"
+        )
+    return None
 
 
 def richardson(estimate, h):

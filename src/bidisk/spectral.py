@@ -14,8 +14,11 @@ F_derived and cdf_closed_derived; one quadrature kernel (F below x = 8, a
 cancellation-free 1 - F above, and on request the density from its own
 nonnegative integrand on the same nodes; max(1, ceil(Y/4)) panels of width
 <= 4/Y, Y = log(1 + x^2/16)) is the independent reference that the
-discrepancy ledger checks it against.  Monte Carlo sampling, moments, and
-importance reweighting by radial weights w(rho) complete the module.
+discrepancy ledger checks it against.  The uniform mean integrates the
+kernel's 1 - F on one fixed composite K15 rule in t = asinh(x/4); the
+truncated second moment is the one caller of the adaptive driver.  Monte
+Carlo sampling over 16 seeded substreams, moments, and importance
+reweighting by radial weights w(rho) complete the module.
 """
 
 from __future__ import annotations
@@ -419,31 +422,34 @@ def series_coefficient(k) -> float:
 E2_MAX_CUT = 1e8
 
 
-_MEAN_TOL = 2e-7  # absolute tolerance of the mean's outer adaptive rule
+# the mean's K15 rule in t = asinh(x/4): panels of width 1/2 on [0, 50]
+_MEAN_T = 50.0
+_MEAN_PANELS = 100
 
 
 def mean_quadrature() -> tuple[float, float]:
-    """Mean by integrating the upper tail: E = int_0^inf (1 - F) dx,
-    evaluated in the compactifying variable x = 4 tan(phi).
+    """Mean by integrating the upper tail, E = int_0^inf (1 - F) dx, as
+    int_0^T (1 - F(4 sinh t)) 4 cosh t dt on the composite K15 rule with
+    _MEAN_PANELS panels, T = _MEAN_T; 1 - F comes from the quadrature
+    kernel at each node.
 
-    Returns (value, error_bound); the bound is twice the outer adaptive
-    estimate, since the panel estimates can be mildly optimistic near the
-    logarithmic endpoint.  `moments` and the discrepancy ledger both report
-    this one value.
+    Returns (value, error_bound).  The bound adds the summed |K15 - G7|,
+    the kernel's own error estimates at the nodes carried through the K15
+    weights, and the tail beyond X = 4 sinh T: there
+    1 - F <= (32 / x^2) log(1 + x^2/16) (1 + 16/x^2)^2, whose integral from
+    X on is below 64 (log(X/4) + 2) / X, about 3e-19.  `moments` and the
+    discrepancy ledger both report this one value.
     """
-    return _mean_tail_quadrature(_MEAN_TOL)
 
+    def integrand(v):
+        t = _MEAN_T * v
+        _, tail, err = _cdf_tail_quadrature(4.0 * np.sinh(t))
+        return np.concatenate((tail, err), axis=-1) * (4.0 * _MEAN_T * np.cosh(t))
 
-def _mean_tail_quadrature(tol: float) -> tuple[float, float]:
-    """`mean_quadrature` at outer tolerance `tol`; the tests use it to check
-    that the bound covers the exact error at tighter tolerances too."""
-
-    def integrand(phi):
-        c = np.cos(phi)
-        return one_minus_cdf(4.0 * np.tan(phi)) * 4.0 / (c * c)
-
-    res = adaptive(integrand, 0.0, math.pi / 2.0, tol=tol)
-    return res.value, 2.0 * res.error
+    (value, carried), (estimate, _) = composite_k15(integrand, _MEAN_PANELS)
+    x_end = 4.0 * math.sinh(_MEAN_T)
+    beyond = 64.0 * (math.log(x_end / 4.0) + 2.0) / x_end
+    return float(value), float(estimate + carried + beyond)
 
 
 def truncated_second_moment(cut: float) -> float:
@@ -565,6 +571,10 @@ _KS_EDGE = 64
 _KS_SLACK = 1e-12
 
 
+# substreams of mc_sample: SeedSequence(seed).spawn(16), capped at n
+MC_STREAMS = 16
+
+
 def _sample_stream(seq: np.random.SeedSequence, m: int) -> np.ndarray:
     rng = np.random.default_rng(seq)
     rz = np.sqrt(rng.random(m))
@@ -577,24 +587,18 @@ def _sample_stream(seq: np.random.SeedSequence, m: int) -> np.ndarray:
     return 4.0 * np.sqrt(d2 / ((1.0 - rz) * (1.0 + rz) * (1.0 - rw) * (1.0 + rw)))
 
 
-def mc_sample(
-    n: int,
-    seed: int,
-    weight: WeightSpec = UNIFORM_WEIGHT,
-    streams: int = 16,
-) -> SampleBatch:
+def mc_sample(n: int, seed: int, weight: WeightSpec = UNIFORM_WEIGHT) -> SampleBatch:
     """Draw n area-uniform pairs and return their rotation numbers.
 
-    The n draws are split across ``streams`` SeedSequence-spawned
+    The n draws are split across min(MC_STREAMS, n) SeedSequence-spawned
     substreams merged in index order, so the output is a pure function of
-    (n, seed, streams).  n and streams are integers >= 1 (an integral
-    float counts), streams is capped at n, and seed is an integer >= 0;
-    other values raise ValueError.
+    (n, seed).  n is an integer >= 1 (an integral float counts) and seed an
+    integer >= 0; other values raise ValueError.
     """
-    n, streams = _whole(n, 1, "sample size"), _whole(streams, 1, "streams")
+    n = _whole(n, 1, "sample size")
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    streams = min(streams, n)
+    streams = min(MC_STREAMS, n)
     base = n // streams
     sizes = tuple(base + (1 if i < n % streams else 0) for i in range(streams))
     children = np.random.SeedSequence(seed).spawn(streams)
@@ -910,25 +914,17 @@ def discrepancy_ledger() -> dict[str, dict]:
     ref = pdf_closed_paper(xt)
     worst_rel = float(np.max(np.abs(extrap - ref) / np.maximum(np.abs(ref), 1e-30)))
     worst_res = float(np.max(res / np.maximum(np.abs(extrap), 1.0)))
-    tol = quadrature.fd_constant("FD_TOL")
-    if worst_res > tol:
-        out["ledger_pdf_paper_internal_consistency"] = _ledger_entry(
-            "fail",
-            {"max_rel_difference": worst_rel, "max_rel_residual": worst_res},
-            tol,
-            f"step-size failure: Richardson residual {worst_res:.3e} exceeds "
-            f"certification tolerance {tol:.1e} on the x_tilde grid [0.05, 20]",
-        )
-    else:
-        out["ledger_pdf_paper_internal_consistency"] = _ledger_entry(
-            "pass" if worst_rel <= 1e-6 else "fail",
-            {"max_rel_difference": worst_rel, "max_rel_residual": worst_res},
-            1e-6,
-            "the transcribed density candidate equals d/dx_tilde of the "
-            "transcribed u-form distribution on a 16-point log grid "
-            "x_tilde in [0.05, 20] (Richardson-certified central differences); "
-            "the two transcriptions are internally consistent with each other",
-        )
+    step_failure = quadrature.uncertified(worst_res, "x_tilde grid [0.05, 20]")
+    out["ledger_pdf_paper_internal_consistency"] = _ledger_entry(
+        "pass" if worst_rel <= 1e-6 and not step_failure else "fail",
+        {"max_rel_difference": worst_rel, "max_rel_residual": worst_res},
+        quadrature.FD_TOL if step_failure else 1e-6,
+        step_failure
+        or "the transcribed density candidate equals d/dx_tilde of the "
+        "transcribed u-form distribution on a 16-point log grid "
+        "x_tilde in [0.05, 20] (Richardson-certified central differences); "
+        "the two transcriptions are internally consistent with each other",
+    )
 
     # (d) mean against the claimed 3*pi/2
     mean_q, mean_bound = mean_quadrature()

@@ -6,9 +6,9 @@ stable measured disagreement between candidate descriptions (reported,
 not a failure), and "fail" for violated requirements.  The checks that
 draw random samples take them from the one seed that run_all passes to
 every check.  Every finite-difference check is Richardson-extrapolated
-across step sizes h and 2h; when the extrapolation residual exceeds
-quadrature.FD_TOL the check fails like any other, with details prefixed
-"step-size failure:".
+across step sizes h and 2h; when quadrature.uncertified rejects the
+extrapolation residual (above quadrature.FD_TOL) the check fails like any
+other, with details prefixed STEP_SIZE_PREFIX, "step-size failure:".
 """
 
 from __future__ import annotations
@@ -50,14 +50,12 @@ from .moment import (
     slice_reduce,
 )
 from . import quadrature  # FD_STEP and FD_TOL, read at call time
-from .quadrature import central_difference, richardson
+from .quadrature import STEP_SIZE_PREFIX, central_difference, richardson  # noqa: F401 (re-exported)
 from .spectral import discrepancy_ledger
 
 PASS = "pass"
 FAIL = "fail"
 DISCREPANCY = "discrepancy"
-
-STEP_SIZE_PREFIX = "step-size failure:"
 
 # sample sizes, sampling radii and second-difference grid of the checks
 N_PROPERTY = 500
@@ -92,15 +90,13 @@ def _certified_second(f, x, h):
     return richardson(lambda s: (f(x + s) - 2.0 * f(x) + f(x - s)) / (s * s), h)
 
 
-def _step_failure(residual: float, where: str) -> dict:
-    tol = quadrature.fd_constant("FD_TOL")
-    return _entry(
-        FAIL,
-        {"max_rel_residual": float(residual)},
-        tol,
-        f"{STEP_SIZE_PREFIX} Richardson residual {residual:.3e} exceeds "
-        f"certification tolerance {tol:.1e} ({where})",
-    )
+def _step_failure(residual: float, where: str) -> dict | None:
+    """A failing entry when quadrature.uncertified rejects the residual,
+    else None."""
+    details = quadrature.uncertified(residual, where)
+    if details is None:
+        return None
+    return _entry(FAIL, {"max_rel_residual": float(residual)}, quadrature.FD_TOL, details)
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +322,8 @@ def check_moment_slice_fd(seed: int) -> dict:
     d, res = central_difference(rho_flow, 0.0, h)
     worst_defect = _worst(np.abs(-d - mu_slice(t)))
     worst_res = _worst(res / np.maximum(1.0, np.abs(d)))
-    if worst_res > quadrature.fd_constant("FD_TOL"):
-        return _step_failure(worst_res, "slice moment derivative, t in [0.1, 0.9]")
+    if failed := _step_failure(worst_res, "slice moment derivative, t in [0.1, 0.9]"):
+        return failed
     return _entry(
         PASS if worst_defect <= 1e-6 else FAIL,
         {"max_defect": worst_defect, "max_rel_residual": worst_res},
@@ -435,8 +431,8 @@ def check_psh_hessian_grid(seed: int) -> dict:
     u0, v0 = z[keep] + w[keep], z[keep] - w[keep]
     extrap, res = richardson(lambda s: _min_eig(*_hermitian_hessian(u0, v0, s)), h)
     worst_res = _worst(res / np.maximum(1.0, np.abs(extrap)))
-    if worst_res > quadrature.fd_constant("FD_TOL"):
-        return _step_failure(worst_res, "complex Hessian grid")
+    if failed := _step_failure(worst_res, "complex Hessian grid"):
+        return failed
     min_eig = float(np.min(extrap, initial=math.inf))
     return _entry(
         PASS if min_eig > 0.0 else FAIL,
@@ -460,8 +456,8 @@ def check_psh_mixed_on_slice(seed: int) -> dict:
     floor = 4.0 * 2.3e-16 * _rho_uv(u0, v0) / (h * h)
     worst = _worst(np.abs(extrap))
     worst_res = _worst(np.maximum(res, floor))
-    if worst_res > quadrature.fd_constant("FD_TOL"):
-        return _step_failure(worst_res, "mixed Hessian entry on the slice")
+    if failed := _step_failure(worst_res, "mixed Hessian entry on the slice"):
+        return failed
     return _entry(
         PASS if worst <= 1e-5 else FAIL,
         {"max_mixed_entry": worst, "max_residual": worst_res},
@@ -486,8 +482,8 @@ def check_psh_radial_convexity(seed: int) -> dict:
     near = np.array([-0.01, -0.001])
     near_zero, _ = _certified_second(profile, near, np.minimum(h, np.abs(near) / 4.0))
     min_near_zero = float(np.min(near_zero))
-    if worst_res > quadrature.fd_constant("FD_TOL"):
-        return _step_failure(worst_res, "radial profile second derivative")
+    if failed := _step_failure(worst_res, "radial profile second derivative"):
+        return failed
     ok = worst_rel <= 1e-4 and min_near_zero > 1e3
     return _entry(
         PASS if ok else FAIL,
@@ -513,8 +509,8 @@ def check_psh_radial_sech_form(seed: int) -> dict:
     # tie the closed profile to the geometric route at an interior point
     link = abs(sech_profile(-0.5) - schwarz_distance(math.exp(-0.5), -math.exp(-0.5)))
     extrap, res = _certified_second(sech_profile, 0.0, h)
-    if res > quadrature.fd_constant("FD_TOL"):
-        return _step_failure(res, "sech profile at 0")
+    if failed := _step_failure(res, "sech profile at 0"):
+        return failed
     agrees = abs(extrap + 1.0) <= 1e-6 and link <= 1e-14
     return _entry(
         DISCREPANCY if agrees else FAIL,

@@ -101,7 +101,7 @@ def test_sample_chunks_match_reference_writer(threads, tmp_path, capsys, forks):
     args = ["sample", "--n", str(N_CHUNKED), "--seed", "5", "--threads", str(threads)]
     assert run(args + ["--out", str(out)]) == EXIT_OK
     assert run(args) == EXIT_OK
-    batch = mc_sample(N_CHUNKED, 5, UNIFORM_WEIGHT, streams=16)
+    batch = mc_sample(N_CHUNKED, 5, UNIFORM_WEIGHT)
     ref = reference_csv(("omega", "weight"), (batch.omega, batch.weight))
     assert out.read_bytes() == ref
     assert capsys.readouterr().out.encode() == ref
@@ -748,6 +748,15 @@ def test_spectrum_table_errors_are_line_numbered(tmp_path, capsys):
     bad.write_text(",".join(TABLE_COLUMNS) + "\n" + ",".join(["1.0"] * 7) + "\n")
     assert run(["plot", "--table", str(bad)]) == EXIT_CONFIG
     assert "line 2" in capsys.readouterr().err
+
+
+def test_streams_is_not_an_option(tmp_path, capsys):
+    # sample always splits its draws over 16 substreams
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("streams=16\n")
+    assert run(["sample", "--n", "10", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "unknown key 'streams'" in capsys.readouterr().err
+    assert run(["sample", "--n", "10", "--streams", "16"]) == EXIT_CONFIG
 
 
 def test_threads_must_be_positive(capsys):

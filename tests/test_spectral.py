@@ -15,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bidisk import quadrature, spectral
 from bidisk.spectral import (
     MEAN_CLAIMED,
     MOMENT_CUTS,
@@ -49,7 +50,6 @@ from bidisk.spectral import (
     SampleBatch,
     _cached_distribution,
     _cdf_and_tail,
-    _mean_tail_quadrature,
     _panel_count,
     _quarter_square_log,
     _sample_stream,
@@ -446,11 +446,23 @@ def test_mean_quadrature_frozen_value():
 
 @pytest.mark.parametrize("rel_tol", [1e-7, 1e-8, 1e-9, 1e-10])
 def test_mean_quadrature_bound_covers_exact_error(rel_tol):
-    # 20 * 1e-8 is the tolerance mean_quadrature() uses
-    value, bound = _mean_tail_quadrature(rel_tol * 20.0)
-    assert abs(value - 16.0 * math.pi / 3.0) <= bound
-    if rel_tol == 1e-8:
-        assert (value, bound) == mean_quadrature()
+    # the fixed rule certifies the mean at every relative tolerance the
+    # adaptive route was once asked for, with no tolerance to choose
+    value, bound = mean_quadrature()
+    error = abs(value - 16.0 * math.pi / 3.0)
+    assert error <= 1e-14
+    assert error <= bound <= 1e-11
+    assert bound <= rel_tol * value
+
+
+def test_mean_quadrature_runs_on_the_fixed_rule(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mean_quadrature called quadrature.adaptive")
+
+    monkeypatch.setattr(spectral, "adaptive", refuse)
+    monkeypatch.setattr(quadrature, "adaptive", refuse)
+    value, _ = mean_quadrature()
+    assert abs(value - 16.0 * math.pi / 3.0) <= 1e-14
 
 
 def test_mean_disagrees_with_claimed_constant():
@@ -527,18 +539,12 @@ def test_mc_sample_is_deterministic():
 
 
 def test_mc_sample_stream_partition():
-    batch = mc_sample(10007, seed=9, streams=16)
+    batch = mc_sample(10007, seed=9)
     assert len(batch.stream_sizes) == 16
     assert sum(batch.stream_sizes) == 10007
     assert np.all(batch.omega > 0.0)
     with pytest.raises(ValueError):
         mc_sample(0, seed=1)
-
-
-@pytest.mark.parametrize("streams", [0, -3])
-def test_mc_sample_rejects_nonpositive_streams(streams):
-    with pytest.raises(ValueError, match="streams"):
-        mc_sample(10, seed=1, streams=streams)
 
 
 @pytest.mark.parametrize(
@@ -548,14 +554,11 @@ def test_mc_sample_rejects_nonpositive_streams(streams):
         ({"n": math.inf}, "sample size"),
         ({"n": math.nan}, "sample size"),
         ({"n": "10"}, "sample size"),
-        ({"streams": 2.5}, "streams"),
-        ({"streams": math.inf}, "streams"),
         ({"seed": 1.0}, "seed"),
         ({"seed": -1}, "seed"),
         ({"seed": "1"}, "seed"),
     ],
-    ids=["n-fraction", "n-inf", "n-nan", "n-str", "streams-fraction", "streams-inf",
-         "seed-float", "seed-negative", "seed-str"],
+    ids=["n-fraction", "n-inf", "n-nan", "n-str", "seed-float", "seed-negative", "seed-str"],
 )
 def test_mc_sample_rejects_arguments_outside_their_domain(kwargs, what):
     args = {"n": 10, "seed": 1, **kwargs}
@@ -564,14 +567,14 @@ def test_mc_sample_rejects_arguments_outside_their_domain(kwargs, what):
 
 
 def test_mc_sample_accepts_integral_floats():
-    a = mc_sample(2000.0, seed=np.int64(3), streams=4.0)
-    b = mc_sample(2000, seed=3, streams=4)
+    a = mc_sample(2000.0, seed=np.int64(3))
+    b = mc_sample(2000, seed=3)
     assert np.array_equal(a.omega, b.omega)
     assert a.stream_sizes == b.stream_sizes
 
 
 def test_mc_sample_caps_streams_at_n():
-    assert mc_sample(3, seed=1, streams=16).stream_sizes == (1, 1, 1)
+    assert mc_sample(3, seed=1).stream_sizes == (1, 1, 1)
 
 
 def test_mc_sample_weights_follow_spec():
@@ -649,7 +652,7 @@ def test_ks_distance_does_not_depend_on_the_order_of_ties():
 
 def test_mc_sample_concatenates_its_streams():
     n, seed, streams = 10007, 9, 16  # 10007 = 16 * 625 + 7
-    batch = mc_sample(n, seed=seed, streams=streams)
+    batch = mc_sample(n, seed=seed)
     sizes = [626] * 7 + [625] * 9
     assert batch.stream_sizes == tuple(sizes)
     children = np.random.SeedSequence(seed).spawn(streams)

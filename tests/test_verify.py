@@ -108,6 +108,15 @@ def test_uncertifiable_step_size_is_reported_not_silently_passed(monkeypatch):
             assert entry["status"] in (PASS, DISCREPANCY)
 
 
+def test_uncertified_is_the_one_step_size_decision():
+    tol = quadrature.FD_TOL
+    assert quadrature.uncertified(tol, "grid") is None
+    details = quadrature.uncertified(2.0 * tol, "grid")
+    assert details.startswith(STEP_SIZE_PREFIX)
+    assert details.endswith("(grid)")
+    assert STEP_SIZE_PREFIX is quadrature.STEP_SIZE_PREFIX
+
+
 @pytest.mark.parametrize("field", ["fd_step", "fd_tol"])
 @pytest.mark.parametrize("value", [0.0, -1e-5, math.nan, math.inf])
 def test_config_rejects_step_and_tolerance_that_are_not_positive_and_finite(

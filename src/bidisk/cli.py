@@ -64,6 +64,7 @@ from .spectral import (
     MEAN_CLAIMED,
     MOMENT_CUTS,
     _checked_batch,
+    _usable_cpus,
 )
 from .verify import (
     FAIL,
@@ -268,13 +269,6 @@ def _csv_rows(columns, start: int, stop: int) -> str:
             cells[2 * c :: 2 * k] = map(repr, values.tolist())
     cells[2 * k - 1 :: 2 * k] = ["\r\n"] * m
     return "".join(cells)
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a POSIX system without CPU affinity
-        return os.cpu_count() or 1
 
 
 def _part_bounds(rows: int, workers: int) -> list[tuple[int, int]]:

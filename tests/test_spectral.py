@@ -10,6 +10,7 @@ embedded below provides a second in-test route to the same integral.
 import itertools
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -656,8 +657,66 @@ def test_mc_sample_concatenates_its_streams():
     sizes = [626] * 7 + [625] * 9
     assert batch.stream_sizes == tuple(sizes)
     children = np.random.SeedSequence(seed).spawn(streams)
-    expect = np.concatenate([_sample_stream(sq, m) for sq, m in zip(children, sizes)])
+    parts = [np.empty(m) for m in sizes]
+    for sq, part in zip(children, parts):
+        _sample_stream(sq, part)
+    expect = np.concatenate(parts)
     assert np.array_equal(batch.omega, expect)
+
+
+def _stream_reference(seq, m):
+    """One substream's rotation numbers by the whole-array expression."""
+    rng = np.random.default_rng(seq)
+    rz = np.sqrt(rng.random(m))
+    az = rng.uniform(0.0, 2.0 * np.pi, m)
+    rw = np.sqrt(rng.random(m))
+    aw = rng.uniform(0.0, 2.0 * np.pi, m)
+    s = np.sin(0.5 * (az - aw))
+    d2 = (rz - rw) ** 2 + 4.0 * rz * rw * s * s
+    return 4.0 * np.sqrt(d2 / ((1.0 - rz) * (1.0 + rz) * (1.0 - rw) * (1.0 + rw)))
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (5, 3), (10007, 9), (2**16 + 3, 1)])
+def test_sample_stream_in_place_equals_the_expression(n, seed):
+    streams = min(16, n)
+    sizes = [n // streams + (i < n % streams) for i in range(streams)]
+    for sq, m in zip(np.random.SeedSequence(seed).spawn(streams), sizes):
+        out = np.empty(m)
+        _sample_stream(sq, out)
+        assert np.array_equal(out, _stream_reference(sq, m))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 16])
+def test_mc_sample_bits_do_not_depend_on_the_thread_count(cpus, monkeypatch):
+    expect = {n: mc_sample(n, seed=21) for n in (1, 7, 10007)}
+    monkeypatch.setattr(spectral, "_usable_cpus", lambda: cpus)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the threads interleave as often as they can
+    try:
+        for n, ref in expect.items():
+            batch = mc_sample(n, seed=21)
+            assert np.array_equal(batch.omega, ref.omega)
+            assert batch.stream_sizes == ref.stream_sizes
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("bad", [0, 5, 15])
+def test_mc_sample_raises_a_failed_stream_after_joining(bad, monkeypatch):
+    before = threading.active_count()
+    stream = spectral._sample_stream
+    children = np.random.SeedSequence(4).spawn(16)
+
+    def failing(seq, out):
+        if seq.spawn_key == children[bad].spawn_key:
+            raise RuntimeError(f"stream {bad}")
+        stream(seq, out)
+
+    monkeypatch.setattr(spectral, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(spectral, "_sample_stream", failing)
+    with pytest.raises(RuntimeError, match=f"stream {bad}$"):
+        mc_sample(1000, seed=4)
+    assert threading.active_count() == before
 
 
 def _ks_whole_array(batch, cdf):
@@ -723,19 +782,39 @@ def _batch(omega, weight):
     return SampleBatch(omega=omega, weight=weight, seed=0, stream_sizes=(omega.size,))
 
 
-@pytest.mark.parametrize("estimate", [lambda b: ks_distance(b, cdf_quadrature_batch), mc_mean], ids=["ks", "mean"])
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda b: ks_distance(b, cdf_quadrature_batch),
+        lambda b: ks_distance(b, _cached_distribution(WeightSpec("exp")).cdf),
+        mc_mean,
+    ],
+    ids=["ks", "ks_reweighted", "mean"],
+)
 @pytest.mark.parametrize(
     "omega, weight",
     [
         ([], []),
         ([1.0, 2.0, 3.0], [1.0, 1.0]),
         ([1.0, math.nan, 3.0], [1.0, 1.0, 1.0]),
+        ([1.0, -2.0, 3.0], [1.0, 1.0, 1.0]),
+        ([1.0, math.inf, 3.0], [1.0, 1.0, 1.0]),
         ([1.0, 2.0, 3.0], [1.0, math.nan, 1.0]),
         ([1.0, 2.0, 3.0], [1.0, -0.5, 1.0]),
         ([1.0, 2.0, 3.0], [1.0, math.inf, 1.0]),
         ([1.0, 2.0, 3.0], [0.0, 0.0, 0.0]),
     ],
-    ids=["empty", "lengths", "nan_omega", "nan_weight", "negative_weight", "inf_weight", "no_positive_weight"],
+    ids=[
+        "empty",
+        "lengths",
+        "nan_omega",
+        "negative_omega",
+        "inf_omega",
+        "nan_weight",
+        "negative_weight",
+        "inf_weight",
+        "no_positive_weight",
+    ],
 )
 def test_batch_estimates_reject_malformed_batches(estimate, omega, weight):
     with pytest.raises(ValueError):
@@ -779,6 +858,28 @@ def test_ks_distance_memory_does_not_grow_with_the_cdf():
         tracemalloc.stop()
     # the sorted omegas, the running sum and the sort's index array
     assert peak - start < 5 * 8 * n
+
+
+@pytest.mark.parametrize("w", [1.0, 0.3, 5e-324])
+@pytest.mark.parametrize("n", [1, 1000, 3 * _KS_BLOCK + 17])
+def test_ks_distance_equal_weights_equal_one_whole_array_call(w, n):
+    batch = _tied_batch(n, seed=n)
+    batch = SampleBatch(omega=batch.omega, weight=np.full(n, w), seed=n, stream_sizes=(n,))
+    assert ks_distance(batch, cdf_quadrature_batch) == _ks_whole_array(batch, cdf_quadrature_batch)
+
+
+def test_ks_distance_equal_weights_make_no_index():
+    n = 2**20
+    batch = mc_sample(n, seed=8)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ks_distance(batch, cdf_quadrature_batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the sorted omegas and the running sum, without a sort index
+    assert peak - start < 3 * 8 * n
 
 
 def test_ks_distance_uniform_sampling_against_quadrature():
@@ -872,6 +973,22 @@ def test_exp_reweight_cdf_frozen_values():
     got = dist.cdf(xs)
     for x, v in zip(xs, got):
         assert abs(v / CDF_EXP_REFERENCE[float(x)] - 1.0) < 1e-5
+
+
+def test_reweighted_cdf_takes_a_float():
+    dist = _cached_distribution(WeightSpec("exp"))
+    xs = np.array([0.0, 1.0, 30.0, math.inf])
+    vec = dist.cdf(xs)
+    scalars = [dist.cdf(float(x)) for x in xs]
+    assert all(type(v) is float for v in scalars)
+    assert np.array_equal(vec, scalars)
+    assert dist.cdf(xs.reshape(2, 2)).shape == (2, 2)
+
+
+@pytest.mark.parametrize("x", [math.nan, -1.0, [1.0, math.nan], [-1.0]])
+def test_reweighted_cdf_rejects_nan_and_negative_x(x):
+    with pytest.raises(ValueError):
+        _cached_distribution(WeightSpec("exp")).cdf(x)
 
 
 def test_exp_reweight_density_consistent_with_cdf():

@@ -40,18 +40,39 @@ def _mat2(m00, m01, m10, m11) -> np.ndarray:
 
 
 def check_disk(z):
-    """Validate |z| < 1 - 1e-12 elementwise and return z as complex."""
+    """z as complex, after checking |z| < 1 - BOUNDARY_TOL elementwise
+    (BOUNDARY_TOL = 1e-12).  A point on or outside that circle, NaN and
+    infinite points among them, raises ValueError, whose message names
+    BOUNDARY_TOL and its value."""
     z = np.asarray(z, dtype=complex)
     inside = np.abs(z) < 1.0 - BOUNDARY_TOL
     if not inside.all():
-        if not np.all(np.isfinite(z)):
-            raise ValueError("disk point must be finite")
-        raise ValueError(f"point {complex(z[~inside][0])!r} is not inside the open unit disk")
+        raise ValueError(
+            f"point {complex(z[~inside][0])!r} is not inside the disk "
+            f"|z| < 1 - BOUNDARY_TOL, BOUNDARY_TOL = {BOUNDARY_TOL:g}"
+        )
     return _py(z)
 
 
+def _from_pattern(m, build, group: str):
+    """build(m) for a stack of 2x2 matrices m, shape (..., 2, 2), checked
+    against the pattern of its own .matrix(): ValueError for another shape,
+    or for a matrix further than MATRIX_TOL (relative to its own magnitude)
+    from the pattern."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape[-2:] != (2, 2):
+        raise ValueError(f"expected 2x2 matrices, got shape {m.shape}")
+    x = build(m)
+    gap = np.max(np.abs(m - x.matrix()), axis=(-2, -1))
+    if np.any(gap > MATRIX_TOL * np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))):
+        raise ValueError(f"matrix is not in {group} within tolerance")
+    return x
+
+
 def schwarz_distance(z, w):
-    """Schwarz-Pick pseudo-distance |z - w| / |1 - conj(w) z|, in [0, 1)."""
+    """Schwarz-Pick pseudo-distance |z - w| / |1 - conj(w) z|, in [0, 1), of
+    z and w with |z|, |w| < 1 - BOUNDARY_TOL (1e-12); others raise
+    ValueError, as check_disk."""
     z = np.asarray(check_disk(z))
     w = np.asarray(check_disk(w))
     # conj(w) z from separately rounded real products, which keeps
@@ -62,8 +83,24 @@ def schwarz_distance(z, w):
 
 
 def poincare_distance(z, w):
-    """Hyperbolic distance rho = 2 artanh(d_S)."""
-    return _py(2.0 * np.arctanh(schwarz_distance(z, w)))
+    """Hyperbolic distance rho = 2 artanh(d_S).
+
+    Where d_S rounds to 1 (two points near the circle, far apart), rho comes
+    from 1 - d_S^2 = (1 - |z|^2)(1 - |w|^2) / |1 - conj(w) z|^2 as
+    log(4 |1 - conj(w) z|^2 / ((1 - |z|^2)(1 - |w|^2))), so it stays finite;
+    every other entry is 2 artanh(d_S) bit for bit.
+    """
+    d = np.asarray(schwarz_distance(z, w))
+    edge = d == 1.0
+    with np.errstate(divide="ignore"):  # artanh(1) = inf, replaced below
+        rho = np.asarray(2.0 * np.arctanh(d))
+    if edge.any():
+        z, w = (np.broadcast_to(np.asarray(v, complex), d.shape)[edge] for v in (z, w))
+        az, aw = np.abs(z), np.abs(w)
+        gap = np.abs(1.0 - np.conj(w) * z)
+        den = (1.0 - az) * (1.0 + az) * (1.0 - aw) * (1.0 + aw)
+        rho[edge] = np.log(4.0 * gap * gap / den)
+    return _py(rho)
 
 
 @dataclass(frozen=True)
@@ -120,14 +157,7 @@ class MobiusTransform:
     def from_matrix(cls, m) -> "MobiusTransform":
         """Automorphisms from a stack of SU(1,1) matrices, shape (..., 2, 2);
         ValueError for a matrix further than MATRIX_TOL from the pattern."""
-        m = np.asarray(m, dtype=complex)
-        if m.shape[-2:] != (2, 2):
-            raise ValueError(f"expected 2x2 matrices, got shape {m.shape}")
-        g = cls(m[..., 0, 0], m[..., 0, 1])
-        gap = np.max(np.abs(m - g.matrix()), axis=(-2, -1))
-        if np.any(gap > MATRIX_TOL * np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))):
-            raise ValueError("matrix is not in SU(1,1) within tolerance")
-        return g
+        return _from_pattern(m, lambda m: cls(m[..., 0, 0], m[..., 0, 1]), "SU(1,1)")
 
 
 def translate(zeta) -> MobiusTransform:
@@ -141,7 +171,9 @@ def translate(zeta) -> MobiusTransform:
 
 @dataclass(frozen=True)
 class BidiskPoint:
-    """Ordered pair of points of the open unit disk (or arrays of them)."""
+    """Ordered pair of points of the disk |z| < 1 - BOUNDARY_TOL, with
+    BOUNDARY_TOL = 1e-12 (or arrays of them); other points raise ValueError,
+    as check_disk."""
 
     z: complex
     w: complex
@@ -163,12 +195,14 @@ def act_bidisk(g: MobiusTransform, p: BidiskPoint) -> BidiskPoint:
 def hyperbolic_disk_euclidean(s, u):
     """Euclidean center and radius of the Schwarz disk {w : d_S(s, w) < u}.
 
-    The disk around a real center s in [0, 1) is again a round Euclidean
-    disk; its extreme points on the real axis are T_{-s}(u) and T_{-s}(-u).
+    The disk around a real center s in [0, 1 - BOUNDARY_TOL) is again a
+    round Euclidean disk; its extreme points on the real axis are T_{-s}(u)
+    and T_{-s}(-u).  A center outside that range, or a radius u outside
+    (0, 1), raises ValueError.
     """
     s = np.asarray(s, dtype=float)
-    if not np.all((s >= 0.0) & (s < 1.0)):
-        raise ValueError("center must be real in [0, 1)")
+    if not np.all((s >= 0.0) & (s < 1.0 - BOUNDARY_TOL)):
+        raise ValueError(f"center must be real in [0, 1 - {BOUNDARY_TOL:g})")
     u = np.asarray(u, dtype=float)
     if not np.all((u > 0.0) & (u < 1.0)):
         raise ValueError("schwarz radius must lie in (0, 1)")

@@ -20,9 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import MATRIX_TOL, _mat2, _py
+from .disk import _from_pattern, _mat2, _py
 
 ZERO_TOL = 1e-13
+# coefficients up to 2^511 have squares, and sums of three squares, below
+# the largest double; classify scales larger vectors by their norm_inf
+_SQUARE_SAFE = 2.0**511
 
 ELLIPTIC_POSITIVE = "elliptic-positive"
 ELLIPTIC_NEGATIVE = "elliptic-negative"
@@ -63,9 +66,6 @@ class LieVector:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "LieVector":
-        return self * -1.0
-
 
 XI = LieVector(1.0, 0.0, 0.0)
 ETA = LieVector(0.0, 1.0, 0.0)
@@ -101,21 +101,24 @@ def from_matrix(m) -> LieVector:
     Raises ValueError when a matrix is further than MATRIX_TOL (relative
     to its own magnitude) from the su(1,1) pattern [[i a, c - i b], [c + i b, -i a]].
     """
-    m = np.asarray(m, dtype=complex)
-    if m.shape[-2:] != (2, 2):
-        raise ValueError(f"expected 2x2 matrices, got shape {m.shape}")
-    a = m[..., 0, 0].imag
-    b = (m[..., 1, 0].imag - m[..., 0, 1].imag) / 2.0
-    c = (m[..., 0, 1].real + m[..., 1, 0].real) / 2.0
-    x = LieVector(a, b, c)
-    gap = np.max(np.abs(m - x.matrix()), axis=(-2, -1))
-    if np.any(gap > MATRIX_TOL * np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))):
-        raise ValueError("matrix is not in su(1,1) within tolerance")
-    return x
+
+    def decompose(m):
+        a = m[..., 0, 0].imag
+        b = (m[..., 1, 0].imag - m[..., 0, 1].imag) / 2.0
+        c = (m[..., 0, 1].real + m[..., 1, 0].real) / 2.0
+        return LieVector(a, b, c)
+
+    return _from_pattern(m, decompose, "su(1,1)")
 
 
 def bform(x: LieVector, y: LieVector | None = None) -> float:
-    """Invariant bilinear form tr(xy)/2 = -a1*a2 + b1*b2 + c1*c2."""
+    """Invariant bilinear form tr(xy)/2 = -a1*a2 + b1*b2 + c1*c2.
+
+    Finite while norm_inf(x) * norm_inf(y) <= 2^1022 (about 4.5e307);
+    beyond that a product or the sum may overflow to inf (with a
+    RuntimeWarning on arrays), b(x, x) from coefficients above about
+    1.3e154 = sqrt(largest double) on.  classify scales such vectors first.
+    """
     if y is None:
         y = x
     return -x.a * y.a + x.b * y.b + x.c * y.c
@@ -146,17 +149,22 @@ def classify(x: LieVector) -> SpectralClass:
 
     Elliptic means b(x, x) < 0; omega = sqrt(-b(x, x)) is the rotation
     number and the sign component is read off the xi coefficient; x is
-    zero when its largest coefficient is below ZERO_TOL.
+    zero when its largest coefficient is below ZERO_TOL.  Vectors with a
+    coefficient above 2^511 are divided by their norm_inf before the form
+    is taken, so omega is finite for every finite x; the other entries
+    keep their bits.
     """
-    zero = np.asarray(x.norm_inf() < ZERO_TOL)
-    q = np.asarray(bform(x))
+    norm = np.asarray(x.norm_inf())
+    zero = norm < ZERO_TOL
+    scale = np.where(norm > _SQUARE_SAFE, norm, 1.0)
+    q = np.asarray(bform(LieVector(x.a / scale, x.b / scale, x.c / scale)))
     elliptic = ~zero & (q < 0.0)
     kind = np.select(
         [zero, elliptic & (np.asarray(x.a) > 0.0), elliptic],
         [ZERO, ELLIPTIC_POSITIVE, ELLIPTIC_NEGATIVE],
         NON_ELLIPTIC,
     )
-    omega = np.where(zero, 0.0, np.sqrt(np.where(elliptic, -q, np.nan)))
+    omega = np.where(zero, 0.0, scale * np.sqrt(np.where(elliptic, -q, np.nan)))
     if kind.ndim == 0:
         return SpectralClass(str(kind), None if np.isnan(omega) else float(omega))
     return SpectralClass(kind, omega)

@@ -457,7 +457,10 @@ def mean_quadrature() -> tuple[float, float]:
 def truncated_second_moment(cut: float) -> float:
     """E(X^2; X <= cut) = 2 int_0^cut x (1 - F) dx - cut^2 (1 - F(cut)),
     within 1e-8 relative (or 1e-20 absolute) for cut up to E2_MAX_CUT = 1e8;
-    0 for cut <= 0.  A larger or NaN cut raises ValueError."""
+    0 for cut <= 0.  A larger or NaN cut, or one that is not a real number
+    (an array among them), raises ValueError."""
+    if not isinstance(cut, numbers.Real):
+        raise ValueError(f"truncation cut must be a real number, got {cut!r}")
     cut = float(cut)
     if not cut <= E2_MAX_CUT:
         raise ValueError(f"truncation cut must be at most {E2_MAX_CUT:g}")
@@ -530,14 +533,19 @@ class WeightSpec:
                 raise ValueError("weight table values must not all be zero")
 
     def weight_of_rho(self, rho):
-        """w(rho) on a float or an array."""
-        return self._weight(np.array(rho, dtype=float))
+        """w(rho) at hyperbolic distances rho >= 0, inf included: a float
+        for a float, else an array.  NaN or negative rho raises ValueError."""
+        rho = np.array(rho, dtype=float)
+        if not np.all(rho >= 0.0):
+            raise ValueError("hyperbolic distance must be nonnegative")
+        return _py(self._weight(rho))
 
     def weight_of_omega(self, omega):
-        """w(rho(omega)); the uniform weight is ones without rho."""
+        """w(rho(omega)) at rotation numbers omega >= 0, as weight_of_rho;
+        the uniform weight is ones without rho."""
         if self.kind == "uniform":
-            return np.ones_like(_rotation_numbers(omega))
-        return self._weight(_rho_array(omega))
+            return _py(np.ones_like(_rotation_numbers(omega)))
+        return _py(self._weight(_rho_array(omega)))
 
     def _weight(self, rho: np.ndarray) -> np.ndarray:
         """w(rho); exp and gauss overwrite rho, a new array of the caller."""
@@ -546,7 +554,9 @@ class WeightSpec:
         if self.kind == "table":
             return np.interp(rho, np.asarray(self.rho_grid), np.asarray(self.values))
         if self.kind == "gauss":
-            np.multiply(rho, rho, out=rho)
+            # rho^2 overflows to inf above rho ~ 1.3e154, where w = exp(-inf) = 0
+            with np.errstate(over="ignore"):
+                np.multiply(rho, rho, out=rho)
         np.negative(rho, out=rho)
         return np.exp(rho, out=rho)
 
@@ -844,10 +854,10 @@ def _cached_distribution(weight: WeightSpec) -> ReweightedDistribution:
 def reweight_density(weight: WeightSpec, x):
     """Normalized reweighted density f_w(x) = f_quad(x) w(rho(x)) / Z on a
     float or an array, equal to the per-element calls bit for bit.  The
-    uniform weight returns pdf_quadrature itself (Z = 1 exactly); the others
-    raise ValueError for NaN or negative x."""
+    uniform weight returns pdf_quadrature itself (Z = 1 exactly).  NaN or
+    negative x raises ValueError for every weight."""
     if weight.kind == "uniform":
-        return pdf_quadrature(x)
+        return pdf_quadrature(_rotation_numbers(x))
     w = weight.weight_of_omega(x)
     return _py(pdf_quadrature(x) * w / _cached_distribution(weight).normalizer)
 

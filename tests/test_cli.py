@@ -544,6 +544,47 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "banana" in capsys.readouterr().err
 
 
+def test_config_skips_comments_and_blank_lines(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a comment\n\n   \n  n = 2000  \n\t# seed=9\nseed=7\n")
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    assert run(["sample", "--config", str(cfg), "--out", str(a)]) == EXIT_OK
+    assert run(["sample", "--n", "2000", "--seed", "7", "--out", str(b)]) == EXIT_OK
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n=10\nseed 7\n", "line 2: expected key=value, got 'seed 7'"),
+        ("n=ten\n", "bad value for 'n'"),
+        ("seed=1.5\n", "bad value for 'seed'"),
+        ("linear=maybe\n", "bad value for 'linear': not a boolean: 'maybe'"),
+    ],
+    ids=["malformed", "n-text", "seed-fraction", "linear-maybe"],
+)
+def test_bad_config_line_exits_two(text, message, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    cmd = "spectrum" if text.startswith("linear") else "sample"
+    assert run([cmd, "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["0", "false", "No", " OFF "])
+def test_config_linear_false_is_the_log_grid(value, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"linear={value}\n")
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    assert run(["spectrum", "--grid", GRID, "--config", str(cfg), "--out", str(a)]) == EXIT_OK
+    assert run(["spectrum", "--grid", GRID, "--out", str(b)]) == EXIT_OK
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_missing_config_file_rejected(capsys):
     assert run(["sample", "--config", "/nonexistent/path.cfg"]) == EXIT_CONFIG
     assert "error:" in capsys.readouterr().err

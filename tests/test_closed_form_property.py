@@ -3,11 +3,10 @@ against 50-digit arithmetic.
 
 F(x) and 1 - F(x) from ``spectral._cdf_and_tail``, and F, 1 - F, the
 density and the error estimates of the quadrature kernel, are compared with
-the closed form evaluated in mpmath over log-uniform x in [1e-300, 1e300],
-plus 0, the switch x = 8 and inf.  The working precision grows as x
-shrinks, to cover the cancellation of the closed form near 0, so every
-reference value carries 50 significant digits.  The sampler's rotation
-numbers are checked the same way, at the double points it draws.
+the closed form evaluated in mpmath (reference.cdf_tail_pdf) over
+log-uniform x in [1e-300, 1e300], plus 0, the switch x = 8 and inf.  The
+sampler's rotation numbers are checked the same way, at the double points
+it draws.  The tolerances are those of the export table.
 """
 
 import math
@@ -38,36 +37,18 @@ from bidisk.spectral import (
     pdf_closed_paper,
     pdf_quadrature,
 )
+from reference import cdf_tail_pdf, rescaled_candidates, sampled_omega
+from test_exports import EXPORTS
 
 # relative tolerances set from the rounding analysis: just above the series
 # cut F = 1 - (1 - F) inherits the ~6/u^4 cancellation of the closed form
 # (u = 1/4: ~1.5e3 ulp), while 1 - F loses at most ~2/u^2 ulp there
-F_RTOL = 2e-12
-TAIL_RTOL = 1e-13
+F_RTOL = EXPORTS["cdf_closed_derived"].tol["relative (F)"]
+TAIL_RTOL = EXPORTS["cdf_closed_derived"].tol["relative (1 - F)"]
+PROP_RTOL = EXPORTS["cdf_closed_paper_prop"].tol["relative (x~ >= 1e20)"]
+PAPER_PDF_RTOL = EXPORTS["pdf_closed_paper"].tol["relative (x~ >= 1e20)"]
 # below the smallest normal double only absolute accuracy is meaningful
 ABS_FLOOR = sys.float_info.min
-
-
-def reference(x: float, exact: bool = False) -> tuple:
-    """F, 1 - F and the density f = dF/dx of the closed form in
-    u^2 = s / (1 + s), s = (x/4)^2; mpmath numbers when exact, else floats."""
-    if x == 0.0:
-        return 0.0, 1.0, 0.0
-    if x == math.inf:
-        return 1.0, 0.0, 0.0
-    xm = mpmath.mpf(x)
-    # the closed form cancels ~ 6 log10(4/x) digits as x -> 0
-    extra = 8 * max(0, -int(mpmath.floor(mpmath.log10(xm))))
-    with mpmath.workdps(50 + extra):
-        s = (xm / 4) ** 2
-        u2 = s / (1 + s)
-        delta = 1 / (1 + s)
-        y = mpmath.log1p(s)
-        cdf = 2 / u2 - 1 - 2 * delta * y / u2**2
-        tail = 2 * delta * (y - u2) / u2**2
-        pdf = (xm / 4) * ((2 + s) * y - 2 * s) / s**3
-        values = cdf, tail, pdf
-        return values if exact else tuple(float(v) for v in values)
 
 
 log_uniform = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)
@@ -80,7 +61,7 @@ log_uniform = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e
 @example(4.0 * 0.25 / math.sqrt(1.0 - 0.25**2))  # the series cut u = 1/4
 def test_core_matches_fifty_digit_closed_form(x):
     cdf, tail = _cdf_and_tail(np.array([x]))
-    ref_cdf, ref_tail, _ = reference(x)
+    ref_cdf, ref_tail, _ = cdf_tail_pdf(x)
     assert math.isclose(cdf[0], ref_cdf, rel_tol=F_RTOL, abs_tol=ABS_FLOOR)
     assert math.isclose(tail[0], ref_tail, rel_tol=TAIL_RTOL, abs_tol=ABS_FLOOR)
 
@@ -90,20 +71,17 @@ def test_rescaled_candidates_far_out_match_fifty_digits():
     # of x~^3 (~6e102) and x~^2 (~1.3e154)
     t = np.geomspace(1e20, 1e300, 57)
     prop, pdf = cdf_closed_paper_prop(t), pdf_closed_paper(t)
-    with mpmath.workdps(50):
-        for i, v in enumerate(t):
-            tm = mpmath.mpf(float(v))
-            ref_prop = -2 * mpmath.log1p(tm**2) / tm**2 + 1 / (1 + tm**2)
-            ref_pdf = 4 * mpmath.log1p(tm**2) / tm**3 - (6 * tm**2 + 4) / (tm * (1 + tm**2) ** 2)
-            assert math.isclose(prop[i], float(ref_prop), rel_tol=1e-14, abs_tol=ABS_FLOOR)
-            assert math.isclose(pdf[i], float(ref_pdf), rel_tol=1e-14, abs_tol=ABS_FLOOR)
+    for i, v in enumerate(t):
+        ref_prop, ref_pdf = rescaled_candidates(float(v))
+        assert math.isclose(prop[i], ref_prop, rel_tol=PROP_RTOL, abs_tol=ABS_FLOOR)
+        assert math.isclose(pdf[i], ref_pdf, rel_tol=PAPER_PDF_RTOL, abs_tol=ABS_FLOOR)
 
 
 # the quadrature kernel: 1 - F to 1e-13 relative wherever the tail is above
 # 1e-300, and the density, from its own integral, to 1e-13 relative wherever
 # it is a normal double
-KERNEL_TAIL_RTOL = 1e-13
-KERNEL_PDF_RTOL = 1e-13
+KERNEL_TAIL_RTOL = EXPORTS["cdf_quadrature"].tol["relative (1 - F, where it is >= 1e-300)"]
+KERNEL_PDF_RTOL = EXPORTS["pdf_quadrature"].tol["relative (where f is a normal double)"]
 TAIL_FLOOR = 1e-300
 EPS = sys.float_info.epsilon
 
@@ -120,7 +98,7 @@ def test_kernel_matches_fifty_digit_closed_form(x):
     # the density rides along without touching F, 1 - F or their estimate
     assert [cdf, tail, err] == [float(v) for v in _cdf_tail_quadrature(x)]
     assert pdf == pdf_quadrature(x)
-    ref_cdf, ref_tail, ref_pdf = reference(x, exact=True)
+    ref_cdf, ref_tail, ref_pdf = cdf_tail_pdf(x, exact=True)
     if ref_tail >= TAIL_FLOOR:
         assert abs(tail - ref_tail) <= KERNEL_TAIL_RTOL * ref_tail
     else:
@@ -196,12 +174,11 @@ def test_sampled_omegas_match_fifty_digits_at_the_drawn_points():
     rw = np.sqrt(rng.random(m))
     aw = rng.uniform(0.0, 2.0 * np.pi, m)
     omega = batch.omega[:m]
-    with mpmath.workdps(50):
+    rtol = EXPORTS["mc_sample"].tol["relative (omega)"]
+    with mpmath.workdps(50):  # each difference is taken at the reference's precision
         for i in range(m):
-            z = mpmath.mpf(rz[i]) * mpmath.expj(mpmath.mpf(az[i]))
-            w = mpmath.mpf(rw[i]) * mpmath.expj(mpmath.mpf(aw[i]))
-            ref = 4 * abs(z - w) / mpmath.sqrt((1 - abs(z) ** 2) * (1 - abs(w) ** 2))
-            assert abs(omega[i] - ref) <= 4e-15 * ref, i
+            ref = sampled_omega(rz[i], az[i], rw[i], aw[i])
+            assert abs(omega[i] - ref) <= rtol * ref, i
     # the checked draws come close to the boundary, where 1 - q cancels
     assert np.max(np.maximum(rz, rw)) > 1.0 - 1e-3
     z, w = rz * np.exp(1j * az), rw * np.exp(1j * aw)

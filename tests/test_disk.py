@@ -16,6 +16,7 @@ from bidisk.disk import (
     schwarz_distance,
     translate,
 )
+from reference import poincare
 
 
 def test_distance_examples():
@@ -42,6 +43,22 @@ def test_poincare_is_two_artanh_of_schwarz():
         w = random_point(rng)
         d = schwarz_distance(z, w)
         assert abs(poincare_distance(z, w) - 2.0 * math.atanh(d)) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "z, w",
+    [
+        (1.0 - 2e-12, -(1.0 - 2e-12)),
+        (1.0 - 2e-12, (1.0 - 2e-12) * 1j),
+        (-(1.0 - 1e-9), 1.0 - 1e-9),
+    ],
+)
+def test_poincare_distance_where_schwarz_rounds_to_one(z, w):
+    assert schwarz_distance(z, w) == 1.0
+    got = poincare_distance(np.array([z, 0.5]), np.array([w, -0.5]))
+    assert got[0] == poincare_distance(z, w)
+    assert got[1] == poincare_distance(0.5, -0.5)
+    assert math.isclose(got[0], poincare(z, w), rel_tol=1e-15)
 
 
 def test_check_disk_guards_boundary():
@@ -135,6 +152,16 @@ def test_from_matrix_rejects_bad_determinant():
         MobiusTransform(alpha=1.0, beta=1e-4)
 
 
+def test_from_matrix_rejects_a_matrix_off_the_pattern():
+    # alpha and beta form an SU(1,1) pair, but the lower row does not match them
+    m = translate(0.5).matrix()
+    m[1, 0] += 1e-6
+    with pytest.raises(ValueError, match="not in SU\\(1,1\\) within tolerance"):
+        MobiusTransform.from_matrix(m)
+    m[1, 0] -= 1e-6
+    assert MobiusTransform.from_matrix(m) == translate(0.5)
+
+
 def test_act_bidisk_applies_componentwise():
     g = translate(0.5)
     p = BidiskPoint(0.5, -0.5)
@@ -179,15 +206,6 @@ def test_hyperbolic_disk_membership_equivalence():
             if gap < 1e-9:
                 continue  # skip points too close to the circle to call
             assert (schwarz_distance(s, w) < u) == (abs(w - c) < r)
-
-
-def test_hyperbolic_disk_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        hyperbolic_disk_euclidean(-0.1, 0.5)
-    with pytest.raises(ValueError):
-        hyperbolic_disk_euclidean(0.5, 0.0)
-    with pytest.raises(ValueError):
-        hyperbolic_disk_euclidean(0.5, 1.0)
 
 
 def test_random_helpers_stay_in_disk():

@@ -56,6 +56,8 @@ from bidisk.spectral import (
     _sample_stream,
     _schwarz_radius,
 )
+from reference import cdf_tail_pdf, ks_whole_array, second_moment, stream_omega
+from test_exports import EXPORTS
 
 # frozen distribution values F(x)
 CDF_REFERENCE = {
@@ -183,12 +185,6 @@ def test_cdf_batch_extreme_inputs():
     assert np.array_equal(cdf_quadrature_batch([0.0, np.inf]), [0.0, 1.0])
 
 
-def test_cdf_batch_rejects_nan_and_negative():
-    for bad in ([1.0, np.nan], [-1.0], [2.0, -1e-300]):
-        with pytest.raises(ValueError):
-            cdf_quadrature_batch(bad)
-
-
 def test_closed_form_core_matches_quadrature_batch():
     xs = np.geomspace(1e-3, 1e5, 2000)
     cdf, tail = _cdf_and_tail(xs)
@@ -211,15 +207,12 @@ def test_one_minus_cdf_far_tail_keeps_relative_accuracy():
     assert one_minus_cdf(0.0) == 1.0
     # out to the largest exponents and inf, against 50-digit arithmetic;
     # below the smallest normal double only absolute accuracy is meaningful
-    mpmath = pytest.importorskip("mpmath")
     for x in (1e8, 1e12, 1e154, 1e200, 1e300, math.inf):
         got = one_minus_cdf(x)
         if x == math.inf:
             assert got == 0.0
             continue
-        with mpmath.workdps(50):
-            s = (mpmath.mpf(x) / 4) ** 2
-            ref = float(2 * ((1 + s) * mpmath.log1p(s) - s) / s**2)
+        ref = cdf_tail_pdf(x)[1]
         assert math.isclose(got, ref, rel_tol=1e-13, abs_tol=2.2250738585072014e-308)
         assert 0.0 <= got < v7
 
@@ -248,14 +241,6 @@ def test_cdf_closed_derived_series_matches_direct_formula():
         u2 = u * u
         direct = 2.0 / u2 - 1.0 + 2.0 * (1.0 - u2) * math.log1p(-u2) / (u2 * u2)
         assert abs(cdf_closed_derived(u) - direct) < 1e-12
-
-
-def test_cdf_closed_derived_domain():
-    assert cdf_closed_derived(0.0) == 0.0
-    with pytest.raises(ValueError):
-        cdf_closed_derived(1.0)
-    with pytest.raises(ValueError):
-        cdf_closed_derived(-0.1)
 
 
 def test_cdf_closed_paper_u_frozen_value():
@@ -451,7 +436,7 @@ def test_mean_quadrature_bound_covers_exact_error(rel_tol):
     # adaptive route was once asked for, with no tolerance to choose
     value, bound = mean_quadrature()
     error = abs(value - 16.0 * math.pi / 3.0)
-    assert error <= 1e-14
+    assert error <= EXPORTS["mean_quadrature"].tol["absolute (against 16 pi / 3)"]
     assert error <= bound <= 1e-11
     assert bound <= rel_tol * value
 
@@ -479,30 +464,19 @@ def test_truncated_second_moment_frozen_values():
     assert truncated_second_moment(0.0) == 0.0
 
 
-def exact_second_moment(cut: float) -> float:
-    """E2(c) = 32 G(c^2/16) - c^2 (1 - F(c)) with
-    G(T) = 1 - log(1+T)/T - log(1+T) - Li2(-T), in 50-digit arithmetic."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(50):
-        c = mpmath.mpf(float(cut))
-        t = c * c / 16
-        lg = mpmath.log1p(t)
-        g = 1 - lg / t - lg - mpmath.polylog(2, -t)
-        tail = 2 * ((1 + t) * lg - t) / t**2
-        return float(32 * g - c * c * tail)
-
-
 def test_truncated_second_moment_matches_exact_form():
     for cut in (1e2, 1e3, 1e4, 1e6):
-        assert abs(truncated_second_moment(cut) / exact_second_moment(cut) - 1.0) <= 1e-10
+        assert abs(truncated_second_moment(cut) / second_moment(cut) - 1.0) <= 1e-10
 
 
 def test_truncated_second_moment_on_log_spaced_cuts():
     # 56 cuts across [1e-3, 1e8]: 4.3e-9 relative at 1e8, the closest to the
     # bound; 3e-8 relative at 1e-3, where E2 ~ 1e-14 and the floor applies
+    tol = EXPORTS["truncated_second_moment"].tol
+    rel, floor = tol["relative"], tol["absolute"]
     for cut in np.geomspace(1e-3, 1e8, 56):
-        exact = exact_second_moment(cut)
-        assert abs(truncated_second_moment(cut) - exact) <= max(1e-8 * exact, 1e-20)
+        exact = second_moment(cut)
+        assert abs(truncated_second_moment(cut) - exact) <= max(rel * exact, floor)
 
 
 @pytest.mark.parametrize("cut", [1.0000001e8, 1e12, 1e300, math.inf, math.nan])
@@ -664,18 +638,6 @@ def test_mc_sample_concatenates_its_streams():
     assert np.array_equal(batch.omega, expect)
 
 
-def _stream_reference(seq, m):
-    """One substream's rotation numbers by the whole-array expression."""
-    rng = np.random.default_rng(seq)
-    rz = np.sqrt(rng.random(m))
-    az = rng.uniform(0.0, 2.0 * np.pi, m)
-    rw = np.sqrt(rng.random(m))
-    aw = rng.uniform(0.0, 2.0 * np.pi, m)
-    s = np.sin(0.5 * (az - aw))
-    d2 = (rz - rw) ** 2 + 4.0 * rz * rw * s * s
-    return 4.0 * np.sqrt(d2 / ((1.0 - rz) * (1.0 + rz) * (1.0 - rw) * (1.0 + rw)))
-
-
 @pytest.mark.parametrize("n, seed", [(1, 0), (5, 3), (10007, 9), (2**16 + 3, 1)])
 def test_sample_stream_in_place_equals_the_expression(n, seed):
     streams = min(16, n)
@@ -683,7 +645,7 @@ def test_sample_stream_in_place_equals_the_expression(n, seed):
     for sq, m in zip(np.random.SeedSequence(seed).spawn(streams), sizes):
         out = np.empty(m)
         _sample_stream(sq, out)
-        assert np.array_equal(out, _stream_reference(sq, m))
+        assert np.array_equal(out, stream_omega(sq, m))
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 16])
@@ -719,17 +681,6 @@ def test_mc_sample_raises_a_failed_stream_after_joining(bad, monkeypatch):
     assert threading.active_count() == before
 
 
-def _ks_whole_array(batch, cdf):
-    """ks_distance's statistic from one cdf call on all sorted points."""
-    order = np.argsort(batch.omega)
-    xs = batch.omega[order]
-    cum = np.cumsum(batch.weight[order])
-    cum /= cum[-1]
-    fv = cdf(xs)
-    cum_prev = np.concatenate(([0.0], cum[:-1]))
-    return float(max(np.max(cum - fv), np.max(fv - cum_prev)))
-
-
 def _tied_batch(n, seed):
     """Weighted draws with long runs of tied omegas and some zero weights."""
     rng = np.random.default_rng(seed)
@@ -748,7 +699,7 @@ def test_ks_distance_blocks_equal_one_whole_array_call(n, route):
         # a run of ties straddles every block boundary
         assert all(xs[k - 1] == xs[k] for k in range(_KS_BLOCK, n, _KS_BLOCK))
     cdf = cdf_quadrature_batch if route == "quadrature" else _cached_distribution(WeightSpec("exp")).cdf
-    assert ks_distance(batch, cdf) == _ks_whole_array(batch, cdf)
+    assert ks_distance(batch, cdf) == ks_whole_array(batch, cdf)
 
 
 def _recording(cdf, calls):
@@ -841,7 +792,7 @@ def test_ks_distance_forgives_a_decrease_within_the_slack():
     def cdf(xs):
         return np.array([fv[x] for x in xs])
 
-    assert ks_distance(batch, cdf) == _ks_whole_array(batch, cdf)
+    assert ks_distance(batch, cdf) == ks_whole_array(batch, cdf)
 
 
 def test_ks_distance_memory_does_not_grow_with_the_cdf():
@@ -865,7 +816,7 @@ def test_ks_distance_memory_does_not_grow_with_the_cdf():
 def test_ks_distance_equal_weights_equal_one_whole_array_call(w, n):
     batch = _tied_batch(n, seed=n)
     batch = SampleBatch(omega=batch.omega, weight=np.full(n, w), seed=n, stream_sizes=(n,))
-    assert ks_distance(batch, cdf_quadrature_batch) == _ks_whole_array(batch, cdf_quadrature_batch)
+    assert ks_distance(batch, cdf_quadrature_batch) == ks_whole_array(batch, cdf_quadrature_batch)
 
 
 def test_ks_distance_equal_weights_make_no_index():

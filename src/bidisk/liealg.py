@@ -33,6 +33,17 @@ NON_ELLIPTIC = "non-elliptic"
 ZERO = "zero"
 
 
+def _finite_coefficients(self) -> None:
+    """The __post_init__ of LieVector and SymplecticGenerator: a, b, c
+    broadcast to one shape, Python floats for scalars; a non-finite
+    coefficient raises ValueError."""
+    abc = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (self.a, self.b, self.c)))
+    if not np.isfinite(abc).all():
+        raise ValueError(f"non-finite coefficient in a={self.a!r}, b={self.b!r}, c={self.c!r}")
+    for name, v in zip("abc", abc):
+        object.__setattr__(self, name, _py(v))
+
+
 @dataclass(frozen=True)
 class LieVector:
     """Element a*xi + b*eta + c*zeta of su(1,1)."""
@@ -41,12 +52,7 @@ class LieVector:
     b: float
     c: float
 
-    def __post_init__(self):
-        abc = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (self.a, self.b, self.c)))
-        if not np.isfinite(abc).all():
-            raise ValueError(f"non-finite coefficient in a={self.a!r}, b={self.b!r}, c={self.c!r}")
-        for name, v in zip("abc", abc):
-            object.__setattr__(self, name, _py(v))
+    __post_init__ = _finite_coefficients
 
     def matrix(self) -> np.ndarray:
         """[[i a, c - i b], [c + i b, -i a]], shape (..., 2, 2)."""
@@ -88,6 +94,8 @@ class SymplecticGenerator:
     a: float
     b: float
     c: float
+
+    __post_init__ = _finite_coefficients
 
     def matrix(self) -> np.ndarray:
         """Shape (..., 2, 2)."""

@@ -566,12 +566,20 @@ UNIFORM_WEIGHT = WeightSpec("uniform")
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Rotation numbers of sampled pairs with importance weights."""
+    """Rotation numbers of sampled pairs with importance weights.
+
+    spec, when set, is the weight the batch was drawn with, and then
+    weight == spec.weight_of_omega(omega) elementwise, bit for bit;
+    mc_sample sets it.  ks_distance relies on this to sort the omegas
+    without an index, so dataclasses.replace with new weights or new omegas
+    must also pass spec=None.
+    """
 
     omega: np.ndarray
     weight: np.ndarray
     seed: int
     stream_sizes: tuple[int, ...]
+    spec: WeightSpec | None = None
 
 
 # sorted points per cdf call of ks_distance: 128 kB per temporary array
@@ -683,14 +691,13 @@ def mc_sample(n: int, seed: int, weight: WeightSpec = UNIFORM_WEIGHT) -> SampleB
     for exc in errors:
         if exc is not None:
             raise exc
-    return SampleBatch(omega, weight.weight_of_omega(omega), int(seed), sizes)
+    return SampleBatch(omega, weight.weight_of_omega(omega), int(seed), sizes, weight)
 
 
-def _checked_batch(batch: SampleBatch) -> tuple[np.ndarray, np.ndarray, bool]:
-    """The batch's omega and weight, and whether all weights are equal; a
-    batch that is empty, of unequal lengths, with NaN, infinite or negative
-    omega, NaN, infinite or negative weight, or with no positive weight
-    raises ValueError."""
+def _checked_batch(batch: SampleBatch) -> tuple[np.ndarray, np.ndarray]:
+    """The batch's omega and weight; a batch that is empty, of unequal
+    lengths, with NaN, infinite or negative omega, NaN, infinite or
+    negative weight, or with no positive weight raises ValueError."""
     omega = np.asarray(batch.omega, dtype=float)
     weight = np.asarray(batch.weight, dtype=float)
     if omega.ndim != 1 or omega.size == 0:
@@ -705,7 +712,7 @@ def _checked_batch(batch: SampleBatch) -> tuple[np.ndarray, np.ndarray, bool]:
         raise ValueError("batch weights must be finite and nonnegative")
     if not hi > 0.0:
         raise ValueError("batch has no positive weight")
-    return omega, weight, bool(lo == hi)
+    return omega, weight
 
 
 def _cdf_at(cdf, xs: np.ndarray) -> np.ndarray:
@@ -739,21 +746,34 @@ def ks_distance(batch: SampleBatch, cdf) -> float:
     The statistic is thus the maximum of the same elementwise gaps as one
     cdf call on all sorted points, and equals it bit for bit; at n = 1e6
     cdf sees about 4% of the points.  The working set is the sorted omegas
-    and the running sum, plus O(n / _KS_EDGE) values for the blocks; with
-    unequal weights the sort index joins them until the running sum is
-    taken.  Equal weights (the uniform batch) need no index: the running
-    sum of any permutation of a constant array is that of the array.  An
-    empty batch, omega and weight of unequal lengths, a NaN, infinite or
+    and the running sum, plus O(n / _KS_EDGE) values for the blocks.  A
+    batch with a spec (every mc_sample batch, the uniform one included)
+    sorts without an index and takes spec.weight_of_omega on the sorted
+    omegas: the weights are an elementwise function of omega, so tied
+    omegas have equal weights and these are the sorted weights bit for bit.
+    Their unnormalized sum must then match np.sum(batch.weight) within
+    n eps times that sum, which bounds the rounding of both summation
+    orders (sums of subnormals are exact), or the batch's weights are not
+    those of its spec and ValueError is raised.  A hand-built batch
+    without a spec keeps the sort index until its running sum is taken.
+    An empty batch, omega and weight of unequal lengths, a NaN, infinite or
     negative omega, a NaN, infinite or negative weight, no positive weight,
     a NaN cdf value, or a decrease of more than _KS_SLACK along the
     evaluated points raises ValueError.
     """
-    omega, weight, equal = _checked_batch(batch)
-    if equal:
-        # every permutation of a constant array is that array, so the sort
-        # needs no index
+    omega, weight = _checked_batch(batch)
+    n = omega.size
+    if batch.spec is not None:
         xs = np.sort(omega)
-        cum = np.cumsum(weight)
+        cum = batch.spec.weight_of_omega(xs)
+        np.cumsum(cum, out=cum)
+        total = float(np.sum(weight))
+        if not abs(cum[-1] - total) <= n * np.finfo(float).eps * total:
+            raise ValueError(
+                f"batch weights sum to {total!r}, but those of its spec "
+                f"{batch.spec.kind!r} to {float(cum[-1])!r}; a batch with new "
+                "weights needs spec=None"
+            )
     else:
         # an argsort split by value over two threads measured no faster
         # than this serial one (63-71 vs 61 ms at n = 1e6, 2 CPUs)
@@ -763,7 +783,6 @@ def ks_distance(batch: SampleBatch, cdf) -> float:
         del order  # freed before cdf allocates its own arrays
         np.cumsum(cum, out=cum)
     cum /= cum[-1]
-    n = xs.size
     first = np.arange(0, n, _KS_EDGE)
     last = np.minimum(first + (_KS_EDGE - 1), n - 1)
     ends = np.column_stack((first, last)).ravel()
@@ -790,7 +809,7 @@ def mc_mean(batch: SampleBatch) -> tuple[float, float]:
     batch, omega and weight of unequal lengths, a NaN, infinite or negative
     omega, a NaN, infinite or negative weight, or no positive weight raises
     ValueError."""
-    omega, w, _ = _checked_batch(batch)
+    omega, w = _checked_batch(batch)
     total = float(np.sum(w))
     mean = float(np.sum(w * omega)) / total
     dev = omega - mean

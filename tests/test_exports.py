@@ -33,6 +33,7 @@ import reference
 from bidisk import (
     BidiskPoint,
     LieVector,
+    SymplecticGenerator,
     WeightSpec,
     cdf_closed_derived,
     cdf_closed_paper_prop,
@@ -188,7 +189,7 @@ EXPORTS: dict[str, Export] = {
         "test_disk.py::test_from_matrix_rejects_bad_determinant",
     ),
     "SampleBatch": Export(
-        "omega and weight of one length",
+        "omega and weight of one length; weight == spec.weight_of_omega(omega) if spec is set",
         "test_spectral.py::test_batch_estimates_reject_malformed_batches",
     ),
     "SliceReduction": Export("t and g", "test_moment.py::test_slice_reduce_property"),
@@ -201,8 +202,14 @@ EXPORTS: dict[str, Export] = {
         "test_spectral.py::test_spectral_table_rejects_bad_grid",
     ),
     "SymplecticGenerator": Export(
-        "a, b, c",
-        "test_liealg.py::test_symplectic_generator_is_trace_free",
+        domain="a, b, c finite",
+        reference="test_liealg.py::test_symplectic_generator_rejects_nonfinite_at_construction",
+        edges=REAL,
+        probes=(
+            Probe(lambda v: SymplecticGenerator(v, 0.0, 0.0), np.isfinite),
+            Probe(lambda v: SymplecticGenerator(1.0, v, -1.0), np.isfinite),
+            Probe(lambda v: SymplecticGenerator(0.0, 0.0, v), np.isfinite),
+        ),
     ),
     "WeightSpec": Export(
         "uniform, exp, gauss, or a table of increasing finite rho and finite weights >= 0, "

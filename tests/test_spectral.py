@@ -7,6 +7,7 @@ integral and are pinned here as constants; the composite-Simpson oracle
 embedded below provides a second in-test route to the same integral.
 """
 
+import dataclasses
 import itertools
 import math
 import sys
@@ -558,6 +559,24 @@ def test_mc_sample_weights_follow_spec():
     assert np.max(np.abs(batch.weight - expect)) < 1e-15
 
 
+# a weight of every kind; the table's knot at rho = 2 (omega = 4 sinh 1, about
+# 4.7) lies inside the drawn range
+SPECS = {
+    "uniform": UNIFORM_WEIGHT,
+    "exp": WeightSpec("exp"),
+    "gauss": WeightSpec("gauss"),
+    "table": WeightSpec("table", (0.0, 2.0, 40.0), (1.0, 0.5, 0.0)),
+}
+
+
+@pytest.mark.parametrize("kind", list(SPECS))
+def test_mc_sample_records_its_spec_and_its_weights_are_the_spec_of_omega(kind):
+    spec = SPECS[kind]
+    batch = mc_sample(10007, seed=14, weight=spec)
+    assert batch.spec is spec
+    assert batch.weight.tobytes() == spec.weight_of_omega(batch.omega).tobytes()
+
+
 def test_weights_equal_their_direct_expressions_bit_for_bit():
     omega = mc_sample(5000, seed=13).omega
     rho = 2.0 * np.arcsinh(omega / 4.0)
@@ -702,6 +721,43 @@ def test_ks_distance_blocks_equal_one_whole_array_call(n, route):
     assert ks_distance(batch, cdf) == ks_whole_array(batch, cdf)
 
 
+def _spec_batch(omega, spec):
+    """A hand-built batch that keeps mc_sample's contract for its spec."""
+    return SampleBatch(omega, spec.weight_of_omega(omega), 0, (omega.size,), spec)
+
+
+@pytest.mark.parametrize("n", [1, 1000, 3 * _KS_BLOCK + 17])
+@pytest.mark.parametrize("kind", list(SPECS))
+def test_ks_distance_spec_batches_equal_one_whole_array_call(kind, n):
+    spec = SPECS[kind]
+    tied = _spec_batch(_tied_batch(n, seed=n).omega, spec)
+    drawn = mc_sample(n, seed=n, weight=spec)
+    for batch in (tied, drawn):
+        # without its spec the batch takes the sort index, to the same bits
+        bare = dataclasses.replace(batch, spec=None)
+        for cdf in (cdf_quadrature_batch, _cached_distribution(spec).cdf):
+            assert ks_distance(batch, cdf) == ks_whole_array(batch, cdf)
+            assert ks_distance(bare, cdf) == ks_distance(batch, cdf)
+
+
+def test_ks_distance_spec_check_holds_for_subnormal_weights():
+    # the check is relative; subnormal sums are exact
+    spec = WeightSpec("table", (0.0, 2.0, 40.0), (3e-320, 1e-320, 0.0))
+    batch = _spec_batch(_tied_batch(10**5, seed=2).omega, spec)
+    assert 0.0 < np.sum(batch.weight) < 1e-300
+    assert ks_distance(batch, cdf_quadrature_batch) == ks_whole_array(batch, cdf_quadrature_batch)
+
+
+def test_ks_distance_rejects_weights_replaced_under_a_spec():
+    batch = mc_sample(1000, seed=6, weight=WeightSpec("exp"))
+    cdf = _cached_distribution(batch.spec).cdf
+    stale = dataclasses.replace(batch, weight=batch.weight**2)
+    with pytest.raises(ValueError, match="spec=None"):
+        ks_distance(stale, cdf)
+    fresh = dataclasses.replace(stale, spec=None)
+    assert ks_distance(fresh, cdf) == ks_whole_array(fresh, cdf)
+
+
 def _recording(cdf, calls):
     def recorded(xs):
         calls.append(xs.copy())
@@ -795,25 +851,39 @@ def test_ks_distance_forgives_a_decrease_within_the_slack():
     assert ks_distance(batch, cdf) == ks_whole_array(batch, cdf)
 
 
+def _ks_peak(batch, cdf) -> int:
+    """The tracemalloc peak of ks_distance(batch, cdf), in bytes."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ks_distance(batch, cdf)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
 def test_ks_distance_memory_does_not_grow_with_the_cdf():
     n = 2**20
     weight = WeightSpec("exp")
     dist = _cached_distribution(weight)
     batch = mc_sample(n, seed=8, weight=weight)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        ks_distance(batch, dist.cdf)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # the sorted omegas and the running sum, without a sort index
+    assert _ks_peak(batch, dist.cdf) < 3 * 8 * n
+
+
+def test_ks_distance_hand_built_unequal_weights_keep_the_index():
+    n = 2**20
+    weight = WeightSpec("exp")
+    dist = _cached_distribution(weight)
+    batch = dataclasses.replace(mc_sample(n, seed=8, weight=weight), spec=None)
     # the sorted omegas, the running sum and the sort's index array
-    assert peak - start < 5 * 8 * n
+    assert 3 * 8 * n <= _ks_peak(batch, dist.cdf) < 5 * 8 * n
 
 
 @pytest.mark.parametrize("w", [1.0, 0.3, 5e-324])
 @pytest.mark.parametrize("n", [1, 1000, 3 * _KS_BLOCK + 17])
 def test_ks_distance_equal_weights_equal_one_whole_array_call(w, n):
+    # hand-built, without a spec: the sort index path
     batch = _tied_batch(n, seed=n)
     batch = SampleBatch(omega=batch.omega, weight=np.full(n, w), seed=n, stream_sizes=(n,))
     assert ks_distance(batch, cdf_quadrature_batch) == ks_whole_array(batch, cdf_quadrature_batch)
@@ -822,15 +892,9 @@ def test_ks_distance_equal_weights_equal_one_whole_array_call(w, n):
 def test_ks_distance_equal_weights_make_no_index():
     n = 2**20
     batch = mc_sample(n, seed=8)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        ks_distance(batch, cdf_quadrature_batch)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the sorted omegas and the running sum, without a sort index
-    assert peak - start < 3 * 8 * n
+    # the uniform spec: the sorted omegas and the running sum, without a
+    # sort index
+    assert _ks_peak(batch, cdf_quadrature_batch) < 3 * 8 * n
 
 
 def test_ks_distance_uniform_sampling_against_quadrature():

@@ -57,13 +57,13 @@ from .spectral import (
     mc_sample,
     mean_quadrature,
     pdf_quadrature,
-    reweight_density,
     second_moment_growth,
     weighted_mean,
     weighted_truncated_second_moment,
     MEAN_CLAIMED,
     MOMENT_CUTS,
     _checked_batch,
+    _reweighted,
     _usable_cpus,
 )
 from .verify import (
@@ -561,12 +561,12 @@ def cmd_reweight(opts: dict) -> int:
     weight = parse_weight(opts["weight"])
     x = _grid_from(opts)
     header = ("x", "x_tilde", "f_quad", "weight", "f_reweighted")
+    f_quad, w = pdf_quadrature(x), weight.weight_of_omega(x)
     try:
-        f_rw = reweight_density(weight, x)
+        f_rw = _reweighted(weight, f_quad, w)
     except ValueError as exc:
         # a weight table that is zero wherever the distribution has mass
         raise CliError(f"--weight {opts['weight']}: {exc}") from exc
-    f_quad, w = pdf_quadrature(x), weight.weight_of_omega(x)
     _emit(opts["out"], _csv_text(header, (x, x / 4.0, f_quad, w, f_rw), opts["threads"]))
     return EXIT_OK
 

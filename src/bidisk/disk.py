@@ -75,31 +75,46 @@ def schwarz_distance(z, w):
     ValueError, as check_disk."""
     z = np.asarray(check_disk(z))
     w = np.asarray(check_disk(w))
-    # conj(w) z from separately rounded real products, which keeps
-    # d_S(z, w) == d_S(w, z) exactly; numpy's fused complex product does not
+    return _py(np.abs(z - w) / _gap(z, w))
+
+
+def _gap(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """|1 - conj(w) z| from separately rounded real products, which keeps it
+    symmetric in z and w exactly; numpy's fused complex product does not."""
     re = z.real * w.real + z.imag * w.imag
     im = z.imag * w.real - z.real * w.imag
-    return _py(np.abs(z - w) / np.hypot(1.0 - re, im))
+    return np.hypot(1.0 - re, im)
+
+
+# above this d_S, poincare_distance takes 1 - d_S from 1 - |z| and 1 - |w|
+FAR_SCHWARZ = 0.99
 
 
 def poincare_distance(z, w):
-    """Hyperbolic distance rho = 2 artanh(d_S).
+    """Hyperbolic distance rho = 2 artanh(d_S) = log1p(2 d_S / (1 - d_S)).
 
-    Where d_S rounds to 1 (two points near the circle, far apart), rho comes
-    from 1 - d_S^2 = (1 - |z|^2)(1 - |w|^2) / |1 - conj(w) z|^2 as
-    log(4 |1 - conj(w) z|^2 / ((1 - |z|^2)(1 - |w|^2))), so it stays finite;
-    every other entry is 2 artanh(d_S) bit for bit.
+    Above d_S = FAR_SCHWARZ = 0.99, 2 artanh(d_S) would lose digits to the
+    rounding of 1 - d_S, so 1 - d_S comes from 1 - d_S^2 =
+    (1 - |z|^2)(1 - |w|^2) / |1 - conj(w) z|^2:
+
+        rho = log1p(2 d (1 + d) |1 - conj(w) z|^2
+                    / ((1 - |z|)(1 + |z|)(1 - |w|)(1 + |w|))).
+
+    This stays finite where d_S rounds to 1, and is within 4 eps relative
+    on real-axis pairs (t, -s) with t, s in [0.9, 1 - 2e-12]; for points off
+    the real axis the rounding of |z| near 1 bounds the accuracy of either
+    form.  Every entry with d_S <= 0.99 is 2 artanh(d_S) bit for bit.
     """
     d = np.asarray(schwarz_distance(z, w))
-    edge = d == 1.0
-    with np.errstate(divide="ignore"):  # artanh(1) = inf, replaced below
-        rho = np.asarray(2.0 * np.arctanh(d))
-    if edge.any():
-        z, w = (np.broadcast_to(np.asarray(v, complex), d.shape)[edge] for v in (z, w))
+    far = d > FAR_SCHWARZ
+    rho = np.asarray(2.0 * np.arctanh(np.where(far, 0.0, d)))
+    if far.any():
+        z, w = (np.broadcast_to(np.asarray(v, complex), d.shape)[far] for v in (z, w))
+        d = d[far]
         az, aw = np.abs(z), np.abs(w)
-        gap = np.abs(1.0 - np.conj(w) * z)
+        gap = _gap(z, w)
         den = (1.0 - az) * (1.0 + az) * (1.0 - aw) * (1.0 + aw)
-        rho[edge] = np.log(4.0 * gap * gap / den)
+        rho[far] = np.log1p(2.0 * d * (1.0 + d) * gap * gap / den)
     return _py(rho)
 
 

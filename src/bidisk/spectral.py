@@ -870,24 +870,37 @@ def _cached_distribution(weight: WeightSpec) -> ReweightedDistribution:
     return _dist_cache[weight]
 
 
+def _reweighted(weight: WeightSpec, f, w):
+    """f w / Z from the density f and the weight w at the same points; the
+    uniform weight returns f itself (Z = 1 exactly)."""
+    if weight.kind == "uniform":
+        return f
+    return f * w / _cached_distribution(weight).normalizer
+
+
 def reweight_density(weight: WeightSpec, x):
     """Normalized reweighted density f_w(x) = f_quad(x) w(rho(x)) / Z on a
     float or an array, equal to the per-element calls bit for bit.  The
-    uniform weight returns pdf_quadrature itself (Z = 1 exactly).  NaN or
-    negative x raises ValueError for every weight."""
-    if weight.kind == "uniform":
-        return pdf_quadrature(_rotation_numbers(x))
+    uniform weight returns pdf_quadrature itself.  NaN or negative x raises
+    ValueError for every weight."""
     w = weight.weight_of_omega(x)
-    return _py(pdf_quadrature(x) * w / _cached_distribution(weight).normalizer)
+    return _py(_reweighted(weight, pdf_quadrature(x), w))
 
 
 def _weighted_moment(weight: WeightSpec, power: int, cut: float) -> float:
     """E(X^power; X <= cut) of the reweighted distribution, from the same
-    Stieltjes table as the reweighted cdf."""
+    Stieltjes table as the reweighted cdf.  A NaN cut, or one beyond the
+    table's last node (x ~ 1.63e11), inf among them, raises ValueError: the
+    table drops the mass beyond it, and the uniform second moment diverges."""
     cut = float(cut)
     if math.isnan(cut):
         raise ValueError("truncation cut must not be NaN")
     dist = _cached_distribution(weight)
+    if cut > dist.x_nodes[-1]:
+        raise ValueError(
+            f"truncation cut must be at most {dist.x_nodes[-1]:.6g}, "
+            "the last node of the reweighting table"
+        )
     x_mid = 0.5 * (dist.x_nodes[:-1] + dist.x_nodes[1:])
     mask = x_mid <= cut
     return float(np.sum(x_mid[mask] ** power * dist.mass[mask])) / dist.normalizer

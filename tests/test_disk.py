@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bidisk.disk import (
+    FAR_SCHWARZ,
     BidiskPoint,
     MobiusTransform,
     act_bidisk,
@@ -68,6 +69,28 @@ def test_poincare_distance_where_schwarz_rounds_to_one(z, w):
     assert got[1] == poincare_distance(0.5, -0.5)
     (ulps,) = EXPORTS["poincare_distance"].tol.values()
     assert abs(got[0] / poincare(z, w) - 1.0) <= ulps * EPS
+
+
+# the real-axis pairs turned by an angle a, the second point by a further
+# db, where d_S > 0.99; the first pair was 4.7e-7 relative off while
+# 1 - |z|^2 came from the rounded |z|
+OFF_AXIS = [((1.0 - 3e-12) * cmath.exp(0.3j), -(1.0 - 2e-12))] + [
+    (t * cmath.exp(1j * a), -s * cmath.exp(1j * (a + db)))
+    for t in AXIS
+    for s in AXIS
+    for a in (0.3, 1.0, 2.5, -2.0)
+    for db in (0.0, 1e-3, 0.05)
+]
+
+
+def test_poincare_distance_off_the_real_axis():
+    z, w = (np.array(v) for v in zip(*OFF_AXIS))
+    assert np.all(schwarz_distance(z, w) > FAR_SCHWARZ)
+    got = poincare_distance(z, w)
+    (ulps,) = EXPORTS["poincare_distance"].tol.values()
+    for rho, pair in zip(got, OFF_AXIS):
+        assert rho == poincare_distance(*pair)
+        assert abs(rho / poincare(*pair) - 1.0) <= ulps * EPS, pair
 
 
 def test_check_disk_guards_boundary():

@@ -13,6 +13,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -493,13 +494,31 @@ def test_second_moment_grows_like_log_squared():
 # Monte-Carlo sampling
 
 
-def test_mc_sample_is_deterministic():
+def _counting_streams(monkeypatch) -> list:
+    """Count mc_sample's calls of _sample_stream: one per stream of a miss,
+    none for a hit."""
+    calls = []
+    stream = spectral._sample_stream
+
+    def counted(seq, out, scratch):
+        calls.append(seq)
+        stream(seq, out, scratch)
+
+    monkeypatch.setattr(spectral, "_sample_stream", counted)
+    return calls
+
+
+def test_mc_sample_is_deterministic(monkeypatch):
+    calls = _counting_streams(monkeypatch)
     a = mc_sample(5000, seed=1729)
+    omega, weight = a.omega.copy(), a.weight.copy()
+    del a  # the next call draws again rather than returning the recorded draw
     b = mc_sample(5000, seed=1729)
-    assert np.array_equal(a.omega, b.omega)
-    assert np.array_equal(a.weight, b.weight)
+    assert len(calls) == 32
+    assert np.array_equal(omega, b.omega)
+    assert np.array_equal(weight, b.weight)
     c = mc_sample(5000, seed=1730)
-    assert not np.array_equal(a.omega, c.omega)
+    assert not np.array_equal(omega, c.omega)
 
 
 def test_mc_sample_stream_partition():
@@ -639,8 +658,9 @@ def test_mc_sample_concatenates_its_streams():
     assert batch.stream_sizes == tuple(sizes)
     children = np.random.SeedSequence(seed).spawn(streams)
     parts = [np.empty(m) for m in sizes]
+    scratch = np.empty((4, sizes[0]))
     for sq, part in zip(children, parts):
-        _sample_stream(sq, part)
+        _sample_stream(sq, part, scratch)
     expect = np.concatenate(parts)
     assert np.array_equal(batch.omega, expect)
 
@@ -651,21 +671,38 @@ def test_sample_stream_in_place_equals_the_expression(n, seed):
     sizes = [n // streams + (i < n % streams) for i in range(streams)]
     for sq, m in zip(np.random.SeedSequence(seed).spawn(streams), sizes):
         out = np.empty(m)
-        _sample_stream(sq, out)
+        _sample_stream(sq, out, np.empty((4, m)))
         assert np.array_equal(out, stream_omega(sq, m))
+
+
+def test_sample_stream_with_a_dirty_oversized_scratch_equals_the_expression():
+    sq = np.random.SeedSequence(17)
+    m = 1001
+    out = np.full(m, np.nan)
+    scratch = np.full((4, m + 37), -np.inf)
+    scratch[:, ::3] = np.nan
+    _sample_stream(sq, out, scratch)
+    assert np.array_equal(out, stream_omega(sq, m))
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 16])
 def test_mc_sample_bits_do_not_depend_on_the_thread_count(cpus, monkeypatch):
-    expect = {n: mc_sample(n, seed=21) for n in (1, 7, 10007)}
+    expect = {}
+    for n in (1, 7, 10007):
+        batch = mc_sample(n, seed=21)
+        expect[n] = (batch.omega.copy(), batch.stream_sizes)
+    del batch  # copies only, so no batch keeps the recorded draw alive
+    calls = _counting_streams(monkeypatch)
     monkeypatch.setattr(spectral, "_usable_cpus", lambda: cpus)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # the threads interleave as often as they can
     try:
-        for n, ref in expect.items():
+        for n, (omega, sizes) in expect.items():
+            before = len(calls)
             batch = mc_sample(n, seed=21)
-            assert np.array_equal(batch.omega, ref.omega)
-            assert batch.stream_sizes == ref.stream_sizes
+            assert len(calls) - before == len(sizes)  # drawn, not recorded
+            assert np.array_equal(batch.omega, omega)
+            assert batch.stream_sizes == sizes
     finally:
         sys.setswitchinterval(interval)
 
@@ -676,16 +713,98 @@ def test_mc_sample_raises_a_failed_stream_after_joining(bad, monkeypatch):
     stream = spectral._sample_stream
     children = np.random.SeedSequence(4).spawn(16)
 
-    def failing(seq, out):
+    def failing(seq, out, scratch):
         if seq.spawn_key == children[bad].spawn_key:
             raise RuntimeError(f"stream {bad}")
-        stream(seq, out)
+        stream(seq, out, scratch)
 
+    monkeypatch.setattr(spectral, "_last_draw", None)  # no recorded draw to return
     monkeypatch.setattr(spectral, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(spectral, "_sample_stream", failing)
     with pytest.raises(RuntimeError, match=f"stream {bad}$"):
         mc_sample(1000, seed=4)
     assert threading.active_count() == before
+
+
+def test_mc_sample_returns_the_recorded_draw_with_the_bits_of_a_new_one(monkeypatch):
+    calls = _counting_streams(monkeypatch)
+    uniform = mc_sample(10007, seed=22)
+    weighted = mc_sample(10007, seed=22, weight=WeightSpec("exp"))
+    assert len(calls) == 16  # the second call drew nothing
+    assert weighted.omega is uniform.omega
+    assert weighted.spec == WeightSpec("exp") and weighted.stream_sizes == uniform.stream_sizes
+    bits = uniform.omega.tobytes(), weighted.weight.tobytes()
+    del uniform, weighted
+    fresh = mc_sample(10007, seed=22, weight=WeightSpec("exp"))
+    assert len(calls) == 32
+    assert (fresh.omega.tobytes(), fresh.weight.tobytes()) == bits
+
+
+def test_mc_sample_omegas_are_read_only():
+    batch = mc_sample(100, seed=23)
+    assert not batch.omega.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        batch.omega[0] = 1.0
+    assert not mc_sample(100, seed=23, weight=WeightSpec("exp")).omega.flags.writeable
+
+
+def test_mc_sample_draws_afresh_once_every_batch_is_gone(monkeypatch):
+    calls = _counting_streams(monkeypatch)
+    a = mc_sample(1000, seed=24)
+    b = mc_sample(1000, seed=24, weight=WeightSpec("gauss"))
+    del a
+    assert mc_sample(1000, seed=24).omega is b.omega  # b still holds the draw
+    assert len(calls) == 16
+    ks_distance(b, _cached_distribution(b.spec).cdf)
+    kept = weakref.ref(spectral._last_draw.sorted)
+    del b
+    assert spectral._last_draw is None  # the record went with the draw
+    assert kept() is None  # and so did its sorted copy
+    mc_sample(1000, seed=24)
+    assert len(calls) == 32
+
+
+def test_threads_racing_on_one_draw_get_equal_bits(monkeypatch):
+    n, seed, racers = 10007, 25, 8
+    expect = mc_sample(n, seed=seed).omega.copy()
+    monkeypatch.setattr(spectral, "_usable_cpus", lambda: 1)
+    kinds = list(SPECS) * (racers // len(SPECS))
+    barrier = threading.Barrier(racers)
+    got = [None] * racers
+
+    def draw(k):
+        barrier.wait(timeout=60)
+        got[k] = mc_sample(n, seed=seed, weight=SPECS[kinds[k]])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the threads interleave as often as they can
+    try:
+        threads = [threading.Thread(target=draw, args=(k,)) for k in range(racers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for kind, batch in zip(kinds, got):
+        assert np.array_equal(batch.omega, expect)
+        assert np.array_equal(batch.weight, SPECS[kind].weight_of_omega(expect))
+
+
+@pytest.mark.parametrize("order", [("uniform", "exp"), ("exp", "uniform")])
+def test_ks_distance_on_a_shared_draw_equals_one_whole_array_call(order):
+    n, seed = 3 * _KS_BLOCK + 17, 26
+    batches = [mc_sample(n, seed=seed, weight=SPECS[kind]) for kind in order]
+    assert batches[0].omega is batches[1].omega
+    kept = []
+    for kind, batch in zip(order, batches):
+        cdf = cdf_quadrature_batch if kind == "uniform" else _cached_distribution(batch.spec).cdf
+        assert ks_distance(batch, cdf) == ks_whole_array(batch, cdf)
+        kept.append(spectral._last_draw.sorted)
+    # sorted by the first KS, reused by the second
+    assert kept[0] is kept[1] and not kept[0].flags.writeable
+    assert np.array_equal(kept[0], np.sort(batches[0].omega))
 
 
 def _tied_batch(n, seed):

@@ -62,7 +62,6 @@ from .spectral import (
     weighted_truncated_second_moment,
     MEAN_CLAIMED,
     MOMENT_CUTS,
-    _checked_batch,
     _reweighted,
     _usable_cpus,
 )
@@ -391,15 +390,13 @@ def cmd_spectrum(opts: dict) -> int:
 
 
 def _draws(opts: dict, weight: WeightSpec) -> SampleBatch:
-    """mc_sample at opts' n and seed; a batch that _checked_batch rejects,
-    such as one from a weight table that is zero wherever the draws fall,
-    raises CliError."""
-    batch = mc_sample(opts["n"], opts["seed"], weight)
+    """mc_sample at opts' n and seed; a batch that cannot be built, such as
+    one from a weight table that is zero wherever the draws fall, raises
+    CliError."""
     try:
-        _checked_batch(batch)
+        return mc_sample(opts["n"], opts["seed"], weight)
     except ValueError as exc:
         raise CliError(f"--weight {opts['weight']}: {exc}") from exc
-    return batch
 
 
 def cmd_sample(opts: dict) -> int:
@@ -477,6 +474,8 @@ def cmd_moments(opts: dict) -> int:
 def read_spectrum_csv(path: str) -> SpectralTable:
     lines, columns = _read_csv(path, TABLE_COLUMNS, "table")
     _reject_rows(path, lines, columns[0] <= 0.0, "x must be positive")
+    # equal neighbours stay: a tight geomspace grid can repeat a value
+    _reject_rows(path, lines, np.diff(columns[0], prepend=0.0) < 0.0, "x must not decrease")
     return SpectralTable(*columns)
 
 

@@ -569,19 +569,51 @@ UNIFORM_WEIGHT = WeightSpec("uniform")
 class SampleBatch:
     """Rotation numbers of sampled pairs with importance weights.
 
-    spec, when set, is the weight the batch was drawn with, and then
-    weight == spec.weight_of_omega(omega) elementwise, bit for bit;
-    mc_sample sets it.  ks_distance relies on this to sort the omegas
-    without an index, so dataclasses.replace with new weights or new omegas
-    must also pass spec=None.  The omegas of an mc_sample batch are
-    read-only, since batches of one (n, seed) may share them.
+    Built as SampleBatch(omega, weight) with weights of its own, or as
+    SampleBatch(omega, spec=spec), which sets weight =
+    spec.weight_of_omega(omega), as mc_sample does: exactly one of weight
+    and spec is passed, so a batch's weights are always those of its spec,
+    bit for bit, which ks_distance relies on to sort the omegas without an
+    index.  dataclasses.replace with new weights or new omegas must
+    therefore also pass spec=None.  omega is a nonempty 1-d array of
+    finite values >= 0; weight has its shape, finite values >= 0 and a
+    positive, finite sum.  Anything else raises ValueError.  Both arrays
+    are read-only float arrays: a writeable or non-float input is copied,
+    and the spec's weights are made read-only in place.
     """
 
     omega: np.ndarray
-    weight: np.ndarray
-    seed: int
-    stream_sizes: tuple[int, ...]
+    weight: np.ndarray | None = None
     spec: WeightSpec | None = None
+
+    def __post_init__(self):
+        if (self.weight is None) == (self.spec is None):
+            raise ValueError("a batch takes exactly one of weight and spec: new weights need spec=None")
+        omega = _float_copy(self.omega)
+        # NaN fails both comparisons
+        if not (omega.ndim == 1 and omega.size and omega.min() >= 0.0 and omega.max() < math.inf):
+            raise ValueError("batch omegas must be a nonempty 1-d array of finite values >= 0")
+        weight = _float_copy(self.weight) if self.spec is None else self.spec.weight_of_omega(omega)
+        # read-only in place: the spec's weights are the batch's own array
+        omega.flags.writeable = weight.flags.writeable = False
+        if weight.shape != omega.shape:
+            raise ValueError(f"batch has {omega.size} omegas but weights of shape {weight.shape}")
+        with np.errstate(over="ignore"):
+            total = np.sum(weight)
+        # weights >= 0 with a finite sum are finite, and a positive sum has a positive weight
+        if not (weight.min() >= 0.0 and total < math.inf):
+            raise ValueError("batch weights and their sum must be finite and nonnegative")
+        if not total > 0.0:
+            raise ValueError("batch has no positive weight")
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "weight", weight)
+
+
+def _float_copy(values) -> np.ndarray:
+    """values itself if it is a read-only float array, else a float copy."""
+    if isinstance(values, np.ndarray) and values.dtype == float and not values.flags.writeable:
+        return values
+    return np.array(values, dtype=float)
 
 
 # sorted points per cdf call of ks_distance: 128 kB per temporary array
@@ -738,6 +770,9 @@ def mc_sample(n: int, seed: int, weight: WeightSpec = UNIFORM_WEIGHT) -> SampleB
     integer >= 1 (an integral float counts) and seed an integer >= 0; other
     values raise ValueError.
 
+    The batch is SampleBatch(omega, spec=weight): its weights are
+    weight.weight_of_omega(omega), and weights without a positive sum, such
+    as a table's that is zero wherever the draws fall, raise ValueError.
     The omegas are read-only.  The module records the last draw by (n,
     seed) with a weak reference: a call with the same (n, seed) while those
     omegas are still referenced returns the same array, with the weights
@@ -747,32 +782,14 @@ def mc_sample(n: int, seed: int, weight: WeightSpec = UNIFORM_WEIGHT) -> SampleB
     n = _whole(n, 1, "sample size")
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    return SampleBatch(_draw(n, int(seed), _stream_sizes(n)), spec=weight)
+
+
+def _stream_sizes(n: int) -> tuple[int, ...]:
+    """The lengths of mc_sample's min(MC_STREAMS, n) substreams of n draws,
+    the first n mod streams one longer."""
     streams = min(MC_STREAMS, n)
-    base = n // streams
-    sizes = tuple(base + (1 if i < n % streams else 0) for i in range(streams))
-    omega = _draw(n, int(seed), sizes)
-    return SampleBatch(omega, weight.weight_of_omega(omega), int(seed), sizes, weight)
-
-
-def _checked_batch(batch: SampleBatch) -> tuple[np.ndarray, np.ndarray]:
-    """The batch's omega and weight; a batch that is empty, of unequal
-    lengths, with NaN, infinite or negative omega, NaN, infinite or
-    negative weight, or with no positive weight raises ValueError."""
-    omega = np.asarray(batch.omega, dtype=float)
-    weight = np.asarray(batch.weight, dtype=float)
-    if omega.ndim != 1 or omega.size == 0:
-        raise ValueError("batch must hold a nonempty 1-d array of omegas")
-    if weight.shape != omega.shape:
-        raise ValueError(f"batch has {omega.size} omegas but weights of shape {weight.shape}")
-    # NaN fails both comparisons
-    if not (omega.min() >= 0.0 and omega.max() < math.inf):
-        raise ValueError("batch omegas must be finite and nonnegative")
-    lo, hi = weight.min(), weight.max()
-    if not (lo >= 0.0 and hi < math.inf):
-        raise ValueError("batch weights must be finite and nonnegative")
-    if not hi > 0.0:
-        raise ValueError("batch has no positive weight")
-    return omega, weight
+    return tuple(n // streams + (i < n % streams) for i in range(streams))
 
 
 def _cdf_at(cdf, xs: np.ndarray) -> np.ndarray:
@@ -828,19 +845,12 @@ def ks_distance(batch: SampleBatch, cdf) -> float:
     and these are the sorted weights bit for bit.  If the batch's omega is
     the array of mc_sample's recorded draw, the sorted copy is kept on the
     record and reused by every later batch of that draw, so it lives as
-    long as the draw: 2 x 8n bytes of omegas instead of 8n.
-    Their unnormalized sum must then match np.sum(batch.weight) within
-    n eps times that sum, which bounds the rounding of both summation
-    orders (sums of subnormals are exact), or the batch's weights are not
-    those of its spec and ValueError is raised.  A hand-built batch
+    long as the draw: 2 x 8n bytes of omegas instead of 8n.  A batch
     without a spec keeps the sort index until its running sum is taken.
-    An empty batch, omega and weight of unequal lengths, a NaN, infinite or
-    negative omega, a NaN, infinite or negative weight, no positive weight,
-    a NaN cdf value, or a decrease of more than _KS_SLACK along the
-    evaluated points raises ValueError.
+    The batch was checked when it was built; a NaN cdf value or a decrease
+    of more than _KS_SLACK along the evaluated points raises ValueError.
     """
-    omega, weight = _checked_batch(batch)
-    n = omega.size
+    omega, n = batch.omega, batch.omega.size
     if batch.spec is not None:
         xs = _sorted_omegas(omega)
         if batch.spec.kind == "uniform":
@@ -848,19 +858,12 @@ def ks_distance(batch: SampleBatch, cdf) -> float:
         else:
             cum = batch.spec.weight_of_omega(xs)
             np.cumsum(cum, out=cum)
-        total = float(np.sum(weight))
-        if not abs(cum[-1] - total) <= n * np.finfo(float).eps * total:
-            raise ValueError(
-                f"batch weights sum to {total!r}, but those of its spec "
-                f"{batch.spec.kind!r} to {float(cum[-1])!r}; a batch with new "
-                "weights needs spec=None"
-            )
     else:
         # an argsort split by value over two threads measured no faster
         # than this serial one (63-71 vs 61 ms at n = 1e6, 2 CPUs)
         order = np.argsort(omega)
         xs = omega[order]
-        cum = weight[order]
+        cum = batch.weight[order]
         del order  # freed before cdf allocates its own arrays
         np.cumsum(cum, out=cum)
     cum /= cum[-1]
@@ -886,15 +889,23 @@ def ks_distance(batch: SampleBatch, cdf) -> float:
 
 
 def mc_mean(batch: SampleBatch) -> tuple[float, float]:
-    """Self-normalized weighted mean and its standard error.  An empty
-    batch, omega and weight of unequal lengths, a NaN, infinite or negative
-    omega, a NaN, infinite or negative weight, or no positive weight raises
-    ValueError."""
-    omega, w = _checked_batch(batch)
+    """Self-normalized weighted mean and its standard error,
+    sqrt(sum (w (omega - mean))^2) / sum w.  The weights, and apart from
+    them the deviations from the mean, are scaled by the power of two that
+    brings their largest into [0.5, 1): the scalings are exact, so the sums
+    keep their bits wherever they would neither overflow nor underflow, and
+    subnormal weights or omegas as large as 1e200 still give the stderr of
+    the same sample at unit scale.  Two n-sized temporaries."""
+    w = np.ldexp(batch.weight, -math.frexp(batch.weight.max())[1])
     total = float(np.sum(w))
-    mean = float(np.sum(w * omega)) / total
-    dev = omega - mean
-    stderr = math.sqrt(float(np.sum((w * dev) ** 2))) / total
+    dev = np.multiply(w, batch.omega)  # then the deviations, in place
+    mean = float(np.sum(dev)) / total
+    np.subtract(batch.omega, mean, out=dev)
+    scale = math.frexp(max(dev.max(), -dev.min()))[1]
+    np.ldexp(dev, -scale, out=dev)
+    dev *= w
+    np.square(dev, out=dev)
+    stderr = math.ldexp(math.sqrt(float(np.sum(dev))) / total, scale)
     return mean, stderr
 
 

@@ -109,6 +109,17 @@ def test_sample_chunks_match_reference_writer(threads, tmp_path, capsys, forks):
     assert_reaped(forks)
 
 
+def test_sample_without_fork_writes_one_part_with_the_same_bytes(tmp_path, monkeypatch):
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    args = ["sample", "--n", str(N_CHUNKED), "--seed", "5", "--out"]
+    assert run([*args, str(one), "--threads", "1"]) == EXIT_OK
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    monkeypatch.delattr(os, "fork")
+    assert cli._part_bounds(N_CHUNKED, 2) == [(0, N_CHUNKED)]
+    assert run([*args, str(two), "--threads", "2"]) == EXIT_OK
+    assert one.read_bytes() == two.read_bytes()
+
+
 CSV_VALUES = [-0.0, 0.0, 5e-324, 1e-05, 1e16, 1e300, math.nan, math.inf]
 
 
@@ -672,6 +683,34 @@ def test_spectrum_table_nonpositive_x_rejected(tmp_path, capsys, x):
     bad.write_text(_spectrum_rows(GOOD_ROW, x + ",1,1,1,1,1,1,1", "2,1,1,1,1,1,1,1"))
     assert run(["plot", "--table", str(bad)]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"error: {bad}: line 3: x must be positive\n"
+
+
+def test_spectrum_table_decreasing_x_rejected(tmp_path, capsys):
+    table, reversed_table = tmp_path / "spec.csv", tmp_path / "reversed.csv"
+    assert run(["spectrum", "--grid", "1e-3:100:400", "--out", str(table)]) == EXIT_OK
+    header, *rows = table.read_text().splitlines()
+    reversed_table.write_text("\n".join([header, *rows[::-1]]) + "\n")
+    assert run(["plot", "--table", str(reversed_table)]) == EXIT_CONFIG
+    # the second data row is the first below its predecessor
+    assert capsys.readouterr().err == f"error: {reversed_table}: line 3: x must not decrease\n"
+
+
+def test_spectrum_table_repeated_x_is_drawn(tmp_path):
+    table, svg = tmp_path / "t.csv", tmp_path / "f.svg"
+    rows = ("1,0.25,0.1,0.9,0.1,0.1,0.2,0.1", GOOD_ROW, GOOD_ROW, "2,0.5,0.2,0.8,0.2,0.2,0.1,0.2")
+    table.write_text(_spectrum_rows(*rows))
+    assert run(["plot", "--table", str(table), "--out", str(svg)]) == EXIT_OK
+    points = svg.read_text().split('<polyline points="', 1)[1].split('"', 1)[0].split()
+    assert len(points) == 4
+
+
+def test_plot_one_row_table_draws_one_point(tmp_path):
+    table, svg = tmp_path / "t.csv", tmp_path / "f.svg"
+    table.write_text(_spectrum_rows("10,0.5,0.6,0.4,0.6,0.6,0.05,0.05"))
+    assert run(["plot", "--table", str(table), "--out", str(svg)]) == EXIT_OK
+    points = svg.read_text().split('<polyline points="', 1)[1].split('"', 1)[0].split()
+    # one point on a decade of its own, at the left edge of the frame
+    assert len(points) == 1 and float(points[0].split(",")[0]) == 70.0
 
 
 @pytest.mark.parametrize("density", ["1e308", "1.7976931348623157e308"])

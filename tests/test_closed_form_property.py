@@ -29,6 +29,7 @@ from bidisk.spectral import (
     _cdf_tail_quadrature,
     _panel_count,
     _quarter_square_log,
+    _stream_sizes,
     mc_sample,
     cdf_closed_paper_prop,
     cdf_quadrature,
@@ -166,7 +167,7 @@ def test_kernel_value_does_not_depend_on_its_neighbours_at_scale():
 def test_sampled_omegas_match_fifty_digits_at_the_drawn_points():
     seed, n = 7, 16 * 2000
     batch = mc_sample(n, seed)
-    m = batch.stream_sizes[0]
+    m = _stream_sizes(n)[0]
     # stream 0's four draws, in mc_sample's order
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(16)[0])
     rz = np.sqrt(rng.random(m))

@@ -189,8 +189,9 @@ EXPORTS: dict[str, Export] = {
         "test_disk.py::test_from_matrix_rejects_bad_determinant",
     ),
     "SampleBatch": Export(
-        "omega and weight of one length; weight == spec.weight_of_omega(omega) if spec is set",
-        "test_spectral.py::test_batch_estimates_reject_malformed_batches",
+        "a nonempty 1-d omega, finite and >= 0, and either weight of its shape, finite, >= 0, "
+        "with a positive finite sum, or spec, whose weight_of_omega(omega) must be so",
+        "test_spectral.py::test_sample_batch_rejects_malformed_batches",
     ),
     "SliceReduction": Export("t and g", "test_moment.py::test_slice_reduce_property"),
     "SpectralClass": Export(
@@ -301,8 +302,7 @@ EXPORTS: dict[str, Export] = {
         ),
     ),
     "ks_distance": Export(
-        "a nonempty batch of finite omegas >= 0 and finite weights >= 0, one positive; "
-        "cdf elementwise and nondecreasing",
+        "a SampleBatch; cdf elementwise and nondecreasing",
         "test_spectral.py::test_ks_distance_blocks_equal_one_whole_array_call",
     ),
     "mc_sample": Export(

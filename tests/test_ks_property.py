@@ -52,7 +52,7 @@ def test_ks_distance_equals_one_whole_array_call(n, seed, distinct, zero_share, 
     weight = np.exp(-rho_of_omega(omega))
     weight[rng.random(n) < zero_share] = 0.0
     weight[rng.integers(n)] = 1.0  # at least one positive weight
-    batch = SampleBatch(omega=omega, weight=weight, seed=seed, stream_sizes=(n,))
+    batch = SampleBatch(omega, weight)
     cdf = {
         "quadrature": cdf_quadrature_batch,
         "reweighted": _cached_distribution(WeightSpec("exp")).cdf,
@@ -74,9 +74,8 @@ def test_ks_distance_with_a_spec_equals_one_whole_array_call(n, seed, distinct, 
     # without a sort index, over tie runs across block ends
     rng = np.random.default_rng(seed)
     omega = rng.choice(mc_sample(distinct, seed=seed).omega, size=n)
-    weight = spec.weight_of_omega(omega)
-    assume(weight.max() > 0.0)
-    batch = SampleBatch(omega=omega, weight=weight, seed=seed, stream_sizes=(n,), spec=spec)
+    assume(spec.weight_of_omega(omega).max() > 0.0)
+    batch = SampleBatch(omega, spec=spec)
     cdf = {
         "quadrature": cdf_quadrature_batch,
         "reweighted": _cached_distribution(spec).cdf,

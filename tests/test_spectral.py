@@ -10,6 +10,7 @@ embedded below provides a second in-test route to the same integral.
 import dataclasses
 import itertools
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -57,6 +58,7 @@ from bidisk.spectral import (
     _quarter_square_log,
     _sample_stream,
     _schwarz_radius,
+    _stream_sizes,
 )
 from reference import cdf_tail_pdf, ks_whole_array, second_moment, stream_omega
 from test_exports import EXPORTS
@@ -523,8 +525,8 @@ def test_mc_sample_is_deterministic(monkeypatch):
 
 def test_mc_sample_stream_partition():
     batch = mc_sample(10007, seed=9)
-    assert len(batch.stream_sizes) == 16
-    assert sum(batch.stream_sizes) == 10007
+    assert len(_stream_sizes(10007)) == 16
+    assert sum(_stream_sizes(10007)) == 10007
     assert np.all(batch.omega > 0.0)
     with pytest.raises(ValueError):
         mc_sample(0, seed=1)
@@ -553,11 +555,15 @@ def test_mc_sample_accepts_integral_floats():
     a = mc_sample(2000.0, seed=np.int64(3))
     b = mc_sample(2000, seed=3)
     assert np.array_equal(a.omega, b.omega)
-    assert a.stream_sizes == b.stream_sizes
+    assert np.array_equal(a.weight, b.weight)
 
 
-def test_mc_sample_caps_streams_at_n():
-    assert mc_sample(3, seed=1).stream_sizes == (1, 1, 1)
+def test_mc_sample_caps_streams_at_n(monkeypatch):
+    assert _stream_sizes(3) == (1, 1, 1)
+    monkeypatch.setattr(spectral, "_last_draw", None)  # no recorded draw to return
+    calls = _counting_streams(monkeypatch)
+    assert mc_sample(3, seed=1).omega.size == 3
+    assert len(calls) == 3
 
 
 def test_mc_sample_weights_follow_spec():
@@ -620,12 +626,7 @@ def test_mc_sample_memory_is_the_draws_and_their_weights(kind):
 
 def test_ks_distance_synthetic_uniform():
     n = 1000
-    batch = SampleBatch(
-        omega=(np.arange(n) + 0.5) / n,
-        weight=np.ones(n),
-        seed=0,
-        stream_sizes=(n,),
-    )
+    batch = SampleBatch((np.arange(n) + 0.5) / n, np.ones(n))
     d = ks_distance(batch, lambda xs: xs)
     assert abs(d - 0.5 / n) < 1e-12
     # a cdf that is identically wrong gives the full distance
@@ -647,7 +648,7 @@ def test_ks_distance_does_not_depend_on_the_order_of_ties():
     expect = max(np.max(cum - cdf(ux)), np.max(cdf(ux) - below))
     for perm in itertools.permutations(range(omega.size)):
         idx = list(perm)
-        batch = SampleBatch(omega=omega[idx], weight=weight[idx], seed=0, stream_sizes=(7,))
+        batch = SampleBatch(omega[idx], weight[idx])
         assert ks_distance(batch, cdf) == expect
 
 
@@ -655,7 +656,7 @@ def test_mc_sample_concatenates_its_streams():
     n, seed, streams = 10007, 9, 16  # 10007 = 16 * 625 + 7
     batch = mc_sample(n, seed=seed)
     sizes = [626] * 7 + [625] * 9
-    assert batch.stream_sizes == tuple(sizes)
+    assert _stream_sizes(n) == tuple(sizes)
     children = np.random.SeedSequence(seed).spawn(streams)
     parts = [np.empty(m) for m in sizes]
     scratch = np.empty((4, sizes[0]))
@@ -690,7 +691,7 @@ def test_mc_sample_bits_do_not_depend_on_the_thread_count(cpus, monkeypatch):
     expect = {}
     for n in (1, 7, 10007):
         batch = mc_sample(n, seed=21)
-        expect[n] = (batch.omega.copy(), batch.stream_sizes)
+        expect[n] = (batch.omega.copy(), _stream_sizes(n))
     del batch  # copies only, so no batch keeps the recorded draw alive
     calls = _counting_streams(monkeypatch)
     monkeypatch.setattr(spectral, "_usable_cpus", lambda: cpus)
@@ -702,9 +703,15 @@ def test_mc_sample_bits_do_not_depend_on_the_thread_count(cpus, monkeypatch):
             batch = mc_sample(n, seed=21)
             assert len(calls) - before == len(sizes)  # drawn, not recorded
             assert np.array_equal(batch.omega, omega)
-            assert batch.stream_sizes == sizes
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("count, cpus", [(5, 5), (None, 1)])
+def test_usable_cpus_without_affinity_is_the_cpu_count(count, cpus, monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert spectral._usable_cpus() == cpus
 
 
 @pytest.mark.parametrize("bad", [0, 5, 15])
@@ -732,7 +739,7 @@ def test_mc_sample_returns_the_recorded_draw_with_the_bits_of_a_new_one(monkeypa
     weighted = mc_sample(10007, seed=22, weight=WeightSpec("exp"))
     assert len(calls) == 16  # the second call drew nothing
     assert weighted.omega is uniform.omega
-    assert weighted.spec == WeightSpec("exp") and weighted.stream_sizes == uniform.stream_sizes
+    assert weighted.spec == WeightSpec("exp")
     bits = uniform.omega.tobytes(), weighted.weight.tobytes()
     del uniform, weighted
     fresh = mc_sample(10007, seed=22, weight=WeightSpec("exp"))
@@ -813,7 +820,7 @@ def _tied_batch(n, seed):
     omega = rng.choice(mc_sample(max(2, n // 300), seed=seed).omega, size=n)
     weight = np.exp(-rho_of_omega(omega))
     weight[rng.random(n) < 0.1] = 0.0
-    return SampleBatch(omega=omega, weight=weight, seed=seed, stream_sizes=(n,))
+    return SampleBatch(omega, weight)
 
 
 @pytest.mark.parametrize("n", [1, 1000, 3 * _KS_BLOCK + 17])
@@ -828,16 +835,11 @@ def test_ks_distance_blocks_equal_one_whole_array_call(n, route):
     assert ks_distance(batch, cdf) == ks_whole_array(batch, cdf)
 
 
-def _spec_batch(omega, spec):
-    """A hand-built batch that keeps mc_sample's contract for its spec."""
-    return SampleBatch(omega, spec.weight_of_omega(omega), 0, (omega.size,), spec)
-
-
 @pytest.mark.parametrize("n", [1, 1000, 3 * _KS_BLOCK + 17])
 @pytest.mark.parametrize("kind", list(SPECS))
 def test_ks_distance_spec_batches_equal_one_whole_array_call(kind, n):
     spec = SPECS[kind]
-    tied = _spec_batch(_tied_batch(n, seed=n).omega, spec)
+    tied = SampleBatch(_tied_batch(n, seed=n).omega, spec=spec)
     drawn = mc_sample(n, seed=n, weight=spec)
     for batch in (tied, drawn):
         # without its spec the batch takes the sort index, to the same bits
@@ -848,20 +850,22 @@ def test_ks_distance_spec_batches_equal_one_whole_array_call(kind, n):
 
 
 def test_ks_distance_spec_check_holds_for_subnormal_weights():
-    # the check is relative; subnormal sums are exact
+    # the spec's weights on the sorted omegas, all of them subnormal
     spec = WeightSpec("table", (0.0, 2.0, 40.0), (3e-320, 1e-320, 0.0))
-    batch = _spec_batch(_tied_batch(10**5, seed=2).omega, spec)
+    batch = SampleBatch(_tied_batch(10**5, seed=2).omega, spec=spec)
     assert 0.0 < np.sum(batch.weight) < 1e-300
     assert ks_distance(batch, cdf_quadrature_batch) == ks_whole_array(batch, cdf_quadrature_batch)
 
 
 def test_ks_distance_rejects_weights_replaced_under_a_spec():
     batch = mc_sample(1000, seed=6, weight=WeightSpec("exp"))
-    cdf = _cached_distribution(batch.spec).cdf
-    stale = dataclasses.replace(batch, weight=batch.weight**2)
+    # a batch whose weights are not those of its spec cannot be built
     with pytest.raises(ValueError, match="spec=None"):
-        ks_distance(stale, cdf)
-    fresh = dataclasses.replace(stale, spec=None)
+        dataclasses.replace(batch, weight=batch.weight**2)
+    with pytest.raises(ValueError, match="spec=None"):
+        dataclasses.replace(batch, omega=batch.omega[::-1])
+    fresh = dataclasses.replace(batch, weight=batch.weight**2, spec=None)
+    cdf = _cached_distribution(batch.spec).cdf
     assert ks_distance(fresh, cdf) == ks_whole_array(fresh, cdf)
 
 
@@ -891,32 +895,21 @@ def test_ks_distance_evaluates_cdf_on_a_fraction_of_the_batch():
     assert sum(c.size for c in calls) < n / 4
 
 
-def _batch(omega, weight):
-    omega, weight = np.asarray(omega, dtype=float), np.asarray(weight, dtype=float)
-    return SampleBatch(omega=omega, weight=weight, seed=0, stream_sizes=(omega.size,))
-
-
 @pytest.mark.parametrize(
-    "estimate",
+    "omega, weight, spec",
     [
-        lambda b: ks_distance(b, cdf_quadrature_batch),
-        lambda b: ks_distance(b, _cached_distribution(WeightSpec("exp")).cdf),
-        mc_mean,
-    ],
-    ids=["ks", "ks_reweighted", "mean"],
-)
-@pytest.mark.parametrize(
-    "omega, weight",
-    [
-        ([], []),
-        ([1.0, 2.0, 3.0], [1.0, 1.0]),
-        ([1.0, math.nan, 3.0], [1.0, 1.0, 1.0]),
-        ([1.0, -2.0, 3.0], [1.0, 1.0, 1.0]),
-        ([1.0, math.inf, 3.0], [1.0, 1.0, 1.0]),
-        ([1.0, 2.0, 3.0], [1.0, math.nan, 1.0]),
-        ([1.0, 2.0, 3.0], [1.0, -0.5, 1.0]),
-        ([1.0, 2.0, 3.0], [1.0, math.inf, 1.0]),
-        ([1.0, 2.0, 3.0], [0.0, 0.0, 0.0]),
+        ([], [], None),
+        ([1.0, 2.0, 3.0], [1.0, 1.0], None),
+        ([1.0, math.nan, 3.0], [1.0, 1.0, 1.0], None),
+        ([1.0, -2.0, 3.0], [1.0, 1.0, 1.0], None),
+        ([1.0, math.inf, 3.0], [1.0, 1.0, 1.0], None),
+        ([1.0, 2.0, 3.0], [1.0, math.nan, 1.0], None),
+        ([1.0, 2.0, 3.0], [1.0, -0.5, 1.0], None),
+        ([1.0, 2.0, 3.0], [1.0, math.inf, 1.0], None),
+        ([1.0, 2.0, 3.0], [0.0, 0.0, 0.0], None),
+        ([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], UNIFORM_WEIGHT),
+        ([1.0, 2.0, 3.0], None, None),
+        ([1.0, 2.0, 3.0], [1e308, 1e308, 1.0], None),
     ],
     ids=[
         "empty",
@@ -928,11 +921,28 @@ def _batch(omega, weight):
         "negative_weight",
         "inf_weight",
         "no_positive_weight",
+        "weight_and_spec",
+        "neither",
+        "infinite_sum",
     ],
 )
-def test_batch_estimates_reject_malformed_batches(estimate, omega, weight):
+def test_sample_batch_rejects_malformed_batches(omega, weight, spec):
     with pytest.raises(ValueError):
-        estimate(_batch(omega, weight))
+        SampleBatch(omega, weight, spec)
+
+
+def test_sample_batch_arrays_are_read_only():
+    omega, weight = np.array([1.0, 2.0]), np.array([0.5, 0.25])
+    batch = SampleBatch(omega, weight)
+    # writeable inputs are copied, so the caller's arrays stay theirs
+    assert batch.omega is not omega and batch.weight is not weight
+    assert not batch.omega.flags.writeable and not batch.weight.flags.writeable
+    # read-only float arrays are kept, and a spec's weights are made read-only
+    assert SampleBatch(batch.omega, batch.weight).weight is batch.weight
+    drawn = mc_sample(100, seed=7, weight=WeightSpec("exp"))
+    assert SampleBatch(drawn.omega, spec=drawn.spec).omega is drawn.omega
+    assert not drawn.weight.flags.writeable
+    assert SampleBatch([1, 2], [3, 4]).weight.dtype == float
 
 
 def test_ks_distance_rejects_a_nan_cdf_value():
@@ -948,7 +958,7 @@ def test_ks_distance_rejects_a_decreasing_cdf():
 
 
 def test_ks_distance_forgives_a_decrease_within_the_slack():
-    batch = _batch(np.arange(1.0, 5.0), np.ones(4))
+    batch = SampleBatch(np.arange(1.0, 5.0), np.ones(4))
     # F steps down by half the slack between the two middle points
     fv = {1.0: 0.1, 2.0: 0.5, 3.0: 0.5 - _KS_SLACK / 2, 4.0: 0.9}
 
@@ -992,7 +1002,7 @@ def test_ks_distance_hand_built_unequal_weights_keep_the_index():
 def test_ks_distance_equal_weights_equal_one_whole_array_call(w, n):
     # hand-built, without a spec: the sort index path
     batch = _tied_batch(n, seed=n)
-    batch = SampleBatch(omega=batch.omega, weight=np.full(n, w), seed=n, stream_sizes=(n,))
+    batch = SampleBatch(batch.omega, np.full(n, w))
     assert ks_distance(batch, cdf_quadrature_batch) == ks_whole_array(batch, cdf_quadrature_batch)
 
 
@@ -1008,6 +1018,35 @@ def test_ks_distance_uniform_sampling_against_quadrature():
     batch = mc_sample(20000, seed=5)
     d = ks_distance(batch, cdf_quadrature_batch)
     assert d < 0.012
+
+
+@pytest.mark.parametrize(
+    "omega, weight, stderr",
+    [
+        # subnormal weights give the stderr of unit weights
+        ([1.0, 2.0], [5e-324, 5e-324], math.sqrt(0.5) / 2.0),
+        # and omegas near the largest double keep a finite one
+        ([1e200, 2e200], [1.0, 1.0], math.sqrt(0.5) / 2.0 * 1e200),
+    ],
+    ids=["subnormal_weights", "huge_omegas"],
+)
+def test_mc_mean_stderr_at_the_ends_of_the_double_range(omega, weight, stderr):
+    mean, se = mc_mean(SampleBatch(omega, weight))
+    unit_mean, unit_se = mc_mean(SampleBatch(omega, np.ones(2)))
+    assert (mean, se) == (unit_mean, unit_se)
+    assert se == pytest.approx(stderr, rel=4e-16)
+    assert mean == pytest.approx(1.5 * omega[0], rel=4e-16)
+
+
+def test_mc_mean_keeps_the_bits_of_the_unscaled_sums():
+    # where nothing overflows or underflows, the power-of-two scalings are exact
+    for weight in (UNIFORM_WEIGHT, WeightSpec("exp"), WeightSpec("gauss")):
+        batch = mc_sample(20000, seed=7, weight=weight)
+        w, omega = batch.weight, batch.omega
+        total = float(np.sum(w))
+        mean = float(np.sum(w * omega)) / total
+        stderr = math.sqrt(float(np.sum((w * (omega - mean)) ** 2))) / total
+        assert mc_mean(batch) == (mean, stderr)
 
 
 def test_mc_mean_agrees_with_quadrature():

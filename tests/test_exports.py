@@ -191,7 +191,7 @@ EXPORTS: dict[str, Export] = {
     "SampleBatch": Export(
         "a nonempty 1-d omega, finite and >= 0, and either weight of its shape, finite, >= 0, "
         "with a positive finite sum, or spec, whose weight_of_omega(omega) must be so",
-        "test_spectral.py::test_sample_batch_rejects_malformed_batches",
+        "test_spectral.py::test_batch_estimates_reject_malformed_batches",
     ),
     "SliceReduction": Export("t and g", "test_moment.py::test_slice_reduce_property"),
     "SpectralClass": Export(

@@ -896,6 +896,15 @@ def test_ks_distance_evaluates_cdf_on_a_fraction_of_the_batch():
 
 
 @pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda b: ks_distance(b, cdf_quadrature_batch),
+        lambda b: ks_distance(b, _cached_distribution(WeightSpec("exp")).cdf),
+        mc_mean,
+    ],
+    ids=["ks", "ks_reweighted", "mean"],
+)
+@pytest.mark.parametrize(
     "omega, weight, spec",
     [
         ([], [], None),
@@ -926,9 +935,10 @@ def test_ks_distance_evaluates_cdf_on_a_fraction_of_the_batch():
         "infinite_sum",
     ],
 )
-def test_sample_batch_rejects_malformed_batches(omega, weight, spec):
+def test_batch_estimates_reject_malformed_batches(estimate, omega, weight, spec):
+    # a malformed batch fails when it is built, so no estimate receives it
     with pytest.raises(ValueError):
-        SampleBatch(omega, weight, spec)
+        estimate(SampleBatch(omega, weight, spec))
 
 
 def test_sample_batch_arrays_are_read_only():

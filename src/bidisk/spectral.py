@@ -10,15 +10,16 @@ function
 
 whose closed form in u is 2/u^2 - 1 + 2 (1 - u^2) log(1 - u^2) / u^4.
 One implementation, on arrays and tail first, serves the reweighting,
-F_derived and cdf_closed_derived; one quadrature kernel (F below x = 8, a
-cancellation-free 1 - F above, and on request the density from its own
-nonnegative integrand on the same nodes; max(1, ceil(Y/4)) panels of width
-<= 4/Y, Y = log(1 + x^2/16)) is the independent reference that the
-discrepancy ledger checks it against.  The uniform mean integrates the
-kernel's 1 - F on one fixed composite K15 rule in t = asinh(x/4); the
-truncated second moment is the one caller of the adaptive driver.  Monte
-Carlo sampling over 16 seeded substreams on threads, moments, and importance
-reweighting by radial weights w(rho) complete the module.
+F_derived and cdf_closed_derived; one quadrature kernel (F below x = 8 and
+a cancellation-free 1 - F above, or in a pass of its own the density, whose
+nonnegative integrand is F's with one sign changed; max(1, ceil(Y/4))
+panels of width <= 4/Y, Y = log(1 + x^2/16)) is the independent reference
+that the discrepancy ledger checks it against.  The uniform mean
+integrates the kernel's 1 - F on one fixed composite K15 rule in
+t = asinh(x/4); the truncated second moment is the one caller of the
+adaptive driver.  Monte Carlo sampling over 16 seeded substreams on
+threads, moments, and importance reweighting by radial weights w(rho)
+complete the module.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def _panel_count(y: np.ndarray) -> np.ndarray:
 
 def _cdf_tail_quadrature(x, density: bool = False) -> tuple[np.ndarray, ...]:
     """F(x), 1 - F(x) and an error estimate by quadrature, on an array of x
-    in [0, inf]; with density, also f(x) = dF/dx and its error estimate.
+    in [0, inf]; with density, f(x) = dF/dx and its error estimate instead.
 
     With Y = log(1 + x^2/16), delta = e^{-Y} = 16/(16 + x^2), u^2 = 1 - delta,
     r = 4/hypot(x, 4) and the substitutions sigma = s^2,
@@ -115,103 +116,89 @@ def _cdf_tail_quadrature(x, density: bool = False) -> tuple[np.ndarray, ...]:
 
     F is integrated for x <= 8 and 1 - F, whose integrand lies in [1, 2],
     above; the other value is one minus the integrated one, so F <= 1.  The
-    density's integrand is a product of nonnegative factors, so one form
-    serves every x, and it shares the nodes' expm1 values with F's.  All
+    density's integrand differs from F's only in the sign of e_rev and is a
+    product of nonnegative factors, so one form serves every x.  All
     integrands vary on the scale 1/Y: each point gets the composite K15 rule
     on _panel_count(Y) panels, of width <= 4/Y, and points are batched only
-    with points of the same k and form, so a value does not depend on its
-    neighbours in the call.  delta is taken as r^2: exp(-Y) would turn the
-    absolute rounding of Y into relative error of the tail.  Below
-    s = (x/4)^2 = eps^2 the density is its limit x/24.
+    with points of the same k (and form, for F), so a value does not depend
+    on its neighbours in the call.  delta is taken as r^2: exp(-Y) would turn
+    the absolute rounding of Y into relative error of the tail.  Below
+    s = (x/4)^2 = eps^2 the density is its limit x/24, not integrated.
 
     Each estimate bounds the absolute error of its integrated value: the
     summed |K15 - G7| of the panels plus a rounding floor of
     50 eps (1 + Y) times the value.  The complement of F or 1 - F adds one
-    rounding.  Without density, f is not computed at all.
+    rounding.  Each pass integrates only what it returns: no F without
+    density, no f with it.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(x >= 0.0):
         raise ValueError("spectral parameter must be nonnegative")
     flat = x.ravel()
     s, y = _quarter_square_log(flat)
-    cdf = np.where(flat == np.inf, 1.0, 0.0)
-    tail = 1.0 - cdf
-    err = np.zeros_like(cdf)
-    if density:
-        pdf, pdf_err = np.zeros_like(cdf), np.zeros_like(cdf)
     # s underflows to 0 below x ~ 9e-162, where F ~ x^2/48 does too
-    live = np.flatnonzero((s > 0.0) & (flat < np.inf))
-    # batch key 2 k + (1 for the tail form): one stable sort groups the points
-    key = 2 * _panel_count(y[live]) + (flat[live] > _SWITCH)
+    small = s < _LINEAR_S if density else s == 0.0
+    val = np.where(small, flat / 24.0, 0.0) if density else np.zeros_like(flat)
+    err = _EPS * val
+    live = np.flatnonzero(~small & (flat < np.inf))
+    key = _panel_count(y[live])
+    if not density:
+        # 2 k + (1 for the tail form): one stable sort groups the points
+        key = 2 * key + (flat[live] > _SWITCH)
     grouped = live[np.argsort(key, kind="stable")]
     counts = np.bincount(key)
     ends = np.cumsum(counts)
     for kv in np.flatnonzero(counts):
         batch = grouped[ends[kv] - counts[kv] : ends[kv]]
-        k, tail_form = divmod(int(kv), 2)
-        step = max(1, _CHUNK // (15 * k * (1 + density)))
+        k, tail_form = (int(kv), False) if density else divmod(int(kv), 2)
+        step = max(1, _CHUNK // (15 * k))
         for start in range(0, batch.size, step):
             sel = batch[start : start + step]
-            m = sel.size
             yk = y[sel]
             u2 = -np.expm1(-yk)
 
             # the nodes are symmetric under v -> 1 - v, so e_rev is e
-            # reversed along the node and panel axes; with density the
-            # integrands of F (or 1 - F) and f sit side by side
+            # reversed along the node and panel axes
             def integrand(v):
                 e = np.multiply(v, -yk)
                 np.expm1(e, out=e)
                 rev = e[::-1, ::-1]
-                out = np.empty(e.shape[:2] + (m * (1 + density),))
-                val, dens = out[..., :m], out[..., m:]
                 if tail_form:
-                    np.multiply(e, rev, out=val)
-                    val /= u2
-                    val += 1.0
-                else:
-                    np.add(1.0, rev, out=val)
-                if density:
-                    np.subtract(1.0, rev, out=dens)
-                if density or not tail_form:
-                    # (e / Y)^2, scaled so that it does not underflow as Y -> 0
-                    e /= yk
-                    np.multiply(e, e, out=e)
-                    if not tail_form:
-                        val *= e
-                    if density:
-                        dens *= e
+                    out = np.multiply(e, rev)
+                    out /= u2
+                    out += 1.0
+                    return out
+                out = np.subtract(1.0, rev) if density else np.add(1.0, rev)
+                # (e / Y)^2, scaled so that it does not underflow as Y -> 0
+                e /= yk
+                np.multiply(e, e, out=e)
+                out *= e
                 return out
 
             vals, ests = composite_k15(integrand, k)
-            val, est = vals[:m], ests[:m]
-            if tail_form or density:
+            if density or tail_form:
                 r = 4.0 / np.hypot(flat[sel], 4.0)
-            if tail_form:
-                pre = yk * r * r / u2
-                tail[sel] = t = pre * val
-                cdf[sel] = 1.0 - t
-            else:
-                c = yk / u2
-                pre = c * c * yk
-                cdf[sel] = f = pre * val
-                tail[sel] = 1.0 - f
-            floor = 50.0 * _EPS * (1.0 + yk)
-            err[sel] = pre * (est + floor * val)
             if density:
                 # f = c^3 u r^3 / 2 times the scaled integral, with c = Y / u^2
                 # and u = x r / 4; (c r)^3 first, so no factor underflows
                 # before f does
                 g = yk / u2 * r
                 pre = g * g * g * (flat[sel] * r / 8.0)
-                pdf[sel] = pre * vals[m:]
-                pdf_err[sel] = pre * (ests[m:] + floor * vals[m:])
-    out = (cdf, tail, err)
+            elif tail_form:
+                pre = yk * r * r / u2
+            else:
+                c = yk / u2
+                pre = c * c * yk
+            floor = 50.0 * _EPS * (1.0 + yk)
+            val[sel] = pre * vals
+            err[sel] = pre * (ests + floor * vals)
     if density:
-        small = s < _LINEAR_S
-        pdf[small] = flat[small] / 24.0
-        pdf_err[small] = _EPS * pdf[small]
-        out += (pdf, pdf_err)
+        out = (val, err)
+    else:
+        # the integrated value and its complement, F first
+        tail_form = flat > _SWITCH
+        rest = 1.0 - val
+        out = (np.where(tail_form, rest, val), np.where(tail_form, val, rest), err)
     return tuple(a.reshape(x.shape) for a in out)
 
 
@@ -249,15 +236,16 @@ def cdf_quadrature_batch(xs) -> np.ndarray:
 def pdf_quadrature(x):
     """Spectral density f = dF/dx by the quadrature kernel.
 
-    The kernel integrates dF/du = (2 Y / u^5) int_0^1 e^2 (1 - e_rev) dv,
-    whose integrand is a product of nonnegative factors, on the same nodes
-    and max(1, ceil(Y/4)) panels of width <= 4/Y as F, and takes
-    f = dF/du r^3 / 4, r = 4/hypot(x, 4); below s = (x/4)^2 = eps^2 it is
-    the limit x/24.  No finite differences: tested to 1e-13 relative
+    The kernel's density pass integrates dF/du = (2 Y / u^5) int_0^1
+    e^2 (1 - e_rev) dv, whose integrand is a product of nonnegative
+    factors, on the same nodes and max(1, ceil(Y/4)) panels of width
+    <= 4/Y as F, and takes f = dF/du r^3 / 4, r = 4/hypot(x, 4); below
+    s = (x/4)^2 = eps^2 it is the limit x/24.  F and 1 - F are not
+    computed.  No finite differences: tested to 1e-13 relative
     wherever f is a normal double.  Float or array, as cdf_quadrature; 0
     for x <= 0 and at inf, ValueError for NaN.
     """
-    return _py(_cdf_tail_quadrature(np.maximum(x, 0.0), density=True)[3])
+    return _py(_cdf_tail_quadrature(np.maximum(x, 0.0), density=True)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +553,8 @@ class WeightSpec:
 UNIFORM_WEIGHT = WeightSpec("uniform")
 
 
-@dataclass(frozen=True)
+# batches compare by identity: == on their arrays would be elementwise
+@dataclass(frozen=True, eq=False)
 class SampleBatch:
     """Rotation numbers of sampled pairs with importance weights.
 
@@ -890,16 +879,23 @@ def ks_distance(batch: SampleBatch, cdf) -> float:
 
 def mc_mean(batch: SampleBatch) -> tuple[float, float]:
     """Self-normalized weighted mean and its standard error,
-    sqrt(sum (w (omega - mean))^2) / sum w.  The weights, and apart from
-    them the deviations from the mean, are scaled by the power of two that
-    brings their largest into [0.5, 1): the scalings are exact, so the sums
-    keep their bits wherever they would neither overflow nor underflow, and
-    subnormal weights or omegas as large as 1e200 still give the stderr of
-    the same sample at unit scale.  Two n-sized temporaries."""
+    sqrt(sum (w (omega - mean))^2) / sum w.  The weights, the weighted
+    omegas and, apart from the weights, the deviations from the mean are
+    each scaled by the power of two that brings their largest into
+    [0.5, 1): the scalings are exact, so the sums keep their bits wherever
+    they would neither overflow nor underflow, and subnormal weights or
+    omegas up to the largest double still give the mean and stderr of the
+    same sample at unit scale.  The mean is clipped to the omegas' range,
+    which rounding could leave.  Two n-sized temporaries."""
     w = np.ldexp(batch.weight, -math.frexp(batch.weight.max())[1])
     total = float(np.sum(w))
     dev = np.multiply(w, batch.omega)  # then the deviations, in place
-    mean = float(np.sum(dev)) / total
+    shift = math.frexp(dev.max())[1]
+    np.ldexp(dev, -shift, out=dev)
+    with np.errstate(over="ignore"):
+        mean = np.ldexp(float(np.sum(dev)) / total, shift)
+    # rounding can carry the mean just past the omegas, even to inf
+    mean = float(np.clip(mean, batch.omega.min(), batch.omega.max()))
     np.subtract(batch.omega, mean, out=dev)
     scale = math.frexp(max(dev.max(), -dev.min()))[1]
     np.ldexp(dev, -scale, out=dev)
@@ -1060,13 +1056,9 @@ MEAN_EXACT = 16.0 * math.pi / 3.0
 SMALL_X_EXPONENT_CLAIMED = 3.0
 
 
-def _ledger_entry(status: str, value, tolerance: float | None, details: str) -> dict:
-    return {
-        "status": status,
-        "value": value,
-        "tolerance": tolerance,
-        "details": details,
-    }
+def _entry(status: str, value, tolerance: float | None, details: str) -> dict:
+    """One entry of the ledger or of a verify report."""
+    return {"status": status, "value": value, "tolerance": tolerance, "details": details}
 
 
 def discrepancy_ledger() -> dict[str, dict]:
@@ -1084,7 +1076,7 @@ def discrepancy_ledger() -> dict[str, dict]:
     fq = cdf_quadrature_batch(xs)
     fd = _cdf_and_tail(xs)[0]
     sup = float(np.max(np.abs(fq - fd)))
-    out["ledger_cdf_derived_vs_quadrature"] = _ledger_entry(
+    out["ledger_cdf_derived_vs_quadrature"] = _entry(
         "pass" if sup <= 1e-8 else "fail",
         {"sup_abs_difference": sup},
         1e-8,
@@ -1097,7 +1089,7 @@ def discrepancy_ledger() -> dict[str, dict]:
     f_quad_half = cdf_quadrature(x_half)
     f_u_half = cdf_closed_paper_u(0.5)
     quad_ok = abs(f_quad_half - 0.0957) <= 1e-3
-    out["ledger_cdf_paper_u_vs_quadrature"] = _ledger_entry(
+    out["ledger_cdf_paper_u_vs_quadrature"] = _entry(
         "discrepancy" if quad_ok else "fail",
         {
             "F_quad_at_u_half": float(f_quad_half),
@@ -1112,7 +1104,7 @@ def discrepancy_ledger() -> dict[str, dict]:
 
     # (c) rescaled candidate tail limit
     prop_far = cdf_closed_paper_prop(1e6)
-    out["ledger_cdf_paper_prop_tail"] = _ledger_entry(
+    out["ledger_cdf_paper_prop_tail"] = _entry(
         "discrepancy",
         {"F_paper_prop_at_1e6": float(prop_far), "expected_limit": 1.0},
         1e-3,
@@ -1132,7 +1124,7 @@ def discrepancy_ledger() -> dict[str, dict]:
     worst_rel = float(np.max(np.abs(extrap - ref) / np.maximum(np.abs(ref), 1e-30)))
     worst_res = float(np.max(res / np.maximum(np.abs(extrap), 1.0)))
     step_failure = quadrature.uncertified(worst_res, "x_tilde grid [0.05, 20]")
-    out["ledger_pdf_paper_internal_consistency"] = _ledger_entry(
+    out["ledger_pdf_paper_internal_consistency"] = _entry(
         "pass" if worst_rel <= 1e-6 and not step_failure else "fail",
         {"max_rel_difference": worst_rel, "max_rel_residual": worst_res},
         quadrature.FD_TOL if step_failure else 1e-6,
@@ -1148,7 +1140,7 @@ def discrepancy_ledger() -> dict[str, dict]:
     batch = mc_sample(100000, 20260814)
     m_mc, se_mc = mc_mean(batch)
     exact_error = abs(mean_q - MEAN_EXACT)
-    out["ledger_mean_vs_claimed"] = _ledger_entry(
+    out["ledger_mean_vs_claimed"] = _entry(
         "fail" if exact_error > mean_bound else "discrepancy",
         {
             "mean_quadrature": float(mean_q),
@@ -1174,7 +1166,7 @@ def discrepancy_ledger() -> dict[str, dict]:
     slope, _ = np.polyfit(np.log(grid), np.log(dens), 1)
     slope = float(slope)
     status = "discrepancy" if abs(slope - SMALL_X_EXPONENT_CLAIMED) > 0.5 else "pass"
-    out["ledger_small_x_exponent"] = _ledger_entry(
+    out["ledger_small_x_exponent"] = _entry(
         status,
         {
             "measured_slope": slope,
@@ -1191,7 +1183,7 @@ def discrepancy_ledger() -> dict[str, dict]:
     # (g) truncated second moment growth
     e2, ratio, model_ratio, pure_ratio = second_moment_growth()
     ok = e2[0] < e2[1] < e2[2] and abs(ratio / model_ratio - 1.0) <= 0.2
-    out["ledger_second_moment_growth"] = _ledger_entry(
+    out["ledger_second_moment_growth"] = _entry(
         "pass" if ok else "fail",
         {
             "E2_at_cuts": e2,

@@ -51,7 +51,7 @@ from .moment import (
 )
 from . import quadrature  # FD_STEP and FD_TOL, read at call time
 from .quadrature import STEP_SIZE_PREFIX, central_difference, richardson  # noqa: F401 (re-exported)
-from .spectral import discrepancy_ledger
+from .spectral import _entry, discrepancy_ledger
 
 PASS = "pass"
 FAIL = "fail"
@@ -71,10 +71,6 @@ ZETA_MAX = 0.9
 GRID_N = 20
 GRID_HALFWIDTH = 0.8
 FD_STEP_SECOND = 3e-4
-
-
-def _entry(status: str, value, tolerance, details: str) -> dict:
-    return {"status": status, "value": value, "tolerance": tolerance, "details": details}
 
 
 def _rng(seed: int, tag: int) -> np.random.Generator:

@@ -95,10 +95,11 @@ EPS = sys.float_info.epsilon
 @example(1e-200)  # (x/4)^2 underflows; f = x/24 is a normal double
 @example(4.0 * math.sqrt(math.expm1(4.0)))  # Y = 4: the widest single panel
 def test_kernel_matches_fifty_digit_closed_form(x):
-    cdf, tail, err, pdf, pdf_err = (float(v) for v in _cdf_tail_quadrature(x, density=True))
-    # the density rides along without touching F, 1 - F or their estimate
-    assert [cdf, tail, err] == [float(v) for v in _cdf_tail_quadrature(x)]
+    cdf, tail, err = (float(v) for v in _cdf_tail_quadrature(x))
+    pdf, pdf_err = (float(v) for v in _cdf_tail_quadrature(x, density=True))
+    # the density pass returns f and its estimate alone: pdf_quadrature's f
     assert pdf == pdf_quadrature(x)
+    assert [cdf, tail] == [cdf_quadrature(x), one_minus_cdf(x)]
     ref_cdf, ref_tail, ref_pdf = cdf_tail_pdf(x, exact=True)
     if ref_tail >= TAIL_FLOOR:
         assert abs(tail - ref_tail) <= KERNEL_TAIL_RTOL * ref_tail

@@ -410,6 +410,28 @@ def test_pdf_batch_column_matches_scalar():
     assert np.array_equal(table.F_quad, cdf_quadrature_batch(xs))
 
 
+def test_each_kernel_pass_integrates_one_row_per_point(monkeypatch):
+    # 1e-100 is integrated for F but is x/24 for the density; 0 and inf are
+    # integrated by neither pass
+    xs = np.array([0.0, 1e-100, 0.5, 3.0, 8.0, 9.0, 1e5, 1e200, math.inf])
+    rows = []
+
+    def counting(f, k):
+        def recording(v):
+            out = f(v)
+            rows.append(out.shape[-1])
+            return out
+
+        return quadrature.composite_k15(recording, k)
+
+    monkeypatch.setattr(spectral, "composite_k15", counting)
+    pdf_quadrature(xs)
+    assert sum(rows) == 6
+    rows.clear()
+    cdf_quadrature_batch(xs)
+    assert sum(rows) == 7
+
+
 def test_kernel_mean_panel_count_on_sampled_draws():
     # a timing-free guard of the kernel's cost on the criterion-1 draws:
     # panels of width <= 4/Y give 1.12 panels per point (width 1/Y: 2.53)
@@ -941,6 +963,12 @@ def test_batch_estimates_reject_malformed_batches(estimate, omega, weight, spec)
         estimate(SampleBatch(omega, weight, spec))
 
 
+def test_sample_batches_compare_by_identity():
+    a, b = mc_sample(10, 1), mc_sample(10, 2)
+    assert a == a and not a == b and a != b
+    assert a != SampleBatch(a.omega, a.weight)
+
+
 def test_sample_batch_arrays_are_read_only():
     omega, weight = np.array([1.0, 2.0]), np.array([0.5, 0.25])
     batch = SampleBatch(omega, weight)
@@ -1046,6 +1074,17 @@ def test_mc_mean_stderr_at_the_ends_of_the_double_range(omega, weight, stderr):
     assert (mean, se) == (unit_mean, unit_se)
     assert se == pytest.approx(stderr, rel=4e-16)
     assert mean == pytest.approx(1.5 * omega[0], rel=4e-16)
+
+
+def test_mc_mean_of_omegas_at_the_largest_double():
+    # unscaled, the weighted sums would overflow; the scaled sum leaves the
+    # mean of equal omegas a few ulp off them, and the clip puts it back
+    for omega in (np.full(3, 1.7e308), np.full(5, sys.float_info.max)):
+        assert mc_mean(SampleBatch(omega, np.ones(omega.size))) == (omega[0], 0.0)
+    omega = np.array([1.7e308, 1.2e308, 0.3e308])
+    mean, se = mc_mean(SampleBatch(omega, np.ones(3)))
+    unit_mean, unit_se = mc_mean(SampleBatch(np.ldexp(omega, -1024), np.ones(3)))
+    assert (mean, se) == (math.ldexp(unit_mean, 1024), math.ldexp(unit_se, 1024))
 
 
 def test_mc_mean_keeps_the_bits_of_the_unscaled_sums():

@@ -6,6 +6,13 @@ diagonal pair (t, -t) sits at rho = 4 artanh(t) and the slice moment value
 comes out as 8t / (1 - t^2); the log-form without the 2 is not used
 anywhere in this package.
 
+Every distance of a pair comes from its two legs a = |z - w| and
+b = sqrt((1 - |z|^2)(1 - |w|^2)), whose hypotenuse is |1 - conj(w) z|:
+d_S = a / hypot(a, b), rho = 2 asinh(a / b), and the rotation number of
+moment.omega_of_pair is 4 (a / b) = 4 sinh(rho / 2).  Neither leg cancels,
+and the conformal factor 1 - |z|^2 has one implementation,
+_one_minus_abs2, which works from z's real and imaginary parts.
+
 Every function and dataclass here broadcasts over numpy arrays: scalar
 arguments give Python scalars, array arguments give arrays, and one bad
 entry of an array raises ValueError for the whole call.  A scalar call
@@ -69,23 +76,6 @@ def _from_pattern(m, build, group: str):
     return x
 
 
-def schwarz_distance(z, w):
-    """Schwarz-Pick pseudo-distance |z - w| / |1 - conj(w) z|, in [0, 1), of
-    z and w with |z|, |w| < 1 - BOUNDARY_TOL (1e-12); others raise
-    ValueError, as check_disk."""
-    z = np.asarray(check_disk(z))
-    w = np.asarray(check_disk(w))
-    return _py(np.abs(z - w) / _gap(z, w))
-
-
-def _gap(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """|1 - conj(w) z| from separately rounded real products, which keeps it
-    symmetric in z and w exactly; numpy's fused complex product does not."""
-    re = z.real * w.real + z.imag * w.imag
-    im = z.imag * w.real - z.real * w.imag
-    return np.hypot(1.0 - re, im)
-
-
 def _one_minus_abs2(z: np.ndarray) -> np.ndarray:
     """1 - |z|^2 from z.real and z.imag, for |z| < 1: the squares and their
     sum are split into a double and its exact error (Dekker's product on
@@ -106,35 +96,34 @@ def _one_minus_abs2(z: np.ndarray) -> np.ndarray:
     return (1.0 - s) - t - e - f
 
 
-# above this d_S, poincare_distance takes 1 - d_S from 1 - |z|^2 and 1 - |w|^2
-FAR_SCHWARZ = 0.99
+def _legs(z, w) -> tuple[np.ndarray, np.ndarray]:
+    """The legs a = |z - w| and b = sqrt((1 - |z|^2)(1 - |w|^2)) of z and w,
+    checked as check_disk.  Their hypotenuse is |1 - conj(w) z|, as
+    |1 - conj(w) z|^2 = |z - w|^2 + (1 - |z|^2)(1 - |w|^2), so every
+    distance is a quotient of the legs, and neither leg cancels: each is
+    within a few eps relative however near the circle or each other the
+    points are."""
+    z = np.asarray(check_disk(z))
+    w = np.asarray(check_disk(w))
+    return np.abs(z - w), np.sqrt(_one_minus_abs2(z) * _one_minus_abs2(w))
+
+
+def schwarz_distance(z, w):
+    """Schwarz-Pick pseudo-distance d_S = |z - w| / |1 - conj(w) z| =
+    a / hypot(a, b), in [0, 1] (it rounds to 1 where b < 1.5e-8 a), of z
+    and w with |z|, |w| < 1 - BOUNDARY_TOL (1e-12); others raise
+    ValueError, as check_disk."""
+    a, b = _legs(z, w)
+    return _py(a / np.hypot(a, b))
 
 
 def poincare_distance(z, w):
-    """Hyperbolic distance rho = 2 artanh(d_S) = log1p(2 d_S / (1 - d_S)).
-
-    Above d_S = FAR_SCHWARZ = 0.99, 2 artanh(d_S) would lose digits to the
-    rounding of 1 - d_S, so 1 - d_S comes from 1 - d_S^2 =
-    (1 - |z|^2)(1 - |w|^2) / |1 - conj(w) z|^2:
-
-        rho = log1p(2 d (1 + d) |1 - conj(w) z|^2 / ((1 - |z|^2)(1 - |w|^2))),
-
-    with 1 - |z|^2 taken from the real and imaginary parts by error-free
-    products rather than from the rounded |z|.  This stays finite where d_S
-    rounds to 1, and is within 4 eps relative on real-axis pairs (t, -s)
-    with t, s in [0.9, 1 - 2e-12] and on those pairs turned off the axis.
-    Every entry with d_S <= 0.99 is 2 artanh(d_S) bit for bit.
-    """
-    d = np.asarray(schwarz_distance(z, w))
-    far = d > FAR_SCHWARZ
-    rho = np.asarray(2.0 * np.arctanh(np.where(far, 0.0, d)))
-    if far.any():
-        z, w = (np.broadcast_to(np.asarray(v, complex), d.shape)[far] for v in (z, w))
-        d = d[far]
-        gap = _gap(z, w)
-        den = _one_minus_abs2(z) * _one_minus_abs2(w)
-        rho[far] = np.log1p(2.0 * d * (1.0 + d) * gap * gap / den)
-    return _py(rho)
+    """Hyperbolic distance rho = 2 artanh(d_S) = 2 asinh(a / b), from the
+    legs a = |z - w| and b = sqrt((1 - |z|^2)(1 - |w|^2)); finite also
+    where d_S rounds to 1, and within 4 eps relative on the whole disk.
+    It equals rho_of_omega(omega_of_pair(BidiskPoint(z, w))) bit for bit."""
+    a, b = _legs(z, w)
+    return _py(2.0 * np.arcsinh(a / b))
 
 
 @dataclass(frozen=True)
@@ -198,8 +187,7 @@ def translate(zeta) -> MobiusTransform:
     """The automorphism T_zeta(z) = (z - zeta) / (1 - conj(zeta) z), which
     sends zeta to 0."""
     zeta = np.asarray(check_disk(zeta))
-    m = np.abs(zeta)
-    d = np.sqrt(1.0 - m * m)
+    d = np.sqrt(_one_minus_abs2(zeta))
     return MobiusTransform(1.0 / d, -zeta / d)
 
 

@@ -7,7 +7,10 @@ Ad(g) xi = N(g(0)), N(z) = (1 + |z|^2, 2 Re z, 2 Im z) / (1 - |z|^2), and
 g(0) is the hyperbolic midpoint of p, the map is mu(z, w) =
 2 d_S(z, w) (N(z) + N(w)); the inverse reads g(0) off y / omega by
 stereographic projection.  The image of the off-diagonal locus is the
-positive elliptic cone, and omega(p) = 4 q / sqrt(1 - q^2), q = d_S(z, w).
+positive elliptic cone, and omega(p) = 4 a / b = 4 sinh(rho / 2) from the
+legs a = |z - w| and b = sqrt((1 - |z|^2)(1 - |w|^2)) of disk._legs.
+Every conformal factor 1 - |z|^2 and 1 - t^2 here but slice_reduce's comes
+from disk._one_minus_abs2.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import numpy as np
 from .disk import (
     BidiskPoint,
     MobiusTransform,
+    _legs,
+    _one_minus_abs2,
     _py,
     act_bidisk,
     schwarz_distance,
@@ -29,11 +34,12 @@ from .liealg import ELLIPTIC_POSITIVE, LieVector, classify
 
 
 def mu_slice(t):
-    """Moment value 8t / (1 - t^2) of the slice point (t, -t)."""
+    """Moment value 8t / (1 - t^2) of the slice point (t, -t), with 1 - t^2
+    from disk._one_minus_abs2, so within 2 eps relative up to t = 1 - 2^-53."""
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0.0) & (t < 1.0)):
         raise ValueError("slice parameter must lie in [0, 1)")
-    return _py(8.0 * t / (1.0 - t * t))
+    return _py(8.0 * t / _one_minus_abs2(t))
 
 
 def mu_slice_invert(x):
@@ -51,9 +57,11 @@ def mu_slice_invert(x):
 
 
 def omega_of_pair(p: BidiskPoint):
-    """Rotation number 4 q / sqrt(1 - q^2), q the Schwarz distance of p."""
-    q = schwarz_distance(p.z, p.w)
-    return _py(4.0 * q / np.sqrt((1.0 - q) * (1.0 + q)))
+    """Rotation number 4 |z - w| / sqrt((1 - |z|^2)(1 - |w|^2)) of p = (z, w),
+    4 (a / b) from the legs of disk._legs, so that omega / 4 is a / b
+    exactly and rho_of_omega(omega) is poincare_distance(z, w) bit for bit."""
+    a, b = _legs(p.z, p.w)
+    return _py(4.0 * (a / b))
 
 
 @dataclass(frozen=True)
@@ -95,7 +103,7 @@ def _hyperboloid(z) -> np.ndarray:
     """N(z) = (1 + |z|^2, 2 Re z, 2 Im z) / (1 - |z|^2) on axis 0: Ad(g) xi for g(0) = z."""
     z = np.asarray(z)
     r2 = z.real * z.real + z.imag * z.imag
-    return np.stack([1.0 + r2, 2.0 * z.real, 2.0 * z.imag]) / (1.0 - r2)
+    return np.stack([1.0 + r2, 2.0 * z.real, 2.0 * z.imag]) / _one_minus_abs2(z)
 
 
 def moment_vector(p: BidiskPoint) -> LieVector:

@@ -880,12 +880,13 @@ def ks_distance(batch: SampleBatch, cdf) -> float:
 def mc_mean(batch: SampleBatch) -> tuple[float, float]:
     """Self-normalized weighted mean and its standard error,
     sqrt(sum (w (omega - mean))^2) / sum w.  The weights, the weighted
-    omegas and, apart from the weights, the deviations from the mean are
+    omegas, the deviations from the mean and the weighted deviations are
     each scaled by the power of two that brings their largest into
     [0.5, 1): the scalings are exact, so the sums keep their bits wherever
     they would neither overflow nor underflow, and subnormal weights or
     omegas up to the largest double still give the mean and stderr of the
-    same sample at unit scale.  The mean is clipped to the omegas' range,
+    same sample at unit scale, as do tiny weighted deviations, whose
+    squares would underflow.  The mean is clipped to the omegas' range,
     which rounding could leave.  Two n-sized temporaries."""
     w = np.ldexp(batch.weight, -math.frexp(batch.weight.max())[1])
     total = float(np.sum(w))
@@ -900,8 +901,10 @@ def mc_mean(batch: SampleBatch) -> tuple[float, float]:
     scale = math.frexp(max(dev.max(), -dev.min()))[1]
     np.ldexp(dev, -scale, out=dev)
     dev *= w
+    rescale = math.frexp(max(dev.max(), -dev.min()))[1]
+    np.ldexp(dev, -rescale, out=dev)
     np.square(dev, out=dev)
-    stderr = math.ldexp(math.sqrt(float(np.sum(dev))) / total, scale)
+    stderr = math.ldexp(math.sqrt(float(np.sum(dev))) / total, scale + rescale)
     return mean, stderr
 
 
@@ -1008,9 +1011,10 @@ def weighted_mean(weight: WeightSpec, cut: float = 1e6) -> float:
 # tabulation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralTable:
-    """Columnar table of the distribution and density candidates."""
+    """Columnar table of the distribution and density candidates; tables
+    compare by identity, as their columns are arrays."""
 
     x: np.ndarray
     x_tilde: np.ndarray

@@ -51,6 +51,16 @@ def rescaled_candidates(x_tilde: float) -> tuple[float, float]:
         return float(prop), float(pdf)
 
 
+def legs(z, w) -> tuple:
+    """The legs |z - w| and sqrt((1 - |z|^2)(1 - |w|^2)) of a pair, as
+    50-digit mpmath numbers: d_S = a / hypot(a, b), rho = 2 asinh(a / b)
+    and omega = 4 a / b."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        z, w = mpmath.mpc(z), mpmath.mpc(w)
+        return abs(z - w), mpmath.sqrt((1 - abs(z) ** 2) * (1 - abs(w) ** 2))
+
+
 def sampled_omega(rz: float, az: float, rw: float, aw: float):
     """The rotation number 4 |z - w| / sqrt((1 - |z|^2)(1 - |w|^2)) of the
     drawn pair z = rz e^{i az}, w = rw e^{i aw}, as a 50-digit mpmath number."""
@@ -58,7 +68,8 @@ def sampled_omega(rz: float, az: float, rw: float, aw: float):
     with mpmath.workdps(50):
         z = mpmath.mpf(rz) * mpmath.expj(mpmath.mpf(az))
         w = mpmath.mpf(rw) * mpmath.expj(mpmath.mpf(aw))
-        return 4 * abs(z - w) / mpmath.sqrt((1 - abs(z) ** 2) * (1 - abs(w) ** 2))
+        a, b = legs(z, w)
+        return 4 * a / b
 
 
 def poincare(z: complex, w: complex) -> float:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from bidisk.disk import (
-    FAR_SCHWARZ,
     BidiskPoint,
     MobiusTransform,
     act_bidisk,
@@ -85,7 +84,7 @@ OFF_AXIS = [((1.0 - 3e-12) * cmath.exp(0.3j), -(1.0 - 2e-12))] + [
 
 def test_poincare_distance_off_the_real_axis():
     z, w = (np.array(v) for v in zip(*OFF_AXIS))
-    assert np.all(schwarz_distance(z, w) > FAR_SCHWARZ)
+    assert np.all(schwarz_distance(z, w) > 0.99)
     got = poincare_distance(z, w)
     (ulps,) = EXPORTS["poincare_distance"].tol.values()
     for rho, pair in zip(got, OFF_AXIS):

@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from bidisk.disk import BidiskPoint, act_bidisk, random_mobius, random_point, translate
+from bidisk.disk import (
+    BidiskPoint,
+    act_bidisk,
+    poincare_distance,
+    random_mobius,
+    random_point,
+    schwarz_distance,
+    translate,
+)
 from bidisk.liealg import (
     ELLIPTIC_POSITIVE,
     ETA,
@@ -24,8 +32,11 @@ from bidisk.moment import (
     slice_point,
     slice_reduce,
 )
-from reference import moment
+from bidisk.spectral import rho_of_omega
+from reference import legs, moment
 from test_exports import EXPORTS
+
+EPS = np.finfo(float).eps
 
 
 def test_mu_slice_examples():
@@ -169,17 +180,133 @@ def test_moment_vector_matches_slice_reduction_route():
 
 @pytest.mark.parametrize("rmax", [0.9, 0.999, 1.0 - 1e-6])
 def test_moment_vector_against_high_precision(rmax):
-    # mu is conditioned like 1 / (1 - |z|): one ulp of z moves it by
-    # eps / (1 - |z|) relative, so the bound scales with the nearer point
+    # the pair's own doubles are exact, so the error is the formula's rounding,
+    # relative to the largest coefficient a however near the circle they are
     rng = np.random.default_rng(40)
     p = BidiskPoint(random_point(rng, rmax, 60), random_point(rng, rmax, 60))
     got = moment_vector(p)
-    (tol,) = EXPORTS["moment_vector"].tol.values()
+    (ulps,) = EXPORTS["moment_vector"].tol.values()
     for i in range(60):
         ref = moment(complex(p.z[i]), complex(p.w[i]))
         err = max(abs(float(x - r)) for x, r in zip((got.a[i], got.b[i], got.c[i]), ref))
-        edge = 1.0 - max(abs(p.z[i]), abs(p.w[i]))
-        assert err <= tol * max(1.0, float(ref[0])) / edge
+        assert err <= ulps * EPS * float(ref[0])
+
+
+def _polar(r, angle):
+    return r * np.cos(angle) + 1j * (r * np.sin(angle))
+
+
+def _gaps(rng, lo, hi, n):
+    """n values log-uniform in [lo, hi]."""
+    return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), n)
+
+
+def _turns(rng, n):
+    return rng.uniform(0.0, 2.0 * math.pi, n)
+
+
+def _bulk(rng, n):
+    return random_point(rng, 0.95, n), random_point(rng, 0.95, n)
+
+
+def _near_circle(rng, n):
+    return tuple(_polar(1.0 - _gaps(rng, 2e-12, 0.1, n), _turns(rng, n)) for _ in "zw")
+
+
+def _close_near_circle(rng, n):
+    # |z - w| of the order of 1 - |z|, where 1 - Re(conj(w) z) cancels
+    gz = _gaps(rng, 2e-11, 0.1, n)
+    gw = gz * _gaps(rng, 0.1, 10.0, n)
+    az = _turns(rng, n)
+    aw = az + gz * _gaps(rng, 0.01, 10.0, n) * rng.choice([-1.0, 1.0], n)
+    return _polar(1.0 - gz, az), _polar(1.0 - gw, aw)
+
+
+def _near_diagonal(rng, n):
+    # |z - w| above DIAGONAL_TOL, below which moment_vector is 0
+    z = random_point(rng, 0.9, n)
+    return z, z + _polar(_gaps(rng, 3e-13, 1e-3, n), _turns(rng, n))
+
+
+def _tiny(rng, n, lo=1e-300):
+    return tuple(_polar(_gaps(rng, lo, 0.1, n), _turns(rng, n)) for _ in "zw")
+
+
+PAIR_FAMILIES = {
+    "bulk": _bulk,
+    "near_circle": _near_circle,
+    "close_near_circle": _close_near_circle,
+    "near_diagonal": _near_diagonal,
+    "tiny": _tiny,
+}
+
+
+def _eps_off(got, ref) -> float:
+    """The relative error of a double against an mpmath number, in eps."""
+    import mpmath
+
+    return float(abs(mpmath.mpf(float(got)) - ref) / ref) / EPS if ref else abs(got) / EPS
+
+
+@pytest.mark.parametrize("family", PAIR_FAMILIES)
+def test_geometry_against_fifty_digit_legs(family):
+    # d_S, rho and omega are quotients of the legs |z - w| and
+    # sqrt((1 - |z|^2)(1 - |w|^2)), and mu = 2 d_S (N(z) + N(w)) divides by
+    # the same factors; no call may warn (filterwarnings = error)
+    mpmath = pytest.importorskip("mpmath")
+
+    n = 1000
+    z, w = PAIR_FAMILIES[family](np.random.default_rng(2029), n)
+    p = BidiskPoint(z, w)
+    got = {
+        "schwarz_distance": schwarz_distance(z, w),
+        "poincare_distance": poincare_distance(z, w),
+        "omega_of_pair": omega_of_pair(p),
+    }
+    mu = moment_vector(p)
+    worst = dict.fromkeys((*got, "moment_vector"), 0.0)
+    for i in range(n):
+        a, b = legs(complex(z[i]), complex(w[i]))
+        with mpmath.workdps(50):
+            exact = {
+                "schwarz_distance": a / mpmath.hypot(a, b),
+                "poincare_distance": 2 * mpmath.asinh(a / b),
+                "omega_of_pair": 4 * a / b,
+            }
+            for name, value in exact.items():
+                worst[name] = max(worst[name], _eps_off(got[name][i], value))
+            if not p.is_diagonal[i]:
+                ref = moment(complex(z[i]), complex(w[i]))
+                err = max(abs(mpmath.mpf(float(x[i])) - r) for x, r in zip((mu.a, mu.b, mu.c), ref))
+                worst["moment_vector"] = max(worst["moment_vector"], float(err / ref[0]) / EPS)
+    for name, value in worst.items():
+        (ulps,) = EXPORTS[name].tol.values()
+        assert value <= ulps, (family, name, value)
+
+
+def test_mu_slice_against_fifty_digits_up_to_one():
+    mpmath = pytest.importorskip("mpmath")
+
+    rng = np.random.default_rng(2030)
+    t = np.concatenate((1.0 - _gaps(rng, 2.0**-53, 1.0, 1000), rng.random(1000), [1.0 - 2.0**-53]))
+    got = mu_slice(t)
+    (ulps,) = EXPORTS["mu_slice"].tol.values()
+    with mpmath.workdps(50):
+        for ti, value in zip(t, got):
+            tm = mpmath.mpf(float(ti))
+            assert _eps_off(value, 8 * tm / (1 - tm * tm)) <= ulps, ti
+
+
+# the identity holds also where the legs are subnormal
+IDENTITY_FAMILIES = {**PAIR_FAMILIES, "tiny_to_1e-320": lambda rng, n: _tiny(rng, n, lo=1e-320)}
+
+
+@pytest.mark.parametrize("family", IDENTITY_FAMILIES)
+def test_poincare_distance_is_rho_of_omega_bit_for_bit(family):
+    # omega / 4 is the quotient of the legs that poincare_distance takes asinh of
+    z, w = IDENTITY_FAMILIES[family](np.random.default_rng(2031), 10_000)
+    rho = poincare_distance(z, w)
+    assert np.array_equal(rho, rho_of_omega(omega_of_pair(BidiskPoint(z, w))))
 
 
 @pytest.mark.parametrize("omega", [0.5, 5.0])

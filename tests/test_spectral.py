@@ -1059,21 +1059,24 @@ def test_ks_distance_uniform_sampling_against_quadrature():
 
 
 @pytest.mark.parametrize(
-    "omega, weight, stderr",
+    "omega, weight, expect, stderr",
     [
         # subnormal weights give the stderr of unit weights
-        ([1.0, 2.0], [5e-324, 5e-324], math.sqrt(0.5) / 2.0),
+        ([1.0, 2.0], [5e-324, 5e-324], 1.5, math.sqrt(0.5) / 2.0),
         # and omegas near the largest double keep a finite one
-        ([1e200, 2e200], [1.0, 1.0], math.sqrt(0.5) / 2.0 * 1e200),
+        ([1e200, 2e200], [1.0, 1.0], 1.5e200, math.sqrt(0.5) / 2.0 * 1e200),
+        # weighted deviations of ~1e-300 keep their squares
+        ([1e300, 1e-300], [1e-300, 1.0], 1.0, math.sqrt(2.0)),
     ],
-    ids=["subnormal_weights", "huge_omegas"],
+    ids=["subnormal_weights", "huge_omegas", "tiny_weighted_deviations"],
 )
-def test_mc_mean_stderr_at_the_ends_of_the_double_range(omega, weight, stderr):
+def test_mc_mean_stderr_at_the_ends_of_the_double_range(omega, weight, expect, stderr):
     mean, se = mc_mean(SampleBatch(omega, weight))
-    unit_mean, unit_se = mc_mean(SampleBatch(omega, np.ones(2)))
+    # the same sample with its largest weight at 1
+    unit_mean, unit_se = mc_mean(SampleBatch(omega, np.divide(weight, max(weight))))
     assert (mean, se) == (unit_mean, unit_se)
     assert se == pytest.approx(stderr, rel=4e-16)
-    assert mean == pytest.approx(1.5 * omega[0], rel=4e-16)
+    assert mean == pytest.approx(expect, rel=4e-16)
 
 
 def test_mc_mean_of_omegas_at_the_largest_double():
@@ -1256,6 +1259,11 @@ def test_spectral_table_derived_column_is_the_reweighting_closed_form():
     # also above x ~ 3e8, where u rounds to 1
     xs = np.concatenate((np.geomspace(1e-3, 1e12, 500), [1e300]))
     assert np.array_equal(SpectralTable.build(xs).F_derived, _cdf_and_tail(xs)[0])
+
+
+def test_spectral_tables_compare_by_identity():
+    a, b = SpectralTable.build([1.0, 2.0]), SpectralTable.build([1.0, 3.0])
+    assert a == a and not a == b and a != b
 
 
 def test_spectral_table_rejects_bad_grid():

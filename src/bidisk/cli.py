@@ -496,38 +496,35 @@ def render_spectrum_svg(table: SpectralTable) -> str:
     def py(v: float) -> float:
         return height - mb - v / y1 * (height - mt - mb)
 
+    def line(x1: float, y1: float, x2: float, y2: float) -> str:
+        return (
+            f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+            'stroke="black" stroke-width="1"/>'
+        )
+
+    def text(x: float, y: float, size: int, body: str, anchor: str | None = None) -> str:
+        at = f' text-anchor="{anchor}"' if anchor else ""
+        return f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}"{at}>{body}</text>'
+
+    y0 = py(0.0)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{ml:.2f}" y1="{py(0.0):.2f}" x2="{width - mr:.2f}" '
-        f'y2="{py(0.0):.2f}" stroke="black" stroke-width="1"/>',
-        f'<line x1="{ml:.2f}" y1="{py(0.0):.2f}" x2="{ml:.2f}" '
-        f'y2="{mt:.2f}" stroke="black" stroke-width="1"/>',
+        line(ml, y0, width - mr, y0),
+        line(ml, y0, ml, mt),
     ]
     for d in range(math.ceil(x0), math.floor(x1) + 1):
         xp = px(float(d))
-        parts.append(
-            f'<line x1="{xp:.2f}" y1="{py(0.0):.2f}" x2="{xp:.2f}" '
-            f'y2="{py(0.0) + 6:.2f}" stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{xp:.2f}" y="{py(0.0) + 20:.2f}" font-size="12" '
-            f'text-anchor="middle">1e{d}</text>'
-        )
+        parts.append(line(xp, y0, xp, y0 + 6))
+        parts.append(text(xp, y0 + 20, 12, f"1e{d}", "middle"))
     for k in range(1, 5):
         yv = y1 / 5.0 * k
         yp = py(yv)
         # fixed point keeps >= 3 digits and <= 12 characters in this range
         label = f"{yv:.4f}" if 1e-2 <= yv < 1e7 else f"{yv:.4g}"
-        parts.append(
-            f'<line x1="{ml - 6:.2f}" y1="{yp:.2f}" x2="{ml:.2f}" y2="{yp:.2f}" '
-            f'stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{ml - 10:.2f}" y="{yp + 4:.2f}" font-size="12" '
-            f'text-anchor="end">{label}</text>'
-        )
+        parts.append(line(ml - 6, yp, ml, yp))
+        parts.append(text(ml - 10, yp + 4, 12, label, "end"))
     pts = " ".join(
         f"{px(float(v)):.2f},{py(float(fv)):.2f}"
         for v, fv in zip(lx, table.f_quad)
@@ -535,14 +532,8 @@ def render_spectrum_svg(table: SpectralTable) -> str:
     parts.append(
         f'<polyline points="{pts}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>'
     )
-    parts.append(
-        f'<text x="{(ml + width - mr) / 2:.2f}" y="{height - 12:.2f}" '
-        f'font-size="13" text-anchor="middle">x (log scale)</text>'
-    )
-    parts.append(
-        f'<text x="{ml:.2f}" y="{mt - 10:.2f}" font-size="13">'
-        f"spectral density f_quad</text>"
-    )
+    parts.append(text((ml + width - mr) / 2, height - 12, 13, "x (log scale)", "middle"))
+    parts.append(text(ml, mt - 10, 13, "spectral density f_quad"))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

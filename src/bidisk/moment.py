@@ -109,7 +109,7 @@ def _hyperboloid(z) -> np.ndarray:
 def moment_vector(p: BidiskPoint) -> LieVector:
     """mu(p) = 2 d_S(z, w) (N(z) + N(w)), zero on the diagonal; equal to
     Ad(g)(mu_slice(t) xi) for (t, g) from slice_reduce."""
-    s = 2.0 * np.where(p.is_diagonal, 0.0, schwarz_distance(p.z, p.w))
+    s = 2.0 * schwarz_distance(p.z, p.w)
     return LieVector(*(s * (_hyperboloid(p.z) + _hyperboloid(p.w))))
 
 

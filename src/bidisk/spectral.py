@@ -9,21 +9,23 @@ function
     F(x) = 2 * int_0^1 (u (1 - s^2) / (1 - s^2 u^2))^2 s ds,
 
 whose closed form in u is 2/u^2 - 1 + 2 (1 - u^2) log(1 - u^2) / u^4.
-One implementation, on arrays and tail first, serves the reweighting,
+One implementation, on arrays and tail first, serves the reweighted cdf,
 F_derived and cdf_closed_derived; one quadrature kernel (F below x = 8 and
 a cancellation-free 1 - F above, or in a pass of its own the density, whose
 nonnegative integrand is F's with one sign changed; max(1, ceil(Y/4))
 panels of width <= 4/Y, Y = log(1 + x^2/16)) is the independent reference
-that the discrepancy ledger checks it against.  The uniform mean
-integrates the kernel's 1 - F on one fixed composite K15 rule in
-t = asinh(x/4); the truncated second moment is the one caller of the
-adaptive driver.  Monte Carlo sampling over 16 seeded substreams on
-threads, moments, and importance reweighting by radial weights w(rho)
-complete the module.
+that the discrepancy ledger checks it against.  Every integral over x but
+the uniform truncated second moment, the one caller of the adaptive
+driver, runs on one fixed composite K15 rule in t = asinh(x/4) = rho/2
+(_integrate_t): the uniform mean on the kernel's 1 - F, the reweighting's
+normalizer and weighted moments on its density times the weight.  Monte
+Carlo sampling over 16 seeded substreams on threads, moments, and
+importance reweighting by radial weights w(rho) complete the module.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import os
@@ -413,33 +415,55 @@ def series_coefficient(k) -> float:
 E2_MAX_CUT = 1e8
 
 
-# the mean's K15 rule in t = asinh(x/4): panels of width 1/2 on [0, 50]
-_MEAN_T = 50.0
-_MEAN_PANELS = 100
+# the end of every integral over x: t = asinh(x/4) = rho/2 runs over [0, 50]
+_X_END = 4.0 * math.sinh(50.0)
+
+
+def _integrate_t(g, cut: float = _X_END, knots=()) -> tuple[np.ndarray, np.ndarray]:
+    """int_0^cut g(x) dx, for 0 < cut <= _X_END, as
+    int_0^T g(4 sinh t) 4 cosh t dt with T = asinh(cut/4), on one composite
+    K15 rule: panel edges at every multiple of 1/2 below T, at T and at the
+    knots (in t) inside (0, T), so no panel is wider than 1/2.  The rule's
+    panel j of [0, 1] is mapped onto its own [a_j, b_j] by
+    t = a_j + (v k - j) h_j, h_j = b_j - a_j, with factor 4 k h_j cosh t.
+
+    g receives x with shape (15, k, 1) and returns shape (15, k, m); returns
+    the m values and their summed |K15 - G7|, as composite_k15.
+    """
+    end = math.asinh(cut / 4.0)
+    # a set, not np.unique, which imports numpy.ma on its first call
+    edges = sorted({*np.arange(0.0, end, 0.5).tolist(), end, *(t for t in knots if 0.0 < t < end)})
+    k = len(edges) - 1
+    a = np.array(edges[:-1])[:, None]
+    h = np.diff(edges)[:, None]
+    j = np.arange(k)[:, None]
+
+    def integrand(v):
+        t = a + (v * k - j) * h
+        return g(4.0 * np.sinh(t)) * (4.0 * k * h * np.cosh(t))
+
+    return composite_k15(integrand, k)
 
 
 def mean_quadrature() -> tuple[float, float]:
-    """Mean by integrating the upper tail, E = int_0^inf (1 - F) dx, as
-    int_0^T (1 - F(4 sinh t)) 4 cosh t dt on the composite K15 rule with
-    _MEAN_PANELS panels, T = _MEAN_T; 1 - F comes from the quadrature
-    kernel at each node.
+    """Mean by integrating the upper tail, E = int_0^inf (1 - F) dx, on the
+    rule of _integrate_t up to _X_END = 4 sinh 50; 1 - F comes from the
+    quadrature kernel at each node.
 
     Returns (value, error_bound).  The bound adds the summed |K15 - G7|,
     the kernel's own error estimates at the nodes carried through the K15
-    weights, and the tail beyond X = 4 sinh T: there
+    weights, and the tail beyond X = _X_END: there
     1 - F <= (32 / x^2) log(1 + x^2/16) (1 + 16/x^2)^2, whose integral from
     X on is below 64 (log(X/4) + 2) / X, about 3e-19.  `moments` and the
     discrepancy ledger both report this one value.
     """
 
-    def integrand(v):
-        t = _MEAN_T * v
-        _, tail, err = _cdf_tail_quadrature(4.0 * np.sinh(t))
-        return np.concatenate((tail, err), axis=-1) * (4.0 * _MEAN_T * np.cosh(t))
+    def tail_and_error(x):
+        _, tail, err = _cdf_tail_quadrature(x)
+        return np.concatenate((tail, err), axis=-1)
 
-    (value, carried), (estimate, _) = composite_k15(integrand, _MEAN_PANELS)
-    x_end = 4.0 * math.sinh(_MEAN_T)
-    beyond = 64.0 * (math.log(x_end / 4.0) + 2.0) / x_end
+    (value, carried), (estimate, _) = _integrate_t(tail_and_error)
+    beyond = 64.0 * (math.log(_X_END / 4.0) + 2.0) / _X_END
     return float(value), float(estimate + carried + beyond)
 
 
@@ -913,27 +937,33 @@ def mc_mean(batch: SampleBatch) -> tuple[float, float]:
 
 
 class ReweightedDistribution:
-    """Distribution with density proportional to f_quad(x) w(rho(x)).
+    """Distribution with density proportional to f(x) w(rho(x)).
 
-    The normalizer and distribution function are accumulated as a
-    Stieltjes sum over 20001 equally spaced phi = asinh(x/4) = rho/2 from 0
-    to asinh(1e6/4) + 12, with
-    the base distribution evaluated by the closed form; no finite
-    differencing is involved, so the table is smooth to ~1e-14.
+    The normalizer Z = int_0^_X_END f w dx is taken on first use, from the
+    kernel's density on the rule of _integrate_t, with panel edges at a
+    table weight's knots t = rho/2.  The distribution function alone keeps
+    a Stieltjes table over 20001 equally spaced phi = asinh(x/4) = rho/2
+    from 0 to asinh(1e6/4) + 12: the closed form F at the nodes, the weight
+    at each bin's midpoint, normalized by the table's own total.  No finite
+    differencing is involved, so the table is smooth to ~1e-14.  A weight
+    whose table has no mass raises ValueError.
     """
 
     def __init__(self, weight: WeightSpec):
+        self.weight = weight
         self.phi = np.linspace(0.0, math.asinh(1e6 / 4.0) + 12.0, 20001)
-        self.x_nodes = 4.0 * np.sinh(self.phi)
-        self.f_nodes = _cdf_and_tail(self.x_nodes)[0]
+        self.f_nodes = _cdf_and_tail(4.0 * np.sinh(self.phi))[0]
         rho_mid = self.phi[:-1] + self.phi[1:]  # = 2 * phi at midpoints
         self.w_mid = weight.weight_of_rho(rho_mid)
-        # reweighted probability of each phi bin, before normalization
-        self.mass = self.w_mid * np.diff(self.f_nodes)
-        self.cum = np.concatenate(([0.0], np.cumsum(self.mass)))
-        self.normalizer = float(self.cum[-1])
-        if self.normalizer <= 0.0:
+        # reweighted probability below each phi node, before normalization
+        self.cum = np.concatenate(([0.0], np.cumsum(self.w_mid * np.diff(self.f_nodes))))
+        if self.cum[-1] <= 0.0:
             raise ValueError("weight annihilates the distribution")
+
+    @functools.cached_property
+    def normalizer(self) -> float:
+        """Z = int_0^_X_END f w dx."""
+        return _weighted_integral(self.weight, 0, _X_END)
 
     def cdf(self, xs):
         """The reweighted distribution function at x; float in, float out
@@ -943,12 +973,12 @@ class ReweightedDistribution:
         j = np.searchsorted(self.phi, np.arcsinh(flat / 4.0), side="right")
         j -= 1
         np.clip(j, 0, len(self.phi) - 2, out=j)
-        # (cum + w (F - F_node)) / normalizer, in place on the base F
+        # (cum + w (F - F_node)) / total, in place on the base F
         vals = _cdf_and_tail(flat)[0]
         vals -= self.f_nodes[j]
         vals *= self.w_mid[j]
         vals += self.cum[j]
-        vals /= self.normalizer
+        vals /= self.cum[-1]
         return _py(np.clip(vals, 0.0, 1.0, out=vals).reshape(x.shape))
 
 
@@ -978,23 +1008,31 @@ def reweight_density(weight: WeightSpec, x):
     return _py(_reweighted(weight, pdf_quadrature(x), w))
 
 
+def _weighted_integral(weight: WeightSpec, power: int, cut: float) -> float:
+    """int_0^cut x^power f w dx on the rule of _integrate_t, f from the
+    kernel's density pass, with panel edges at a table weight's knots."""
+
+    def integrand(x):
+        return x**power * _cdf_tail_quadrature(x, density=True)[0] * weight.weight_of_omega(x)
+
+    return float(_integrate_t(integrand, cut, [r / 2.0 for r in weight.rho_grid])[0][0])
+
+
 def _weighted_moment(weight: WeightSpec, power: int, cut: float) -> float:
-    """E(X^power; X <= cut) of the reweighted distribution, from the same
-    Stieltjes table as the reweighted cdf.  A NaN cut, or one beyond the
-    table's last node (x ~ 1.63e11), inf among them, raises ValueError: the
-    table drops the mass beyond it, and the uniform second moment diverges."""
+    """E(X^power; X <= cut) = int_0^cut x^power f w dx / Z of the reweighted
+    distribution, each integral on the rule of _integrate_t; 0 for
+    cut <= 1e-323.  A NaN cut, or one above _X_END = 4 sinh 50 ~ 1.03694e22
+    (inf among them), raises ValueError: the rule ends there, and the
+    uniform second moment diverges."""
     cut = float(cut)
     if math.isnan(cut):
         raise ValueError("truncation cut must not be NaN")
-    dist = _cached_distribution(weight)
-    if cut > dist.x_nodes[-1]:
-        raise ValueError(
-            f"truncation cut must be at most {dist.x_nodes[-1]:.6g}, "
-            "the last node of the reweighting table"
-        )
-    x_mid = 0.5 * (dist.x_nodes[:-1] + dist.x_nodes[1:])
-    mask = x_mid <= cut
-    return float(np.sum(x_mid[mask] ** power * dist.mass[mask])) / dist.normalizer
+    if cut > _X_END:
+        raise ValueError(f"truncation cut must be at most {_X_END:.6g}, the end of the rule in t = rho/2")
+    # cut / 4, and so the rule's end, is 0 also for the subnormal cuts <= 1e-323
+    if cut / 4.0 <= 0.0:
+        return 0.0
+    return _weighted_integral(weight, power, cut) / _cached_distribution(weight).normalizer
 
 
 def weighted_truncated_second_moment(weight: WeightSpec, cut: float) -> float:

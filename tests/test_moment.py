@@ -223,9 +223,14 @@ def _close_near_circle(rng, n):
 
 
 def _near_diagonal(rng, n):
-    # |z - w| above DIAGONAL_TOL, below which moment_vector is 0
     z = random_point(rng, 0.9, n)
     return z, z + _polar(_gaps(rng, 3e-13, 1e-3, n), _turns(rng, n))
+
+
+def _near_diagonal_near_circle(rng, n):
+    # |z - w| below DIAGONAL_TOL, where a = 8 |z - w| / (1 - |z|^2)^2 reaches 1e11
+    z = _polar(1.0 - _gaps(rng, 2e-12, 0.1, n), _turns(rng, n))
+    return z, z + _polar(_gaps(rng, 1e-16, 1e-13, n), _turns(rng, n))
 
 
 def _tiny(rng, n, lo=1e-300):
@@ -237,6 +242,7 @@ PAIR_FAMILIES = {
     "near_circle": _near_circle,
     "close_near_circle": _close_near_circle,
     "near_diagonal": _near_diagonal,
+    "near_diagonal_near_circle": _near_diagonal_near_circle,
     "tiny": _tiny,
 }
 
@@ -275,10 +281,9 @@ def test_geometry_against_fifty_digit_legs(family):
             }
             for name, value in exact.items():
                 worst[name] = max(worst[name], _eps_off(got[name][i], value))
-            if not p.is_diagonal[i]:
-                ref = moment(complex(z[i]), complex(w[i]))
-                err = max(abs(mpmath.mpf(float(x[i])) - r) for x, r in zip((mu.a, mu.b, mu.c), ref))
-                worst["moment_vector"] = max(worst["moment_vector"], float(err / ref[0]) / EPS)
+            ref = moment(complex(z[i]), complex(w[i]))
+            err = max(abs(mpmath.mpf(float(x[i])) - r) for x, r in zip((mu.a, mu.b, mu.c), ref))
+            worst["moment_vector"] = max(worst["moment_vector"], float(err / ref[0]) / EPS)
     for name, value in worst.items():
         (ulps,) = EXPORTS[name].tol.values()
         assert value <= ulps, (family, name, value)

@@ -51,6 +51,7 @@ from bidisk.spectral import (
 from bidisk.spectral import (
     _KS_BLOCK,
     _KS_SLACK,
+    _X_END,
     SampleBatch,
     _cached_distribution,
     _cdf_and_tail,
@@ -60,7 +61,7 @@ from bidisk.spectral import (
     _schwarz_radius,
     _stream_sizes,
 )
-from reference import cdf_tail_pdf, ks_whole_array, second_moment, stream_omega
+from reference import cdf_tail_pdf, ks_whole_array, second_moment, stream_omega, weighted_integral
 from test_exports import EXPORTS
 
 # frozen distribution values F(x)
@@ -105,7 +106,7 @@ CDF_EXP_REFERENCE = {
     64.0: 0.99986687479549,
 }
 MEAN_EXP_REFERENCE = 3.7215727845173
-E2_GAUSS_PLATEAU = 4.301216426817734
+E2_GAUSS_PLATEAU = 4.3012164268213199
 
 
 def simpson_cdf(x: float, n: int = 4001) -> float:
@@ -469,6 +470,71 @@ def test_mean_quadrature_runs_on_the_fixed_rule(monkeypatch):
     monkeypatch.setattr(quadrature, "adaptive", refuse)
     value, _ = mean_quadrature()
     assert abs(value - 16.0 * math.pi / 3.0) <= 1e-14
+
+
+def _t_polynomial(x):
+    """g(x) with g(4 sinh t) 4 cosh t = t^5 + 1."""
+    return (np.arcsinh(x / 4.0) ** 5 + 1.0) / np.hypot(x, 4.0)
+
+
+def _counting_rule(monkeypatch) -> list[int]:
+    """The panel counts of spectral's outermost composite_k15 calls, one per
+    call; the kernel's calls inside an integrand are not counted."""
+    counts: list[int] = []
+    depth = 0
+
+    def counting(f, k):
+        nonlocal depth
+        if not depth:
+            counts.append(k)
+        depth += 1
+        try:
+            return quadrature.composite_k15(f, k)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(spectral, "composite_k15", counting)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "end, knots, panels",
+    [
+        (50.0, (), 100),
+        # the cut inside a panel is an edge of its own
+        (1.3, (), 3),
+        # a knot on the cut adds no panel; knots outside (0, T) are dropped
+        (1.3, (-1.0, 0.0, 0.7, "end", 7.0), 4),
+    ],
+    ids=["whole_rule", "cut_inside_a_panel", "cut_on_a_knot"],
+)
+def test_integrate_t_is_exact_on_polynomials_in_t(monkeypatch, end, knots, panels):
+    counts = _counting_rule(monkeypatch)
+    cut = 4.0 * math.sinh(end)
+    t_end = math.asinh(cut / 4.0)
+    knots = tuple(t_end if t == "end" else t for t in knots)
+    (value,), (estimate,) = spectral._integrate_t(_t_polynomial, cut, knots)
+    exact = t_end**6 / 6.0 + t_end
+    assert counts == [panels]
+    assert value == pytest.approx(exact, rel=8 * np.finfo(float).eps)
+    assert estimate <= 1e-14 * exact
+
+
+def test_integrate_t_makes_one_call_for_a_thousand_knot_table(monkeypatch):
+    # 1000 knots on one line in rho: the same weight as the table of its ends
+    rho = np.linspace(0.0, 40.0, 1000)
+    line = WeightSpec("table", (0.0, 40.0), (1.0, 0.0))
+    table = WeightSpec("table", tuple(rho.tolist()), tuple((1.0 - rho / 40.0).tolist()))
+    expect = spectral._weighted_integral(line, 0, _X_END)
+    counts = _counting_rule(monkeypatch)
+    got = spectral._weighted_integral(table, 0, _X_END)
+    assert len(counts) == 1 and counts[0] >= 1000
+    assert got == pytest.approx(expect, rel=1e-14)
+
+
+def test_uniform_weighted_mean_is_the_mean_quadrature():
+    value, bound = mean_quadrature()
+    assert abs(weighted_mean(UNIFORM_WEIGHT, _X_END) - value) <= bound
 
 
 def test_mean_disagrees_with_claimed_constant():
@@ -1136,8 +1202,8 @@ def test_weight_spec_table_interpolates():
     assert w.weight_of_omega(0.0) == 1.0
 
 
-# the last node of the reweighting table, x = 4 sinh(asinh(2.5e5) + 12)
-TABLE_END = "1.62755e\\+11"
+# the end of the rule in t = rho/2, x = 4 sinh 50
+RULE_END = "1.03694e\\+22"
 
 
 @pytest.mark.parametrize(
@@ -1145,16 +1211,32 @@ TABLE_END = "1.62755e\\+11"
     [
         (lambda: weighted_mean(WeightSpec("exp"), math.nan), "NaN"),
         (lambda: weighted_truncated_second_moment(WeightSpec("exp"), math.nan), "NaN"),
-        (lambda: weighted_mean(UNIFORM_WEIGHT, math.inf), TABLE_END),
-        (lambda: weighted_truncated_second_moment(UNIFORM_WEIGHT, math.inf), TABLE_END),
-        (lambda: weighted_truncated_second_moment(UNIFORM_WEIGHT, 1e12), TABLE_END),
-        (lambda: weighted_mean(WeightSpec("exp"), 1.6275479142e11), TABLE_END),
+        (lambda: weighted_mean(UNIFORM_WEIGHT, math.inf), RULE_END),
+        (lambda: weighted_truncated_second_moment(UNIFORM_WEIGHT, math.inf), RULE_END),
+        (
+            lambda: weighted_truncated_second_moment(UNIFORM_WEIGHT, math.nextafter(_X_END, math.inf)),
+            RULE_END,
+        ),
+        (lambda: weighted_mean(WeightSpec("exp"), 1.0369411057175e22), RULE_END),
     ],
-    ids=["weighted_mean", "weighted_E2", "mean_inf", "E2_inf", "E2_1e12", "mean_past_end"],
+    ids=["weighted_mean", "weighted_E2", "mean_inf", "E2_inf", "E2_past_end", "mean_past_end"],
 )
 def test_reweighting_rejects_nan_and_negative_arguments(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def test_weighted_moments_up_to_the_rule_end():
+    # cuts up to the end of the rule, 1e12 and the end itself among them
+    assert weighted_mean(WeightSpec("exp"), -1.0) == 0.0
+    assert weighted_truncated_second_moment(WeightSpec("exp"), 0.0) == 0.0
+    # the smallest subnormal cut, where cut / 4 rounds to 0
+    assert weighted_mean(WeightSpec("exp"), 5e-324) == 0.0
+    assert 0.0 < weighted_mean(UNIFORM_WEIGHT, 1e-100) < 1e-300
+    e2 = [weighted_truncated_second_moment(UNIFORM_WEIGHT, c) for c in (1e4, 1e12, _X_END)]
+    assert e2[0] == pytest.approx(E2_REFERENCE[1e4], rel=1e-13)
+    assert e2[1] == pytest.approx(second_moment(1e12), rel=1e-13)
+    assert e2[2] == pytest.approx(second_moment(_X_END), rel=1e-13)
 
 
 def test_uniform_reweight_is_bitwise_identity():
@@ -1182,7 +1264,7 @@ def test_reweight_density_array_call_equals_scalar_calls(weight):
 
 def test_exp_reweight_normalizer_frozen_value():
     dist = _cached_distribution(WeightSpec("exp"))
-    assert abs(dist.normalizer / Z_EXP_REFERENCE - 1.0) < 1e-5
+    assert abs(dist.normalizer / Z_EXP_REFERENCE - 1.0) < 1e-14
 
 
 def test_exp_reweight_cdf_frozen_values():
@@ -1231,6 +1313,26 @@ def test_gauss_weighted_second_moment_plateaus():
     b = weighted_truncated_second_moment(w, 1e3)
     assert abs(a / E2_GAUSS_PLATEAU - 1.0) < 1e-4
     assert abs(b - a) < 1e-6 * a
+
+
+WEIGHTED = {
+    "exp": WeightSpec("exp"),
+    "gauss": WeightSpec("gauss"),
+    "table": WeightSpec("table", (0.0, 3.0, 9.0), (1.0, 0.2, 0.0)),
+}
+
+
+@pytest.mark.parametrize("kind", WEIGHTED)
+def test_weighted_moments_against_fifty_digits(kind):
+    # Z, the mean at its default cut 1e6 and E2 at cuts that are no
+    # panel edges, each against the same integral at 50 digits
+    weight = WEIGHTED[kind]
+    z = weighted_integral(weight, 0, _X_END)
+    assert _cached_distribution(weight).normalizer == pytest.approx(z, rel=1e-13)
+    assert weighted_mean(weight) == pytest.approx(weighted_integral(weight, 1, 1e6) / z, rel=1e-13)
+    for cut in (7.3, 55.5, 1e2, 1e4):
+        got = weighted_truncated_second_moment(weight, cut)
+        assert got == pytest.approx(weighted_integral(weight, 2, cut) / z, rel=1e-13), cut
 
 
 def test_exp_reweight_ks_against_importance_sampling():

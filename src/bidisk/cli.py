@@ -63,7 +63,6 @@ from .spectral import (
     MEAN_CLAIMED,
     MOMENT_CUTS,
     _reweighted,
-    _usable_cpus,
 )
 from .verify import (
     FAIL,
@@ -268,6 +267,14 @@ def _csv_rows(columns, start: int, stop: int) -> str:
             cells[2 * c :: 2 * k] = map(repr, values.tolist())
     cells[2 * k - 1 :: 2 * k] = ["\r\n"] * m
     return "".join(cells)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, else cpu_count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a POSIX system without CPU affinity
+        return os.cpu_count() or 1
 
 
 def _part_bounds(rows: int, workers: int) -> list[tuple[int, int]]:

@@ -19,8 +19,9 @@ the uniform truncated second moment, the one caller of the adaptive
 driver, runs on one fixed composite K15 rule in t = asinh(x/4) = rho/2
 (_integrate_t): the uniform mean on the kernel's 1 - F, the reweighting's
 normalizer and weighted moments on its density times the weight.  Monte
-Carlo sampling over 16 seeded substreams on threads, moments, and
-importance reweighting by radial weights w(rho) complete the module.
+Carlo sampling over 16 seeded substreams, drawn one after another in the
+calling thread, moments, and importance reweighting by radial weights
+w(rho) complete the module.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import os
-import threading
 import weakref
 from dataclasses import dataclass, field, fields
 
@@ -642,14 +641,6 @@ _KS_SLACK = 1e-12
 MC_STREAMS = 16
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set, else cpu_count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a POSIX system without CPU affinity
-        return os.cpu_count() or 1
-
-
 def _sample_stream(seq: np.random.SeedSequence, out: np.ndarray, scratch: np.ndarray) -> None:
     """Fill out with the rotation numbers of out.size pairs drawn from seq.
 
@@ -730,38 +721,13 @@ def _draw(n: int, seed: int, sizes: tuple[int, ...]) -> np.ndarray:
         omega = draw.omega()
         if omega is not None:
             return omega
-    streams = len(sizes)
-    children = np.random.SeedSequence(seed).spawn(streams)
+    children = np.random.SeedSequence(seed).spawn(len(sizes))
     omega = np.empty(n)
-    stops = np.cumsum(sizes).tolist()
-    parts = [omega[stop - m : stop] for stop, m in zip(stops, sizes)]
-    workers = min(_usable_cpus(), streams)
-    errors: list[BaseException | None] = [None] * workers
-
-    # numpy 2 keeps np.errstate in a context variable that a new thread
-    # does not inherit, so the stream arithmetic must not rely on the
-    # caller's errstate: it raises no floating-point warning (rz, rw < 1)
-    def work(w: int) -> None:
-        try:
-            scratch = np.empty((4, sizes[0]))  # sizes[0] is the largest
-            for i in range(w, streams, workers):
-                _sample_stream(children[i], parts[i], scratch)
-        except BaseException as exc:  # re-raised by the caller after the joins
-            errors[w] = exc
-
-    threads: list[threading.Thread] = []
-    try:
-        for w in range(1, workers):
-            t = threading.Thread(target=work, args=(w,))
-            t.start()
-            threads.append(t)
-        work(0)
-    finally:
-        for t in threads:
-            t.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    scratch = np.empty((4, sizes[0]))  # sizes[0] is the largest
+    stop = 0
+    for seq, m in zip(children, sizes):
+        _sample_stream(seq, omega[stop : stop + m], scratch)
+        stop += m
     omega.flags.writeable = False
     draw = _Draw((n, seed), omega)
     weakref.finalize(omega, _forget, draw)
@@ -775,13 +741,9 @@ def mc_sample(n: int, seed: int, weight: WeightSpec = UNIFORM_WEIGHT) -> SampleB
     The n draws are split across min(MC_STREAMS, n) SeedSequence-spawned
     substreams, stream i filling its own slice of the output in index
     order, so the output is a pure function of (n, seed).  The streams run
-    on min(usable CPUs, streams) threads, stream i on thread i mod that
-    count with the caller as thread 0, each thread reusing one scratch
-    buffer; numpy releases the GIL in the generators and ufuncs, and the
-    fixed slices make the bits independent of the thread count.  An error
-    in any stream is raised here once every thread has joined.  n is an
-    integer >= 1 (an integral float counts) and seed an integer >= 0; other
-    values raise ValueError.
+    one after another in the calling thread and share one scratch buffer.
+    n is an integer >= 1 (an integral float counts) and seed an integer
+    >= 0; other values raise ValueError.
 
     The batch is SampleBatch(omega, spec=weight): its weights are
     weight.weight_of_omega(omega), and weights without a positive sum, such
@@ -945,8 +907,13 @@ class ReweightedDistribution:
     a Stieltjes table over 20001 equally spaced phi = asinh(x/4) = rho/2
     from 0 to asinh(1e6/4) + 12: the closed form F at the nodes, the weight
     at each bin's midpoint, normalized by the table's own total.  No finite
-    differencing is involved, so the table is smooth to ~1e-14.  A weight
-    whose table has no mass raises ValueError.
+    differencing is involved, but holding w at the midpoints costs
+    accuracy: against int_0^x f w dx / Z in 50 digits on a 61-point log
+    grid in [1e-2, 1e4] the cdf is off by up to 2.1e-7 absolute for exp
+    (at x = 1), 5.2e-7 for gauss (x ~ 1.26) and 9.1e-8 for the table
+    (0, 3, 9) -> (1, 0.2, 0) (x ~ 5), and the table's total exceeds Z by
+    2.6e-7, 4.4e-7 and 7.1e-8 relative.  A weight whose table has no mass
+    raises ValueError.
     """
 
     def __init__(self, weight: WeightSpec):

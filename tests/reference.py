@@ -144,6 +144,26 @@ def ks_whole_array(batch, cdf) -> float:
     return float(max(np.max(cum - fv), np.max(fv - cum_prev)))
 
 
+def weight_at(weight, rho):
+    """w(rho) of a WeightSpec at an mpmath rho, in the working precision."""
+    mpmath = pytest.importorskip("mpmath")
+    if weight.kind == "uniform":
+        return mpmath.mpf(1)
+    if weight.kind == "exp":
+        return mpmath.exp(-rho)
+    if weight.kind == "gauss":
+        return mpmath.exp(-rho * rho)
+    # np.interp: linear between the knots, the end values beyond them
+    grid = [mpmath.mpf(r) for r in weight.rho_grid]
+    values = [mpmath.mpf(v) for v in weight.values]
+    if rho <= grid[0]:
+        return values[0]
+    for r0, r1, v0, v1 in zip(grid, grid[1:], values, values[1:]):
+        if rho <= r1:
+            return v0 + (v1 - v0) * (rho - r0) / (r1 - r0)
+    return values[-1]
+
+
 def weighted_integral(weight, power: int, cut: float) -> float:
     """int_0^cut x^power f(x) w(rho(x)) dx for a WeightSpec, in 50-digit
     arithmetic, rounded to a float: the closed-form density of cdf_tail_pdf
@@ -152,28 +172,20 @@ def weighted_integral(weight, power: int, cut: float) -> float:
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         end = mpmath.asinh(mpmath.mpf(float(cut)) / 4)
-        grid = [mpmath.mpf(r) for r in weight.rho_grid]
-        values = [mpmath.mpf(v) for v in weight.values]
-
-        def w(rho):
-            if weight.kind == "uniform":
-                return mpmath.mpf(1)
-            if weight.kind == "exp":
-                return mpmath.exp(-rho)
-            if weight.kind == "gauss":
-                return mpmath.exp(-rho * rho)
-            # np.interp: linear between the knots, the end values beyond them
-            if rho <= grid[0]:
-                return values[0]
-            for r0, r1, v0, v1 in zip(grid, grid[1:], values, values[1:]):
-                if rho <= r1:
-                    return v0 + (v1 - v0) * (rho - r0) / (r1 - r0)
-            return values[-1]
 
         def integrand(t):
             x = 4 * mpmath.sinh(t)
-            return x**power * cdf_tail_pdf(x, exact=True)[2] * w(2 * t) * 4 * mpmath.cosh(t)
+            return x**power * cdf_tail_pdf(x, exact=True)[2] * weight_at(weight, 2 * t) * 4 * mpmath.cosh(t)
 
-        knots = {r / 2 for r in grid if 0 < r / 2 < end}
+        knots = {r / 2 for r in map(mpmath.mpf, weight.rho_grid) if 0 < r / 2 < end}
         points = sorted({mpmath.mpf(0), end, *knots, *range(1, int(mpmath.ceil(end)))})
         return float(mpmath.quad(integrand, points, method="gauss-legendre"))
+
+
+def reweighted_density(weight, x: float, z: float) -> float:
+    """f(x) w(rho(x)) / z for a WeightSpec, f from cdf_tail_pdf and w at
+    rho = 2 asinh(x/4), in 50-digit arithmetic, rounded to a float."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        rho = 2 * mpmath.asinh(mpmath.mpf(x) / 4)
+        return float(cdf_tail_pdf(x, exact=True)[2] * weight_at(weight, rho) / z)

@@ -95,6 +95,13 @@ def assert_reaped(pids):
             os.waitpid(pid, os.WNOHANG)
 
 
+@pytest.mark.parametrize("count, cpus", [(5, 5), (None, 1)])
+def test_usable_cpus_without_affinity_is_the_cpu_count(count, cpus, monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert cli._usable_cpus() == cpus
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_sample_chunks_match_reference_writer(threads, tmp_path, capsys, forks):
     out = tmp_path / "s.csv"

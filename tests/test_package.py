@@ -3,6 +3,8 @@
 import ast
 import importlib
 import inspect
+import re
+import sys
 from pathlib import Path
 
 import bidisk
@@ -114,3 +116,27 @@ def test_benchmark_bindings_exist():
     spans = _layer_spans() - {"spectral.integrand"}
     assert {"spectral.discrepancy_ledger", "cli.read_spectrum_csv", "verify.check_psh_curve_positivity"} <= spans
     assert {s for s in spans if not _defined_in_its_module(s)} == set()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "bidisk"
+
+
+def test_src_imports_only_the_standard_library_and_its_dependencies():
+    """Every import under src/bidisk names the standard library, a runtime
+    dependency of pyproject.toml (numpy alone) or bidisk itself."""
+    pyproject = (SRC.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    listed = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S).group(1)
+    dependencies = set(re.findall(r'"([\w.-]+)', listed))
+    assert dependencies == {"numpy"}
+    allowed = set(sys.stdlib_module_names) | dependencies | {"bidisk"}
+    outside = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno} {top}" for top in tops if top not in allowed]
+    assert outside == []

@@ -10,7 +10,6 @@ embedded below provides a second in-test route to the same integral.
 import dataclasses
 import itertools
 import math
-import os
 import sys
 import threading
 import tracemalloc
@@ -61,8 +60,15 @@ from bidisk.spectral import (
     _schwarz_radius,
     _stream_sizes,
 )
-from reference import cdf_tail_pdf, ks_whole_array, second_moment, stream_omega, weighted_integral
-from test_exports import EXPORTS
+from reference import (
+    cdf_tail_pdf,
+    ks_whole_array,
+    reweighted_density,
+    second_moment,
+    stream_omega,
+    weighted_integral,
+)
+from test_exports import EXPORTS, WEIGHTS
 
 # frozen distribution values F(x)
 CDF_REFERENCE = {
@@ -774,37 +780,10 @@ def test_sample_stream_with_a_dirty_oversized_scratch_equals_the_expression():
     assert np.array_equal(out, stream_omega(sq, m))
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3, 16])
-def test_mc_sample_bits_do_not_depend_on_the_thread_count(cpus, monkeypatch):
-    expect = {}
-    for n in (1, 7, 10007):
-        batch = mc_sample(n, seed=21)
-        expect[n] = (batch.omega.copy(), _stream_sizes(n))
-    del batch  # copies only, so no batch keeps the recorded draw alive
-    calls = _counting_streams(monkeypatch)
-    monkeypatch.setattr(spectral, "_usable_cpus", lambda: cpus)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # the threads interleave as often as they can
-    try:
-        for n, (omega, sizes) in expect.items():
-            before = len(calls)
-            batch = mc_sample(n, seed=21)
-            assert len(calls) - before == len(sizes)  # drawn, not recorded
-            assert np.array_equal(batch.omega, omega)
-    finally:
-        sys.setswitchinterval(interval)
-
-
-@pytest.mark.parametrize("count, cpus", [(5, 5), (None, 1)])
-def test_usable_cpus_without_affinity_is_the_cpu_count(count, cpus, monkeypatch):
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: count)
-    assert spectral._usable_cpus() == cpus
-
-
 @pytest.mark.parametrize("bad", [0, 5, 15])
 def test_mc_sample_raises_a_failed_stream_after_joining(bad, monkeypatch):
-    before = threading.active_count()
+    """A failing stream raises out of mc_sample, and the draw it broke off
+    does not replace the recorded one."""
     stream = spectral._sample_stream
     children = np.random.SeedSequence(4).spawn(16)
 
@@ -813,12 +792,13 @@ def test_mc_sample_raises_a_failed_stream_after_joining(bad, monkeypatch):
             raise RuntimeError(f"stream {bad}")
         stream(seq, out, scratch)
 
-    monkeypatch.setattr(spectral, "_last_draw", None)  # no recorded draw to return
-    monkeypatch.setattr(spectral, "_usable_cpus", lambda: 4)
+    kept = mc_sample(1000, seed=3)
+    record = spectral._last_draw
     monkeypatch.setattr(spectral, "_sample_stream", failing)
     with pytest.raises(RuntimeError, match=f"stream {bad}$"):
         mc_sample(1000, seed=4)
-    assert threading.active_count() == before
+    assert spectral._last_draw is record
+    assert record.omega() is kept.omega
 
 
 def test_mc_sample_returns_the_recorded_draw_with_the_bits_of_a_new_one(monkeypatch):
@@ -859,10 +839,9 @@ def test_mc_sample_draws_afresh_once_every_batch_is_gone(monkeypatch):
     assert len(calls) == 32
 
 
-def test_threads_racing_on_one_draw_get_equal_bits(monkeypatch):
+def test_threads_racing_on_one_draw_get_equal_bits():
     n, seed, racers = 10007, 25, 8
     expect = mc_sample(n, seed=seed).omega.copy()
-    monkeypatch.setattr(spectral, "_usable_cpus", lambda: 1)
     kinds = list(SPECS) * (racers // len(SPECS))
     barrier = threading.Barrier(racers)
     got = [None] * racers
@@ -1262,6 +1241,21 @@ def test_reweight_density_array_call_equals_scalar_calls(weight):
     assert np.array_equal(vec, scalars)
 
 
+@pytest.mark.parametrize("weight", WEIGHTS, ids=lambda w: w.kind)
+def test_reweight_density_against_fifty_digits(weight):
+    # f w / Z against f and w at 50 digits over the 50-digit Z, on a log grid
+    # and the point of the largest gauss error measured on a denser one
+    normal_rtol, gauss_rtol = EXPORTS["reweight_density"].tol.values()
+    rtol = gauss_rtol if weight.kind == "gauss" else normal_rtol
+    z = weighted_integral(weight, 0, _X_END)
+    xs = np.append(np.geomspace(1e-3, 1e8, 221), 535396.4964079459)
+    got = reweight_density(weight, xs)
+    normal = sys.float_info.min
+    for x, v in zip(xs.tolist(), got.tolist()):
+        ref = reweighted_density(weight, x, z)
+        assert abs(v - ref) <= (rtol * ref if ref >= normal else normal), x
+
+
 def test_exp_reweight_normalizer_frozen_value():
     dist = _cached_distribution(WeightSpec("exp"))
     assert abs(dist.normalizer / Z_EXP_REFERENCE - 1.0) < 1e-14
@@ -1333,6 +1327,24 @@ def test_weighted_moments_against_fifty_digits(kind):
     for cut in (7.3, 55.5, 1e2, 1e4):
         got = weighted_truncated_second_moment(weight, cut)
         assert got == pytest.approx(weighted_integral(weight, 2, cut) / z, rel=1e-13), cut
+
+
+# a 61-point log grid in [1e-2, 1e4], and the index of the point where the
+# reweighted cdf is furthest from its 50-digit value: x = 1, 1.26 and 5.01
+CDF_GRID = np.logspace(-2, 4, 61)
+CDF_WORST = {"exp": 20, "gauss": 21, "table": 27}
+
+
+@pytest.mark.parametrize("kind", WEIGHTED)
+def test_reweighted_cdf_against_fifty_digits(kind):
+    # the table's cdf against int_0^x f w dx / Z at every fifth grid point
+    # and the worst one; measured 2.1e-7 (exp), 5.2e-7 (gauss), 9.1e-8 (table)
+    weight = WEIGHTED[kind]
+    z = weighted_integral(weight, 0, _X_END)
+    xs = CDF_GRID[sorted({*range(0, CDF_GRID.size, 5), CDF_WORST[kind]})]
+    expect = [weighted_integral(weight, 0, float(x)) / z for x in xs]
+    got = _cached_distribution(weight).cdf(xs)
+    assert np.max(np.abs(got - expect)) < 1e-6
 
 
 def test_exp_reweight_ks_against_importance_sampling():

@@ -205,7 +205,7 @@ def parse_weight(spec: str) -> WeightSpec:
         path = spec[len("table:") :]
         _, (rho, val) = _read_csv(path, ("rho", "weight"), "weight table")
         try:
-            return WeightSpec("table", tuple(rho.tolist()), tuple(val.tolist()))
+            return WeightSpec("table", rho, val)
         except ValueError as exc:
             raise CliError(f"{path}: {exc}") from exc
     raise CliError(f"unknown weight {spec!r} (use uniform, exp, gauss, table:PATH)")

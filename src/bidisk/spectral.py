@@ -523,7 +523,9 @@ def second_moment_growth() -> tuple[list[float], float, float, float]:
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Radial reweighting w(rho); kind is uniform, exp, gauss, or table."""
+    """Radial reweighting w(rho); kind is uniform, exp, gauss, or table.
+    A table's columns rho_grid and values may be any 1-d sequences of
+    floats and are stored as tuples; the other kinds take no columns."""
 
     kind: str
     rho_grid: tuple[float, ...] = field(default=())
@@ -532,6 +534,15 @@ class WeightSpec:
     def __post_init__(self):
         if self.kind not in ("uniform", "exp", "gauss", "table"):
             raise ValueError(f"unknown weight kind {self.kind!r}")
+        # the columns as tuples of floats: a list or an array table hashes
+        # and compares as the same table given as tuples
+        for name in ("rho_grid", "values"):
+            column = np.asarray(getattr(self, name), dtype=float)
+            if column.ndim != 1:
+                raise ValueError("weight table columns must be 1-d")
+            object.__setattr__(self, name, tuple(column.tolist()))
+        if self.kind != "table" and (self.rho_grid or self.values):
+            raise ValueError(f"the {self.kind} weight takes no table columns")
         if self.kind == "table":
             if len(self.rho_grid) < 2 or len(self.rho_grid) != len(self.values):
                 raise ValueError("weight table needs matching rho/value columns")
@@ -564,7 +575,7 @@ class WeightSpec:
         if self.kind == "uniform":
             return np.ones_like(rho)
         if self.kind == "table":
-            return np.interp(rho, np.asarray(self.rho_grid), np.asarray(self.values))
+            return np.interp(rho, self.rho_grid, self.values)
         if self.kind == "gauss":
             # rho^2 overflows to inf above rho ~ 1.3e154, where w = exp(-inf) = 0
             with np.errstate(over="ignore"):
@@ -834,8 +845,8 @@ def ks_distance(batch: SampleBatch, cdf) -> float:
             cum = batch.spec.weight_of_omega(xs)
             np.cumsum(cum, out=cum)
     else:
-        # an argsort split by value over two threads measured no faster
-        # than this serial one (63-71 vs 61 ms at n = 1e6, 2 CPUs)
+        # weights of their own must follow the sort, so it needs the index:
+        # np.argsort took 30 ms at n = 1e6 against np.sort's 7 ms (2 vCPUs)
         order = np.argsort(omega)
         xs = omega[order]
         cum = batch.weight[order]
@@ -903,27 +914,27 @@ class ReweightedDistribution:
 
     The normalizer Z = int_0^_X_END f w dx is taken on first use, from the
     kernel's density on the rule of _integrate_t, with panel edges at a
-    table weight's knots t = rho/2.  The distribution function alone keeps
-    a Stieltjes table over 20001 equally spaced phi = asinh(x/4) = rho/2
-    from 0 to asinh(1e6/4) + 12: the closed form F at the nodes, the weight
-    at each bin's midpoint, normalized by the table's own total.  No finite
-    differencing is involved, but holding w at the midpoints costs
-    accuracy: against int_0^x f w dx / Z in 50 digits on a 61-point log
-    grid in [1e-2, 1e4] the cdf is off by up to 2.1e-7 absolute for exp
-    (at x = 1), 5.2e-7 for gauss (x ~ 1.26) and 9.1e-8 for the table
-    (0, 3, 9) -> (1, 0.2, 0) (x ~ 5), and the table's total exceeds Z by
-    2.6e-7, 4.4e-7 and 7.1e-8 relative.  A weight whose table has no mass
-    raises ValueError.
+    table weight's knots t = rho/2.  The distribution function alone comes
+    from a node table, read by linear interpolation in F: at 20001 equally
+    spaced phi = asinh(x/4) = rho/2 from 0 to asinh(1e6/4) + 12 the table
+    holds the closed form F and the reweighted probability below the node,
+    summed with the weight at each bin's midpoint, and the cdf divides by
+    the table's own total.  No finite differencing is involved, but holding
+    w at the midpoints costs accuracy: against int_0^x f w dx / Z in 50
+    digits on a 61-point log grid in [1e-2, 1e4] the cdf is off by up to
+    2.1e-7 absolute for exp (at x = 1), 5.2e-7 for gauss (x ~ 1.26) and
+    9.1e-8 for the table (0, 3, 9) -> (1, 0.2, 0) (x ~ 5), and the table's
+    total exceeds Z by 2.6e-7, 4.4e-7 and 7.1e-8 relative.  A weight whose
+    table has no mass raises ValueError.
     """
 
     def __init__(self, weight: WeightSpec):
         self.weight = weight
-        self.phi = np.linspace(0.0, math.asinh(1e6 / 4.0) + 12.0, 20001)
-        self.f_nodes = _cdf_and_tail(4.0 * np.sinh(self.phi))[0]
-        rho_mid = self.phi[:-1] + self.phi[1:]  # = 2 * phi at midpoints
-        self.w_mid = weight.weight_of_rho(rho_mid)
-        # reweighted probability below each phi node, before normalization
-        self.cum = np.concatenate(([0.0], np.cumsum(self.w_mid * np.diff(self.f_nodes))))
+        phi = np.linspace(0.0, math.asinh(1e6 / 4.0) + 12.0, 20001)
+        self.f_nodes = _cdf_and_tail(4.0 * np.sinh(phi))[0]
+        w_mid = weight.weight_of_rho(phi[:-1] + phi[1:])  # rho = 2 phi at midpoints
+        # reweighted probability below each node, before normalization
+        self.cum = np.concatenate(([0.0], np.cumsum(w_mid * np.diff(self.f_nodes))))
         if self.cum[-1] <= 0.0:
             raise ValueError("weight annihilates the distribution")
 
@@ -935,18 +946,9 @@ class ReweightedDistribution:
     def cdf(self, xs):
         """The reweighted distribution function at x; float in, float out
         as cdf_quadrature.  NaN or negative x raises ValueError."""
-        x = _rotation_numbers(xs)
-        flat = x.ravel()
-        j = np.searchsorted(self.phi, np.arcsinh(flat / 4.0), side="right")
-        j -= 1
-        np.clip(j, 0, len(self.phi) - 2, out=j)
-        # (cum + w (F - F_node)) / total, in place on the base F
-        vals = _cdf_and_tail(flat)[0]
-        vals -= self.f_nodes[j]
-        vals *= self.w_mid[j]
-        vals += self.cum[j]
-        vals /= self.cum[-1]
-        return _py(np.clip(vals, 0.0, 1.0, out=vals).reshape(x.shape))
+        # the interpolant through (F, cum) is cum + w_mid (F - F_node) in each bin
+        vals = np.interp(_cdf_and_tail(_rotation_numbers(xs))[0], self.f_nodes, self.cum)
+        return _py(np.clip(vals / self.cum[-1], 0.0, 1.0))
 
 
 _dist_cache: dict[WeightSpec, ReweightedDistribution] = {}

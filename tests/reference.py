@@ -189,3 +189,23 @@ def reweighted_density(weight, x: float, z: float) -> float:
     with mpmath.workdps(50):
         rho = 2 * mpmath.asinh(mpmath.mpf(x) / 4)
         return float(cdf_tail_pdf(x, exact=True)[2] * weight_at(weight, rho) / z)
+
+
+def reweighted_cdf_bins(weight, xs) -> np.ndarray:
+    """The reweighted cdf of a WeightSpec by its phi-bin formula, the
+    expression that ReweightedDistribution.cdf once evaluated.  Over 20001
+    nodes phi_j equally spaced from 0 to asinh(1e6/4) + 12, with the closed
+    form F_j = F(4 sinh phi_j), the weight w_j at the midpoint of bin j and
+    cum_j = sum of w_i (F_{i+1} - F_i) for i < j, the value at x is
+    (cum_j + w_j (F(x) - F_j)) / cum_end in the bin j that holds
+    phi = asinh(x/4) (the last bin beyond the end), clipped to [0, 1]."""
+    from bidisk.spectral import _cdf_and_tail
+
+    xs = np.asarray(xs, dtype=float)
+    phi = np.linspace(0.0, math.asinh(1e6 / 4.0) + 12.0, 20001)
+    f_nodes = _cdf_and_tail(4.0 * np.sinh(phi))[0]
+    w_mid = weight.weight_of_rho(phi[:-1] + phi[1:])
+    cum = np.concatenate(([0.0], np.cumsum(w_mid * np.diff(f_nodes))))
+    j = np.clip(np.searchsorted(phi, np.arcsinh(xs / 4.0), side="right") - 1, 0, phi.size - 2)
+    vals = (cum[j] + w_mid[j] * (_cdf_and_tail(xs)[0] - f_nodes[j])) / cum[-1]
+    return np.clip(vals, 0.0, 1.0)

@@ -216,8 +216,9 @@ EXPORTS: dict[str, Export] = {
         match="non-finite",
     ),
     "WeightSpec": Export(
-        "uniform, exp, gauss, or a table of increasing finite rho and finite weights >= 0, "
-        "not all 0",
+        "uniform, exp or gauss without columns, or a table whose two 1-d columns (tuples, "
+        "lists or arrays, stored as tuples of floats) hold increasing finite rho and finite "
+        "weights >= 0, not all 0",
         "test_spectral.py::test_weight_spec_validation",
     ),
     "XI": Export("constant", "test_liealg.py::test_bform_signature_on_basis"),

@@ -63,6 +63,7 @@ from bidisk.spectral import (
 from reference import (
     cdf_tail_pdf,
     ks_whole_array,
+    reweighted_cdf_bins,
     reweighted_density,
     second_moment,
     stream_omega,
@@ -1172,6 +1173,37 @@ def test_weight_spec_validation():
         WeightSpec("table", (0.0, 1.0), (1.0, math.inf))
     with pytest.raises(ValueError, match="zero"):
         WeightSpec("table", (0.0, 1.0), (0.0, 0.0))
+    with pytest.raises(ValueError, match="1-d"):
+        WeightSpec("table", [[0.0, 1.0]], [[1.0, 1.0]])
+    for kind in ("uniform", "exp", "gauss"):
+        with pytest.raises(ValueError, match="no table columns"):
+            WeightSpec(kind, (0.3, 7.0), (5.0, 5.0))
+
+
+def test_weight_spec_table_columns_of_any_sequence_are_one_spec():
+    # tuples, lists and arrays give equal specs with equal hashes, and the
+    # calls that look a spec up in a cache take each of them
+    grid, values = (0.0, 2.0, 40.0), (1.0, 0.5, 0.0)
+    specs = [
+        WeightSpec("table", grid, values),
+        WeightSpec("table", list(grid), list(values)),
+        WeightSpec("table", np.array(grid), np.array(values)),
+    ]
+    assert specs[0].rho_grid == grid and specs[0].values == values
+    for spec in specs:
+        assert spec == specs[0] and hash(spec) == hash(specs[0])
+        assert type(spec.rho_grid) is tuple and type(spec.values) is tuple
+        assert all(type(v) is float for v in spec.rho_grid + spec.values)
+    results = [
+        (
+            reweight_density(spec, 1.0),
+            weighted_mean(spec),
+            _cached_distribution(spec).cdf(3.0),
+            mc_sample(100, seed=9, weight=spec).weight.tolist(),
+        )
+        for spec in specs
+    ]
+    assert results[1] == results[0] and results[2] == results[0]
 
 
 def test_weight_spec_table_interpolates():
@@ -1345,6 +1377,31 @@ def test_reweighted_cdf_against_fifty_digits(kind):
     expect = [weighted_integral(weight, 0, float(x)) / z for x in xs]
     got = _cached_distribution(weight).cdf(xs)
     assert np.max(np.abs(got - expect)) < 1e-6
+
+
+@pytest.mark.parametrize("kind", WEIGHTED)
+def test_reweighted_cdf_equals_the_bin_formula(kind):
+    # linear interpolation in F through the nodes (F_j, cum_j) is the old
+    # phi-bin formula up to rounding: on a sorted seed-7 draw and the grid
+    weight = WEIGHTED[kind]
+    dist = _cached_distribution(weight)
+    xs = np.concatenate((np.sort(mc_sample(100_000, seed=7).omega), CDF_GRID))
+    assert np.max(np.abs(dist.cdf(xs) - reweighted_cdf_bins(weight, xs))) <= 4.4e-16
+    assert dist.cdf(0.0) == 0.0
+    for x in (1e10, 1e300, math.inf):
+        assert dist.cdf(x) == 1.0, x
+
+
+def test_reweighted_cdf_on_more_points_than_nodes_does_not_warn():
+    # with more points than nodes np.interp takes every bin's slope first,
+    # 0/0 on the runs of equal F far in the tail; under the suite's
+    # filterwarnings = error any warning from that would fail this call
+    dist = _cached_distribution(WeightSpec("exp"))
+    assert np.any(np.diff(dist.f_nodes) == 0.0)
+    xs = np.append(np.geomspace(1e-3, 1e12, 2 * dist.f_nodes.size), math.inf)
+    got = dist.cdf(xs)
+    assert np.all(np.isfinite(got)) and np.all(np.diff(got) >= 0.0)
+    assert got[0] > 0.0 and got[-1] == 1.0
 
 
 def test_exp_reweight_ks_against_importance_sampling():

@@ -525,7 +525,8 @@ def second_moment_growth() -> tuple[list[float], float, float, float]:
 class WeightSpec:
     """Radial reweighting w(rho); kind is uniform, exp, gauss, or table.
     A table's columns rho_grid and values may be any 1-d sequences of
-    floats and are stored as tuples; the other kinds take no columns."""
+    real numbers and are stored as tuples of floats; complex, string or
+    other entries raise ValueError.  The other kinds take no columns."""
 
     kind: str
     rho_grid: tuple[float, ...] = field(default=())
@@ -537,10 +538,13 @@ class WeightSpec:
         # the columns as tuples of floats: a list or an array table hashes
         # and compares as the same table given as tuples
         for name in ("rho_grid", "values"):
-            column = np.asarray(getattr(self, name), dtype=float)
+            column = np.asarray(getattr(self, name))
+            # not parsed by float(): no complex, string or bytes entries
+            if column.dtype.kind not in "biuf":
+                raise ValueError("weight table entries must be real numbers")
             if column.ndim != 1:
                 raise ValueError("weight table columns must be 1-d")
-            object.__setattr__(self, name, tuple(column.tolist()))
+            object.__setattr__(self, name, tuple(column.astype(float).tolist()))
         if self.kind != "table" and (self.rho_grid or self.values):
             raise ValueError(f"the {self.kind} weight takes no table columns")
         if self.kind == "table":
@@ -565,9 +569,10 @@ class WeightSpec:
 
     def weight_of_omega(self, omega):
         """w(rho(omega)) at rotation numbers omega >= 0, as weight_of_rho;
-        the uniform weight is ones without rho."""
+        the uniform weight is 1.0 without rho, for an array a read-only
+        broadcast of 1.0 to its shape (stride 0, no memory of its own)."""
         if self.kind == "uniform":
-            return _py(np.ones_like(_rotation_numbers(omega)))
+            return _py(np.broadcast_to(1.0, _rotation_numbers(omega).shape))
         return _py(self._weight(_rho_array(omega)))
 
     def _weight(self, rho: np.ndarray) -> np.ndarray:
@@ -602,7 +607,9 @@ class SampleBatch:
     finite values >= 0; weight has its shape, finite values >= 0 and a
     positive, finite sum.  Anything else raises ValueError.  Both arrays
     are read-only float arrays: a writeable or non-float input is copied,
-    and the spec's weights are made read-only in place.
+    and the spec's weights are made read-only in place.  The uniform
+    spec's weights are its read-only broadcast of 1.0, so a uniform batch
+    holds 8n bytes of omegas and none of weights.
     """
 
     omega: np.ndarray
@@ -826,24 +833,25 @@ def ks_distance(batch: SampleBatch, cdf) -> float:
     and the running sum, plus O(n / _KS_EDGE) values for the blocks.  A
     batch with a spec (every mc_sample batch, the uniform one included)
     sorts without an index and takes spec.weight_of_omega on the sorted
-    omegas (the uniform spec's running sum is 1, 2, ..., n): the weights
-    are an elementwise function of omega, so tied omegas have equal weights
-    and these are the sorted weights bit for bit.  If the batch's omega is
-    the array of mc_sample's recorded draw, the sorted copy is kept on the
-    record and reused by every later batch of that draw, so it lives as
-    long as the draw: 2 x 8n bytes of omegas instead of 8n.  A batch
+    omegas: the weights are an elementwise function of omega, so tied
+    omegas have equal weights and these are the sorted weights bit for
+    bit.  The uniform spec keeps no running sum: it is (i + 1) / n at
+    sorted point i and i / n before it, exact below 2^53, taken only at
+    the points used, so its working set is the sorted omegas alone.  If
+    the batch's omega is the array of mc_sample's recorded draw, the
+    sorted copy is kept on the record and reused by every later batch of
+    that draw, so it lives as long as the draw: 2 x 8n bytes of omegas
+    instead of 8n.  A batch
     without a spec keeps the sort index until its running sum is taken.
     The batch was checked when it was built; a NaN cdf value or a decrease
     of more than _KS_SLACK along the evaluated points raises ValueError.
     """
     omega, n = batch.omega, batch.omega.size
+    cum = None  # the uniform running sum, taken where it is used
     if batch.spec is not None:
         xs = _sorted_omegas(omega)
-        if batch.spec.kind == "uniform":
-            cum = np.arange(1.0, n + 1.0)  # the running sum of ones, exact below 2^53
-        else:
+        if batch.spec.kind != "uniform":
             cum = batch.spec.weight_of_omega(xs)
-            np.cumsum(cum, out=cum)
     else:
         # weights of their own must follow the sort, so it needs the index:
         # np.argsort took 30 ms at n = 1e6 against np.sort's 7 ms (2 vCPUs)
@@ -851,15 +859,16 @@ def ks_distance(batch: SampleBatch, cdf) -> float:
         xs = omega[order]
         cum = batch.weight[order]
         del order  # freed before cdf allocates its own arrays
+    if cum is not None:
         np.cumsum(cum, out=cum)
-    cum /= cum[-1]
+        cum /= cum[-1]
     first = np.arange(0, n, _KS_EDGE)
     last = np.minimum(first + (_KS_EDGE - 1), n - 1)
     ends = np.column_stack((first, last)).ravel()
     f_ends = _cdf_at(cdf, xs[ends])
-    below = np.where(ends > 0, cum[ends - 1], 0.0)  # the running sum before each end
-    best = max(np.max(cum[ends] - f_ends), np.max(f_ends - below))
-    bound = np.maximum(cum[last] - f_ends[0::2], f_ends[1::2] - below[0::2])
+    upto, below = _running_sum(cum, n, ends)
+    best = max(np.max(upto - f_ends), np.max(f_ends - below))
+    bound = np.maximum(upto[1::2] - f_ends[0::2], f_ends[1::2] - below[0::2])
     open_blocks = first[bound + _KS_SLACK >= best]
     inner = (open_blocks[:, None] + np.arange(1, _KS_EDGE - 1)).ravel()
     inner = inner[inner < n - 1]  # the last block may be short
@@ -870,8 +879,17 @@ def ks_distance(batch: SampleBatch, cdf) -> float:
     idx, fv = idx[by_index], fv[by_index]
     if np.any(np.diff(fv) < -_KS_SLACK):
         raise ValueError(f"cdf decreases by more than {_KS_SLACK:g} along the sorted omegas")
-    below = np.where(idx > 0, cum[idx - 1], 0.0)
-    return float(max(np.max(cum[idx] - fv), np.max(fv - below)))
+    upto, below = _running_sum(cum, n, idx)
+    return float(max(np.max(upto - fv), np.max(fv - below)))
+
+
+def _running_sum(cum: np.ndarray | None, n: int, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The normalized running sum at sorted points i and before them (0 at
+    i = 0); cum None is the uniform one, (i + 1) / n and i / n, equal bit
+    for bit to cumsum(ones(n)) / n below 2^53."""
+    if cum is None:
+        return (i + 1.0) / n, i / n
+    return cum[i], np.where(i > 0, cum[i - 1], 0.0)
 
 
 def mc_mean(batch: SampleBatch) -> tuple[float, float]:
@@ -884,9 +902,17 @@ def mc_mean(batch: SampleBatch) -> tuple[float, float]:
     omegas up to the largest double still give the mean and stderr of the
     same sample at unit scale, as do tiny weighted deviations, whose
     squares would underflow.  The mean is clipped to the omegas' range,
-    which rounding could leave.  Two n-sized temporaries."""
-    w = np.ldexp(batch.weight, -math.frexp(batch.weight.max())[1])
-    total = float(np.sum(w))
+    which rounding could leave.  One n-sized temporary, and a second, the
+    scaled weights, only where they are rescaled: the uniform spec's
+    scaled weight is the scalar 0.5, with sum 0.5 n (exact below 2^53),
+    and weights whose largest lies in [0.5, 1) already, as exp and gauss
+    draws' do, are used as they are."""
+    if batch.spec is not None and batch.spec.kind == "uniform":
+        w, total = 0.5, 0.5 * batch.omega.size
+    else:
+        top = math.frexp(batch.weight.max())[1]
+        w = batch.weight if top == 0 else np.ldexp(batch.weight, -top)
+        total = float(np.sum(w))
     dev = np.multiply(w, batch.omega)  # then the deviations, in place
     shift = math.frexp(dev.max())[1]
     np.ldexp(dev, -shift, out=dev)

@@ -705,18 +705,18 @@ def test_weights_equal_their_direct_expressions_bit_for_bit():
 
 @pytest.mark.parametrize("kind", ["uniform", "exp"])
 def test_mc_sample_memory_is_the_draws_and_their_weights(kind):
-    n = 2**20
+    n = 10**6
     mc_sample(16, seed=8)  # numpy.random's first use allocates its own state
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        mc_sample(n, seed=8, weight=WeightSpec(kind))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # omega and weight, plus a few kB of per-stream objects that do not grow
-    # with n; computing rho and exp(-rho) out of place would add 8n bytes each
-    assert peak - start <= 2 * 8 * n + 2**16
+    peak = _peak(mc_sample, n, 8, WeightSpec(kind))
+    if kind == "uniform":
+        # omega and the streams' scratch, a quarter of it, with no array of
+        # ones: the weights are a broadcast of 1.0
+        assert peak < 1.3 * 8 * n
+    else:
+        # omega and weight, plus a few kB of per-stream objects that do not
+        # grow with n; computing rho and exp(-rho) out of place would add 8n
+        # bytes each
+        assert peak <= 2 * 8 * n + 2**16
 
 
 def test_ks_distance_synthetic_uniform():
@@ -1027,6 +1027,10 @@ def test_sample_batch_arrays_are_read_only():
     assert SampleBatch(drawn.omega, spec=drawn.spec).omega is drawn.omega
     assert not drawn.weight.flags.writeable
     assert SampleBatch([1, 2], [3, 4]).weight.dtype == float
+    # the uniform spec's weights: a read-only broadcast of 1.0
+    uniform = mc_sample(100, seed=7).weight
+    assert uniform.strides == (0,) and not uniform.flags.writeable
+    assert not UNIFORM_WEIGHT.weight_of_omega([1.0, 2.0]).flags.writeable
 
 
 def test_ks_distance_rejects_a_nan_cdf_value():
@@ -1052,12 +1056,12 @@ def test_ks_distance_forgives_a_decrease_within_the_slack():
     assert ks_distance(batch, cdf) == ks_whole_array(batch, cdf)
 
 
-def _ks_peak(batch, cdf) -> int:
-    """The tracemalloc peak of ks_distance(batch, cdf), in bytes."""
+def _peak(fn, *args) -> int:
+    """The tracemalloc peak of fn(*args) above what was allocated before, in bytes."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        ks_distance(batch, cdf)
+        fn(*args)
         return tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -1069,7 +1073,7 @@ def test_ks_distance_memory_does_not_grow_with_the_cdf():
     dist = _cached_distribution(weight)
     batch = mc_sample(n, seed=8, weight=weight)
     # the sorted omegas and the running sum, without a sort index
-    assert _ks_peak(batch, dist.cdf) < 3 * 8 * n
+    assert _peak(ks_distance, batch, dist.cdf) < 3 * 8 * n
 
 
 def test_ks_distance_hand_built_unequal_weights_keep_the_index():
@@ -1078,7 +1082,7 @@ def test_ks_distance_hand_built_unequal_weights_keep_the_index():
     dist = _cached_distribution(weight)
     batch = dataclasses.replace(mc_sample(n, seed=8, weight=weight), spec=None)
     # the sorted omegas, the running sum and the sort's index array
-    assert 3 * 8 * n <= _ks_peak(batch, dist.cdf) < 5 * 8 * n
+    assert 3 * 8 * n <= _peak(ks_distance, batch, dist.cdf) < 5 * 8 * n
 
 
 @pytest.mark.parametrize("w", [1.0, 0.3, 5e-324])
@@ -1091,11 +1095,63 @@ def test_ks_distance_equal_weights_equal_one_whole_array_call(w, n):
 
 
 def test_ks_distance_equal_weights_make_no_index():
-    n = 2**20
+    n = 10**6
     batch = mc_sample(n, seed=8)
-    # the uniform spec: the sorted omegas and the running sum, without a
-    # sort index
-    assert _ks_peak(batch, cdf_quadrature_batch) < 3 * 8 * n
+    assert spectral._last_draw.sorted is None  # a fresh draw, sorted by this KS
+    # the uniform spec: the sorted omegas alone, without a sort index or a
+    # running sum, plus O(n / 64) block values and the cdf's temporaries on
+    # at most 2^14 points a call
+    assert _peak(ks_distance, batch, cdf_quadrature_batch) < 2 * 8 * n
+
+
+@pytest.mark.parametrize("kind", ["uniform", "exp"])
+def test_mc_mean_copies_no_weights(kind):
+    n = 10**6
+    batch = mc_sample(n, seed=8, weight=WeightSpec(kind))
+    if kind == "exp":
+        # the largest weight needs no scaling into [0.5, 1)
+        assert 0.5 <= batch.weight.max() < 1.0
+    # the weighted deviations alone: no scaled copy of the weights
+    assert _peak(mc_mean, batch) < 1.2 * 8 * n
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+# omegas of the extreme batches above: tiny, huge and at the largest double
+EXTREME_OMEGAS = [
+    [1.0, 2.0],
+    [5e-324, 1e-320, 0.0, 5e-324],
+    [1e200, 2e200],
+    [1e300, 1e-300],
+    [1.7e308] * 3,
+    [sys.float_info.max] * 5,
+    [1.7e308, 1.2e308, 0.3e308],
+]
+
+
+def test_uniform_batches_equal_the_own_weights_path_bit_for_bit():
+    sizes = (1, 1000, 3 * _KS_BLOCK + 17)
+    batches = [mc_sample(n, seed) for seed in range(4) for n in sizes]
+    tied = [_tied_batch(n, seed=n).omega for n in sizes[1:]]
+    batches += [SampleBatch(omega, spec=UNIFORM_WEIGHT) for omega in tied + EXTREME_OMEGAS]
+    for batch in batches:
+        assert batch.weight.strides == (0,)  # a broadcast of 1.0
+        ones = SampleBatch(batch.omega, np.ones(batch.omega.size))
+        assert _bits(mc_mean(batch)) == _bits(mc_mean(ones))
+        cdf = cdf_quadrature_batch
+        assert _bits(ks_distance(batch, cdf)) == _bits(ks_distance(ones, cdf))
+
+
+@pytest.mark.parametrize("kind", ["exp", "gauss"])
+def test_weighted_mc_mean_equals_the_own_weights_path_bit_for_bit(kind):
+    batches = [mc_sample(n, seed, SPECS[kind]) for seed in range(4) for n in (1, 1000, 20000)]
+    # a zero omega has weight 1, which is scaled to 0.5
+    batches.append(SampleBatch(np.append(batches[-1].omega, 0.0), spec=SPECS[kind]))
+    for batch in batches:
+        own = SampleBatch(batch.omega, np.array(batch.weight))
+        assert _bits(mc_mean(batch)) == _bits(mc_mean(own))
 
 
 def test_ks_distance_uniform_sampling_against_quadrature():
@@ -1175,6 +1231,12 @@ def test_weight_spec_validation():
         WeightSpec("table", (0.0, 1.0), (0.0, 0.0))
     with pytest.raises(ValueError, match="1-d"):
         WeightSpec("table", [[0.0, 1.0]], [[1.0, 1.0]])
+    # complex, string and bytes entries are not parsed as floats
+    for column in ([0j, 1j], ["0", "1"], [b"0", b"1"], np.array(["0.5", "1"])):
+        with pytest.raises(ValueError, match="real numbers"):
+            WeightSpec("table", column, [1, 1])
+        with pytest.raises(ValueError, match="real numbers"):
+            WeightSpec("table", [0, 1], column)
     for kind in ("uniform", "exp", "gauss"):
         with pytest.raises(ValueError, match="no table columns"):
             WeightSpec(kind, (0.3, 7.0), (5.0, 5.0))

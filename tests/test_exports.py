@@ -200,7 +200,7 @@ EXPORTS: dict[str, Export] = {
         "test_broadcasting.py::test_classify_arrays_tag_every_kind_and_nan_off_cone",
     ),
     "SpectralTable": Export(
-        "a nonempty 1-d grid of positive x",
+        "a nonempty 1-d grid of finite positive x",
         "test_spectral.py::test_spectral_table_rejects_bad_grid",
     ),
     "SymplecticGenerator": Export(

@@ -1,7 +1,9 @@
 """The package's public surface, and the names that perfbench/ binds in it."""
 
 import ast
+import contextlib
 import importlib
+import io
 import inspect
 import re
 import sys
@@ -140,3 +142,14 @@ def test_src_imports_only_the_standard_library_and_its_dependencies():
                 continue
             outside += [f"{path.name}:{node.lineno} {top}" for top in tops if top not in allowed]
     assert outside == []
+
+
+def test_readme_python_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert blocks
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
+    assert out.getvalue().splitlines()[0].startswith("elliptic-positive 1.8648")

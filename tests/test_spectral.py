@@ -49,6 +49,7 @@ from bidisk.spectral import (
 )
 from bidisk.spectral import (
     _KS_BLOCK,
+    _KS_EDGE,
     _KS_SLACK,
     _X_END,
     SampleBatch,
@@ -1056,6 +1057,25 @@ def test_ks_distance_forgives_a_decrease_within_the_slack():
     assert ks_distance(batch, cdf) == ks_whole_array(batch, cdf)
 
 
+def test_ks_distance_rejects_a_drift_down_between_open_blocks():
+    # three blocks: F is flat on the first and the last, whose gaps are the
+    # largest, so they are open, and steps down by 1/64 of the slack from
+    # the last point of the first block to the first point of the last
+    n, step = 3 * _KS_EDGE, _KS_SLACK / 64
+    batch = SampleBatch(np.arange(n), np.ones(n))
+    drift = step * np.clip(batch.omega - (_KS_EDGE - 1), 0, _KS_EDGE + 1)
+    fv = (0.5 + drift[-1] / 2) - drift
+
+    def cdf(xs):
+        return fv[xs.astype(int)]
+
+    # each step, and the drift across the middle block, is within the slack
+    assert np.diff(fv).min() > -_KS_SLACK and fv[_KS_EDGE] - fv[2 * _KS_EDGE - 1] < _KS_SLACK
+    assert fv[_KS_EDGE - 1] - fv[2 * _KS_EDGE] > _KS_SLACK
+    with pytest.raises(ValueError, match="decreases"):
+        ks_distance(batch, cdf)
+
+
 def _peak(fn, *args) -> int:
     """The tracemalloc peak of fn(*args) above what was allocated before, in bytes."""
     tracemalloc.start()
@@ -1102,6 +1122,20 @@ def test_ks_distance_equal_weights_make_no_index():
     # running sum, plus O(n / 64) block values and the cdf's temporaries on
     # at most 2^14 points a call
     assert _peak(ks_distance, batch, cdf_quadrature_batch) < 2 * 8 * n
+
+
+def test_ks_distance_block_bookkeeping_is_a_fraction_of_the_draw():
+    n = 10**6
+    batch = mc_sample(n, seed=9)
+
+    def cdf(xs):
+        return np.minimum(xs / 100.0, 1.0)  # allocates only its output
+
+    ks_distance(batch, cdf)
+    assert spectral._last_draw.sorted is not None  # the sorted copy is taken
+    # the block ends, the open blocks' points and their gaps, with no merge
+    # of the two by a sort
+    assert _peak(ks_distance, batch, cdf) < 0.3 * 8 * n
 
 
 @pytest.mark.parametrize("kind", ["uniform", "exp"])
@@ -1504,6 +1538,9 @@ def test_spectral_table_rejects_bad_grid():
         SpectralTable.build([])
     with pytest.raises(ValueError):
         SpectralTable.build([0.0, 1.0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="grid values must be finite and positive"):
+            SpectralTable.build([1.0, bad])
 
 
 def test_discrepancy_ledger_statuses():

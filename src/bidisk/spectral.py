@@ -246,7 +246,7 @@ def pdf_quadrature(x):
     wherever f is a normal double.  Float or array, as cdf_quadrature; 0
     for x <= 0 and at inf, ValueError for NaN.
     """
-    return _py(_cdf_tail_quadrature(np.maximum(x, 0.0), density=True)[0])
+    return _py(_cdf_tail_quadrature(np.maximum(np.asarray(x, dtype=float), 0.0), density=True)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -703,42 +703,22 @@ def _sample_stream(seq: np.random.SeedSequence, out: np.ndarray, scratch: np.nda
     out *= 4.0
 
 
-class _Draw:
-    """mc_sample's record of its last draw: (n, seed), a weak reference to
-    the read-only omegas, and their sorted copy once ks_distance has taken
-    it.  A finalizer on the omegas drops the record, so it keeps no draw
-    alive; the sorted copy lives as long as the draw."""
-
-    __slots__ = ("key", "omega", "sorted")
-
-    def __init__(self, key: tuple[int, int], omega: np.ndarray):
-        self.key = key
-        self.omega = weakref.ref(omega)
-        self.sorted: np.ndarray | None = None
-
-
-_last_draw: _Draw | None = None
-
-
-def _forget(draw: _Draw) -> None:
-    """Drop the record of a draw that has been freed.  No lock: a finalizer
-    may run inside any allocation, and a race here only turns a later hit
-    into a miss, which draws the same bits."""
-    global _last_draw
-    if _last_draw is draw:
-        _last_draw = None
+# mc_sample's record of its live draws: (n, seed) -> the read-only omegas,
+# and id(omegas) -> their sorted copy once ks_distance has taken it.  A
+# finalizer on the omegas drops their id, so an id here is never stale.
+_drawn = weakref.WeakValueDictionary()
+_sorted: dict[int, np.ndarray | None] = {}
 
 
 def _draw(n: int, seed: int, sizes: tuple[int, ...]) -> np.ndarray:
     """The omegas of mc_sample(n, seed) in streams of the given sizes: the
-    recorded draw while it is alive, else a new read-only draw that
-    replaces the record."""
-    global _last_draw
-    draw = _last_draw  # read once: another thread may replace it
-    if draw is not None and draw.key == (n, seed):
-        omega = draw.omega()
-        if omega is not None:
-            return omega
+    recorded draw of (n, seed) while it is alive, else a new read-only draw
+    that is recorded beside every other live one.  The record holds no
+    draw; a draw's sorted copy, once ks_distance takes it, lives as long as
+    the draw, which then holds 2 x 8n bytes."""
+    omega = _drawn.get((n, seed))
+    if omega is not None:
+        return omega
     children = np.random.SeedSequence(seed).spawn(len(sizes))
     omega = np.empty(n)
     scratch = np.empty((4, sizes[0]))  # sizes[0] is the largest
@@ -747,9 +727,9 @@ def _draw(n: int, seed: int, sizes: tuple[int, ...]) -> np.ndarray:
         _sample_stream(seq, omega[stop : stop + m], scratch)
         stop += m
     omega.flags.writeable = False
-    draw = _Draw((n, seed), omega)
-    weakref.finalize(omega, _forget, draw)
-    _last_draw = draw  # one assignment: a racing thread sees the old or the new record
+    _sorted[id(omega)] = None
+    weakref.finalize(omega, _sorted.pop, id(omega), None)
+    _drawn[n, seed] = omega
     return omega
 
 
@@ -766,11 +746,13 @@ def mc_sample(n: int, seed: int, weight: WeightSpec = UNIFORM_WEIGHT) -> SampleB
     The batch is SampleBatch(omega, spec=weight): its weights are
     weight.weight_of_omega(omega), and weights without a positive sum, such
     as a table's that is zero wherever the draws fall, raise ValueError.
-    The omegas are read-only.  The module records the last draw by (n,
+    The omegas are read-only.  The module records every live draw by (n,
     seed) with a weak reference: a call with the same (n, seed) while those
     omegas are still referenced returns the same array, with the weights
     of this call's spec, and draws nothing.  Once nothing references them
-    the record goes with them, so it holds no memory of its own.
+    the record goes with them, so it keeps no draw alive.  A draw whose KS
+    has been taken (see ks_distance) holds its sorted copy too, 2 x 8n
+    bytes in all, for as long as it lives.
     """
     n = _whole(n, 1, "sample size")
     if not isinstance(seed, numbers.Integral) or seed < 0:
@@ -797,16 +779,15 @@ def _cdf_at(cdf, xs: np.ndarray) -> np.ndarray:
 
 
 def _sorted_omegas(omega) -> np.ndarray:
-    """np.sort(omega); for the array of mc_sample's recorded draw, a
-    read-only sorted copy kept on the record and taken once."""
-    draw = _last_draw
-    if draw is None or draw.omega() is not omega:
+    """np.sort(omega); for the omegas of a recorded mc_sample draw, a
+    read-only sorted copy kept in the record and taken once."""
+    if id(omega) not in _sorted:
         return np.sort(omega)
-    xs = draw.sorted
+    xs = _sorted[id(omega)]
     if xs is None:
         xs = np.sort(omega)
         xs.flags.writeable = False
-        draw.sorted = xs
+        _sorted[id(omega)] = xs
     return xs
 
 
@@ -841,11 +822,11 @@ def ks_distance(batch: SampleBatch, cdf) -> float:
     bit.  The uniform spec keeps no running sum: it is (i + 1) / n at
     sorted point i and i / n before it, exact below 2^53, taken only at
     the points used, so its working set is the sorted omegas alone.  If
-    the batch's omega is the array of mc_sample's recorded draw, the
-    sorted copy is kept on the record and reused by every later batch of
-    that draw, so it lives as long as the draw: 2 x 8n bytes of omegas
-    instead of 8n.  A batch without a spec keeps the sort index until its
-    running sum is taken.
+    the batch's omega is the array of a live mc_sample draw (every live
+    draw is recorded), the sorted copy is kept in the record and reused by
+    every later batch of that draw, so it lives as long as the draw: 2 x
+    8n bytes of omegas instead of 8n.  A batch without a spec keeps the
+    sort index until its running sum is taken.
 
     The batch was checked when it was built.  A NaN cdf value raises
     ValueError, and so does a decrease of more than _KS_SLACK from one
@@ -1026,9 +1007,12 @@ def _weighted_integral(weight: WeightSpec, power: int, cut: float) -> float:
 def _weighted_moment(weight: WeightSpec, power: int, cut: float) -> float:
     """E(X^power; X <= cut) = int_0^cut x^power f w dx / Z of the reweighted
     distribution, each integral on the rule of _integrate_t; 0 for
-    cut <= 1e-323.  A NaN cut, or one above _X_END = 4 sinh 50 ~ 1.03694e22
-    (inf among them), raises ValueError: the rule ends there, and the
-    uniform second moment diverges."""
+    cut <= 1e-323.  A cut that is not a real number (an array among them),
+    a NaN cut, or one above _X_END = 4 sinh 50 ~ 1.03694e22 (inf among
+    them: the rule ends there, and the uniform second moment diverges)
+    raises ValueError."""
+    if not isinstance(cut, numbers.Real):
+        raise ValueError(f"truncation cut must be a real number, got {cut!r}")
     cut = float(cut)
     if math.isnan(cut):
         raise ValueError("truncation cut must not be NaN")

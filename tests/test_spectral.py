@@ -398,6 +398,24 @@ def test_quadrature_views_at_extreme_arguments():
             fn(-1e-300)
 
 
+@pytest.mark.parametrize("x", [1 + 2j, 3j, "1", None], ids=["complex", "imaginary", "str", "none"])
+def test_density_views_take_the_inputs_of_cdf_quadrature(x):
+    """pdf_quadrature and reweight_density raise the exception type that
+    cdf_quadrature raises on x, or all three return finite values."""
+    views = (pdf_quadrature, lambda v: reweight_density(WeightSpec("exp"), v))
+    try:
+        expect = cdf_quadrature(x)
+    except (TypeError, ValueError) as err:
+        for fn in views:
+            with pytest.raises(type(err)) as got:
+                fn(x)
+            assert got.type is type(err)
+    else:
+        assert math.isfinite(expect)
+        for fn in views:
+            assert math.isfinite(fn(x))
+
+
 def test_pdf_quadrature_small_x_is_linear():
     # measured leading behavior f(x) ~ x/24, not the claimed cubic
     x = 1e-3
@@ -656,7 +674,7 @@ def test_mc_sample_accepts_integral_floats():
 
 def test_mc_sample_caps_streams_at_n(monkeypatch):
     assert _stream_sizes(3) == (1, 1, 1)
-    monkeypatch.setattr(spectral, "_last_draw", None)  # no recorded draw to return
+    monkeypatch.setattr(spectral, "_drawn", weakref.WeakValueDictionary())  # no recorded draw to return
     calls = _counting_streams(monkeypatch)
     assert mc_sample(3, seed=1).omega.size == 3
     assert len(calls) == 3
@@ -785,7 +803,7 @@ def test_sample_stream_with_a_dirty_oversized_scratch_equals_the_expression():
 @pytest.mark.parametrize("bad", [0, 5, 15])
 def test_mc_sample_raises_a_failed_stream_after_joining(bad, monkeypatch):
     """A failing stream raises out of mc_sample, and the draw it broke off
-    does not replace the recorded one."""
+    is not recorded and leaves the recorded draws in place."""
     stream = spectral._sample_stream
     children = np.random.SeedSequence(4).spawn(16)
 
@@ -795,12 +813,13 @@ def test_mc_sample_raises_a_failed_stream_after_joining(bad, monkeypatch):
         stream(seq, out, scratch)
 
     kept = mc_sample(1000, seed=3)
-    record = spectral._last_draw
+    ids = set(spectral._sorted)
     monkeypatch.setattr(spectral, "_sample_stream", failing)
     with pytest.raises(RuntimeError, match=f"stream {bad}$"):
         mc_sample(1000, seed=4)
-    assert spectral._last_draw is record
-    assert record.omega() is kept.omega
+    assert (1000, 4) not in spectral._drawn
+    assert set(spectral._sorted) <= ids
+    assert spectral._drawn[1000, 3] is kept.omega
 
 
 def test_mc_sample_returns_the_recorded_draw_with_the_bits_of_a_new_one(monkeypatch):
@@ -833,12 +852,29 @@ def test_mc_sample_draws_afresh_once_every_batch_is_gone(monkeypatch):
     assert mc_sample(1000, seed=24).omega is b.omega  # b still holds the draw
     assert len(calls) == 16
     ks_distance(b, _cached_distribution(b.spec).cdf)
-    kept = weakref.ref(spectral._last_draw.sorted)
+    key = id(b.omega)
+    kept = weakref.ref(spectral._sorted[key])
     del b
-    assert spectral._last_draw is None  # the record went with the draw
+    # the record went with the draw
+    assert (1000, 24) not in spectral._drawn and key not in spectral._sorted
     assert kept() is None  # and so did its sorted copy
     mc_sample(1000, seed=24)
     assert len(calls) == 32
+
+
+def test_mc_sample_records_every_live_draw(monkeypatch):
+    calls = _counting_streams(monkeypatch)
+    a = mc_sample(1000, seed=1)
+    b = mc_sample(1000, seed=2)
+    assert mc_sample(1000, seed=1).omega is a.omega
+    assert mc_sample(1000, seed=2).omega is b.omega
+    assert len(calls) == 32  # two draws, each drawn once
+    ks_distance(a, cdf_quadrature_batch)
+    # a's KS, taken after b was drawn, kept a's sorted copy for later ones
+    xs = spectral._sorted_omegas(a.omega)
+    assert not xs.flags.writeable and np.array_equal(xs, np.sort(a.omega))
+    assert spectral._sorted_omegas(a.omega) is xs
+    assert spectral._sorted_omegas(b.omega) is not xs
 
 
 def test_threads_racing_on_one_draw_get_equal_bits():
@@ -877,7 +913,7 @@ def test_ks_distance_on_a_shared_draw_equals_one_whole_array_call(order):
     for kind, batch in zip(order, batches):
         cdf = cdf_quadrature_batch if kind == "uniform" else _cached_distribution(batch.spec).cdf
         assert ks_distance(batch, cdf) == ks_whole_array(batch, cdf)
-        kept.append(spectral._last_draw.sorted)
+        kept.append(spectral._sorted[id(batch.omega)])
     # sorted by the first KS, reused by the second
     assert kept[0] is kept[1] and not kept[0].flags.writeable
     assert np.array_equal(kept[0], np.sort(batches[0].omega))
@@ -1117,7 +1153,7 @@ def test_ks_distance_equal_weights_equal_one_whole_array_call(w, n):
 def test_ks_distance_equal_weights_make_no_index():
     n = 10**6
     batch = mc_sample(n, seed=8)
-    assert spectral._last_draw.sorted is None  # a fresh draw, sorted by this KS
+    assert spectral._sorted[id(batch.omega)] is None  # a fresh draw, sorted by this KS
     # the uniform spec: the sorted omegas alone, without a sort index or a
     # running sum, plus O(n / 64) block values and the cdf's temporaries on
     # at most 2^14 points a call
@@ -1132,7 +1168,7 @@ def test_ks_distance_block_bookkeeping_is_a_fraction_of_the_draw():
         return np.minimum(xs / 100.0, 1.0)  # allocates only its output
 
     ks_distance(batch, cdf)
-    assert spectral._last_draw.sorted is not None  # the sorted copy is taken
+    assert spectral._sorted[id(batch.omega)] is not None  # the sorted copy is taken
     # the block ends, the open blocks' points and their gaps, with no merge
     # of the two by a sort
     assert _peak(ks_distance, batch, cdf) < 0.3 * 8 * n
@@ -1325,8 +1361,35 @@ RULE_END = "1.03694e\\+22"
             RULE_END,
         ),
         (lambda: weighted_mean(WeightSpec("exp"), 1.0369411057175e22), RULE_END),
+        (lambda: weighted_mean(WeightSpec("exp"), [1.0, 2.0]), "real number"),
+        (lambda: weighted_mean(WeightSpec("exp"), np.array([1.0, 2.0])), "real number"),
+        (lambda: weighted_mean(WeightSpec("exp"), None), "real number"),
+        (lambda: weighted_mean(WeightSpec("exp"), 1 + 2j), "real number"),
+        (lambda: weighted_mean(WeightSpec("exp"), "100"), "real number"),
+        (lambda: weighted_truncated_second_moment(WeightSpec("exp"), [1.0, 2.0]), "real number"),
+        (lambda: weighted_truncated_second_moment(WeightSpec("exp"), np.array([1.0, 2.0])), "real number"),
+        (lambda: weighted_truncated_second_moment(WeightSpec("exp"), None), "real number"),
+        (lambda: weighted_truncated_second_moment(WeightSpec("exp"), 1 + 2j), "real number"),
+        (lambda: weighted_truncated_second_moment(WeightSpec("exp"), "100"), "real number"),
     ],
-    ids=["weighted_mean", "weighted_E2", "mean_inf", "E2_inf", "E2_past_end", "mean_past_end"],
+    ids=[
+        "weighted_mean",
+        "weighted_E2",
+        "mean_inf",
+        "E2_inf",
+        "E2_past_end",
+        "mean_past_end",
+        "mean_list",
+        "mean_array",
+        "mean_none",
+        "mean_complex",
+        "mean_str",
+        "E2_list",
+        "E2_array",
+        "E2_none",
+        "E2_complex",
+        "E2_str",
+    ],
 )
 def test_reweighting_rejects_nan_and_negative_arguments(call, match):
     with pytest.raises(ValueError, match=match):

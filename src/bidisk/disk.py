@@ -19,6 +19,14 @@ entry of an array raises ValueError for the whole call.  A scalar call
 rounds exactly as one entry of an array call does, so arithmetic stays on
 numpy arrays (not Python or numpy scalars) and squares are products: a
 scalar's ** 2 goes through C pow(), which need not be correctly rounded.
+
+Every float and complex argument of the package passes one gate,
+_checked; only spectral's integer and cut scalars, which take one
+numbers.Real, have checks of their own.  A float argument must be something numpy holds with a bool,
+integer or float dtype (a bool is 0 or 1), and a complex argument may
+also be complex; anything else raises ValueError: strings, bytes, None,
+ragged lists and object arrays, so also Fraction, Decimal and Python ints
+beyond int64.
 """
 
 from __future__ import annotations
@@ -40,6 +48,23 @@ def _py(x):
     return x.item() if x.ndim == 0 else x
 
 
+def _checked(x, inside=None, message: str = "", dtype=float) -> np.ndarray:
+    """x as an array of dtype (float or complex): the one gate of every
+    float and complex argument of the package.  np.asarray(x) must have a bool,
+    integer or float dtype, or a complex one for dtype complex, else
+    ValueError naming that dtype (not the value).  With inside,
+    ValueError(message) unless inside(x) holds at every entry; NaN fails
+    every comparison.  An ndarray of dtype comes back itself, not a copy."""
+    a = np.asarray(x)
+    if a.dtype.kind not in ("biufc" if dtype is complex else "biuf"):
+        kind = "complex" if dtype is complex else "real"
+        raise ValueError(f"expected {kind} numbers, got an array of dtype {a.dtype}")
+    a = a.astype(dtype, copy=False)
+    if inside is not None and not np.all(inside(a)):
+        raise ValueError(message)
+    return a
+
+
 def _mat2(m00, m01, m10, m11) -> np.ndarray:
     """Stack (..., 2, 2) of [[m00, m01], [m10, m11]] from equal-shape entries."""
     m00 = np.asarray(m00)
@@ -51,7 +76,7 @@ def check_disk(z):
     (BOUNDARY_TOL = 1e-12).  A point on or outside that circle, NaN and
     infinite points among them, raises ValueError, whose message names
     BOUNDARY_TOL and its value."""
-    z = np.asarray(z, dtype=complex)
+    z = _checked(z, dtype=complex)
     inside = np.abs(z) < 1.0 - BOUNDARY_TOL
     if not inside.all():
         raise ValueError(
@@ -66,7 +91,7 @@ def _from_pattern(m, build, group: str):
     against the pattern of its own .matrix(): ValueError for another shape,
     or for a matrix further than MATRIX_TOL (relative to its own magnitude)
     from the pattern."""
-    m = np.asarray(m, dtype=complex)
+    m = _checked(m, dtype=complex)
     if m.shape[-2:] != (2, 2):
         raise ValueError(f"expected 2x2 matrices, got shape {m.shape}")
     x = build(m)
@@ -136,7 +161,7 @@ class MobiusTransform:
     beta: complex
 
     def __post_init__(self):
-        a, b = np.broadcast_arrays(np.asarray(self.alpha, complex), np.asarray(self.beta, complex))
+        a, b = np.broadcast_arrays(*(_checked(v, dtype=complex) for v in (self.alpha, self.beta)))
         a2, b2 = np.abs(a) * np.abs(a), np.abs(b) * np.abs(b)
         det = a2 - b2
         # det's own rounding, 16 eps (|alpha|^2 + |beta|^2), exceeds DET_TOL near the boundary
@@ -148,7 +173,7 @@ class MobiusTransform:
         object.__setattr__(self, "beta", _py(b))
 
     def __call__(self, z):
-        a, b, z = self.alpha, self.beta, np.asarray(z, dtype=complex)
+        a, b, z = self.alpha, self.beta, _checked(z, dtype=complex)
         return _py((a * z + b) / (np.conj(b) * z + np.conj(a)))
 
     def __matmul__(self, other: "MobiusTransform") -> "MobiusTransform":
@@ -174,7 +199,7 @@ class MobiusTransform:
     @classmethod
     def rotation(cls, phi) -> "MobiusTransform":
         """Rotation z -> exp(1j*phi) z about the origin."""
-        return cls(np.exp(0.5j * np.asarray(phi, dtype=float)), 0.0)
+        return cls(np.exp(0.5j * _checked(phi)), 0.0)
 
     @classmethod
     def from_matrix(cls, m) -> "MobiusTransform":
@@ -222,12 +247,10 @@ def hyperbolic_disk_euclidean(s, u):
     and T_{-s}(-u).  A center outside that range, or a radius u outside
     (0, 1), raises ValueError.
     """
-    s = np.asarray(s, dtype=float)
-    if not np.all((s >= 0.0) & (s < 1.0 - BOUNDARY_TOL)):
-        raise ValueError(f"center must be real in [0, 1 - {BOUNDARY_TOL:g})")
-    u = np.asarray(u, dtype=float)
-    if not np.all((u > 0.0) & (u < 1.0)):
-        raise ValueError("schwarz radius must lie in (0, 1)")
+    s = _checked(
+        s, lambda s: (s >= 0.0) & (s < 1.0 - BOUNDARY_TOL), f"center must be real in [0, 1 - {BOUNDARY_TOL:g})"
+    )
+    u = _checked(u, lambda u: (u > 0.0) & (u < 1.0), "schwarz radius must lie in (0, 1)")
     back = translate(-s)
     hi, lo = back(u), back(-u)
     return _py(np.real((hi + lo) / 2.0)), _py(np.real((hi - lo) / 2.0))

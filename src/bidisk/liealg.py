@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import _from_pattern, _mat2, _py
+from .disk import _checked, _from_pattern, _mat2, _py
 
 ZERO_TOL = 1e-13
 # coefficients up to 2^511 have squares, and sums of three squares, below
@@ -37,7 +37,7 @@ def _finite_coefficients(self) -> None:
     """The __post_init__ of LieVector and SymplecticGenerator: a, b, c
     broadcast to one shape, Python floats for scalars; a non-finite
     coefficient raises ValueError."""
-    abc = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (self.a, self.b, self.c)))
+    abc = np.broadcast_arrays(*(_checked(v) for v in (self.a, self.b, self.c)))
     if not np.isfinite(abc).all():
         raise ValueError(f"non-finite coefficient in a={self.a!r}, b={self.b!r}, c={self.c!r}")
     for name, v in zip("abc", abc):

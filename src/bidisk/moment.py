@@ -23,6 +23,7 @@ import numpy as np
 from .disk import (
     BidiskPoint,
     MobiusTransform,
+    _checked,
     _legs,
     _one_minus_abs2,
     _py,
@@ -36,9 +37,7 @@ from .liealg import ELLIPTIC_POSITIVE, LieVector, classify
 def mu_slice(t):
     """Moment value 8t / (1 - t^2) of the slice point (t, -t), with 1 - t^2
     from disk._one_minus_abs2, so within 2 eps relative up to t = 1 - 2^-53."""
-    t = np.asarray(t, dtype=float)
-    if not np.all((t >= 0.0) & (t < 1.0)):
-        raise ValueError("slice parameter must lie in [0, 1)")
+    t = _checked(t, lambda t: (t >= 0.0) & (t < 1.0), "slice parameter must lie in [0, 1)")
     return _py(8.0 * t / _one_minus_abs2(t))
 
 
@@ -50,9 +49,7 @@ def mu_slice_invert(x):
     free of cancellation, and for x < 1e-8 it evaluates to the series x/8
     exactly.  The root is taken by hypot, so large x does not overflow.
     """
-    x = np.asarray(x, dtype=float)
-    if not np.all((x >= 0.0) & (x < np.inf)):
-        raise ValueError("moment value must be finite and nonnegative")
+    x = _checked(x, lambda x: (x >= 0.0) & (x < np.inf), "moment value must be finite and nonnegative")
     return _py(x / (np.hypot(x, 4.0) + 4.0))
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import quadrature  # FD_STEP and FD_TOL, read at call time
-from .disk import _py
+from .disk import _checked, _py
 from .quadrature import adaptive, central_difference, composite_k15
 
 # closed forms switch to their Taylor series below this Schwarz radius u
@@ -52,10 +52,7 @@ _DF_SERIES = 1.0 / (_K + 3.0)
 
 def _rotation_numbers(omega) -> np.ndarray:
     """omega as a float array; NaN or negative entries raise ValueError."""
-    omega = np.asarray(omega, dtype=float)
-    if not np.all(omega >= 0.0):
-        raise ValueError("rotation number must be nonnegative")
-    return omega
+    return _checked(omega, lambda w: w >= 0.0, "rotation number must be nonnegative")
 
 
 def _rho_array(omega) -> np.ndarray:
@@ -132,9 +129,7 @@ def _cdf_tail_quadrature(x, density: bool = False) -> tuple[np.ndarray, ...]:
     rounding.  Each pass integrates only what it returns: no F without
     density, no f with it.
     """
-    x = np.asarray(x, dtype=float)
-    if not np.all(x >= 0.0):
-        raise ValueError("spectral parameter must be nonnegative")
+    x = _checked(x, lambda x: x >= 0.0, "spectral parameter must be nonnegative")
     flat = x.ravel()
     s, y = _quarter_square_log(flat)
     # s underflows to 0 below x ~ 9e-162, where F ~ x^2/48 does too
@@ -246,7 +241,7 @@ def pdf_quadrature(x):
     wherever f is a normal double.  Float or array, as cdf_quadrature; 0
     for x <= 0 and at inf, ValueError for NaN.
     """
-    return _py(_cdf_tail_quadrature(np.maximum(np.asarray(x, dtype=float), 0.0), density=True)[0])
+    return _py(_cdf_tail_quadrature(np.maximum(_checked(x), 0.0), density=True)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +303,7 @@ def _closed_form(arg, series, direct, upper: float, message: str, far=None):
     """series(arg) below SERIES_CUT, far(arg) from _FAR_CUT on (when given)
     and direct(arg) in between, for arg in [0, upper); a float for a float
     argument."""
-    arg = np.asarray(arg, dtype=float)
-    if not np.all((arg >= 0.0) & (arg < upper)):
-        raise ValueError(message)
+    arg = _checked(arg, lambda a: (a >= 0.0) & (a < upper), message)
     out = np.piecewise(arg, [arg < SERIES_CUT, arg >= _FAR_CUT], [series, far or direct, direct])
     return _py(out)
 
@@ -322,9 +315,7 @@ def cdf_closed_derived(u):
     The implementation of _cdf_and_tail, entered at r^2 = (1 - u)(1 + u)
     and Y = -log1p(-u^2).  Accepts a float or an array in [0, 1).
     """
-    u = np.asarray(u, dtype=float)
-    if not np.all((u >= 0.0) & (u < 1.0)):
-        raise ValueError(_RADIUS[1])
+    u = _checked(u, lambda u: (u >= 0.0) & (u < 1.0), _RADIUS[1])
     u2 = u * u
     return _py(_closed_cdf_tail(u2, 2.0 * (1.0 - u) * (1.0 + u), -np.log1p(-u2))[0])
 
@@ -538,13 +529,10 @@ class WeightSpec:
         # the columns as tuples of floats: a list or an array table hashes
         # and compares as the same table given as tuples
         for name in ("rho_grid", "values"):
-            column = np.asarray(getattr(self, name))
-            # not parsed by float(): no complex, string or bytes entries
-            if column.dtype.kind not in "biuf":
-                raise ValueError("weight table entries must be real numbers")
+            column = _checked(getattr(self, name))
             if column.ndim != 1:
                 raise ValueError("weight table columns must be 1-d")
-            object.__setattr__(self, name, tuple(column.astype(float).tolist()))
+            object.__setattr__(self, name, tuple(column.tolist()))
         if self.kind != "table" and (self.rho_grid or self.values):
             raise ValueError(f"the {self.kind} weight takes no table columns")
         if self.kind == "table":
@@ -562,10 +550,8 @@ class WeightSpec:
     def weight_of_rho(self, rho):
         """w(rho) at hyperbolic distances rho >= 0, inf included: a float
         for a float, else an array.  NaN or negative rho raises ValueError."""
-        rho = np.array(rho, dtype=float)
-        if not np.all(rho >= 0.0):
-            raise ValueError("hyperbolic distance must be nonnegative")
-        return _py(self._weight(rho))
+        rho = _checked(rho, lambda r: r >= 0.0, "hyperbolic distance must be nonnegative")
+        return _py(self._weight(rho.copy()))
 
     def weight_of_omega(self, omega):
         """w(rho(omega)) at rotation numbers omega >= 0, as weight_of_rho;
@@ -641,9 +627,9 @@ class SampleBatch:
 
 def _float_copy(values) -> np.ndarray:
     """values itself if it is a read-only float array, else a float copy."""
-    if isinstance(values, np.ndarray) and values.dtype == float and not values.flags.writeable:
-        return values
-    return np.array(values, dtype=float)
+    a = _checked(values)
+    # a shares the caller's memory when values is a float array or a view of one
+    return a.copy() if a.flags.writeable and (a is values or a.base is not None) else a
 
 
 # sorted points per cdf call of ks_distance: 128 kB per temporary array
@@ -1054,12 +1040,9 @@ class SpectralTable:
 
     @classmethod
     def build(cls, x) -> "SpectralTable":
-        x = np.asarray(x, dtype=float)
+        x = _checked(x, lambda x: (x > 0.0) & (x < math.inf), "grid values must be finite and positive")
         if x.ndim != 1 or x.size == 0:
             raise ValueError("grid must be a nonempty 1-d array")
-        # NaN fails both comparisons
-        if not np.all((x > 0.0) & (x < math.inf)):
-            raise ValueError("grid values must be finite and positive")
         xt = x / 4.0
         u = _schwarz_radius(x)
         # u rounds to 1 above x ~ 3e8, outside the u-form's domain; it tends to 1

@@ -14,6 +14,13 @@ inside the domain, and says which inputs lie inside.  Inside the domain a
 call returns finite values, Python scalars for a scalar and an array call
 equal to the per-element calls; outside it, and for an array with one
 entry outside, it raises ValueError.  It never warns.
+
+What counts as a number is one rule for the whole package: a float
+argument must be something numpy holds with a bool, integer or float
+dtype, a bool counting as 0 or 1, and a complex argument (a point of the
+disk) may also be complex.  Everything else raises ValueError: strings,
+bytes, None, ragged lists and object arrays, so also Fraction, Decimal and
+Python ints beyond int64.  NOT_NUMBERS and COMPLEX probe this rule.
 """
 
 import dataclasses
@@ -33,6 +40,9 @@ import reference
 from bidisk import (
     BidiskPoint,
     LieVector,
+    MobiusTransform,
+    SampleBatch,
+    SpectralTable,
     SymplecticGenerator,
     WeightSpec,
     cdf_closed_derived,
@@ -55,6 +65,7 @@ from bidisk import (
     truncated_second_moment,
 )
 from bidisk.disk import BOUNDARY_TOL
+from bidisk.liealg import from_matrix
 from bidisk.spectral import E2_MAX_CUT, UNIFORM_WEIGHT
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -116,6 +127,11 @@ WEIGHTS = (
     WeightSpec("gauss"),
     WeightSpec("table", (0.0, 2.0, 40.0), (1.0, 0.5, 0.0)),
 )
+# inputs that are not numbers: each raises ValueError in every export
+NOT_NUMBERS = ("0.5", b"0.5", None, np.array(["0.5"], dtype=object), [[0.5], [0.5, 0.5]])
+NOT_NUMBER_IDS = ("str", "bytes", "none", "object", "ragged")
+# complex inputs, which only the rows with the DISK edges take
+COMPLEX = (0.5 + 0j, 2j)
 # the message of every point rejected by disk.check_disk
 DISK_MESSAGE = rf"BOUNDARY_TOL = {BOUNDARY_TOL:g}"
 
@@ -144,6 +160,13 @@ def _in_disk(v):
 def _like(v, c):
     """c in the shape of v, so that a dataclass's fields share one shape."""
     return np.full(np.shape(v), c)
+
+
+def _classify_on_cone(v):
+    """classify(LieVector(v, v/2, v/2)), elliptic for v != 0; v passes
+    LieVector's own check before any arithmetic on it."""
+    a = LieVector(v, 0.0, 0.0).a
+    return classify(LieVector(a, 0.5 * a, 0.5 * a))
 
 
 def _weighted(method: str) -> tuple:
@@ -277,7 +300,7 @@ EXPORTS: dict[str, Export] = {
         domain="LieVector",
         reference="test_liealg.py::test_classify_matches_eigensolver",
         edges=REAL,
-        probes=(Probe(lambda v: classify(LieVector(v, 0.5 * v, 0.5 * v)), np.isfinite),),
+        probes=(Probe(_classify_on_cone, np.isfinite),),
     ),
     "cone_preimage": Export(
         "elliptic-positive LieVector",
@@ -550,3 +573,56 @@ def test_float_exports_on_their_domain_edges(name):
         for v in row.edges:
             check = hypothesis.example(p, [anchor, v])(check)
     check()
+
+
+@pytest.mark.parametrize("name", FLOAT_EXPORTS)
+def test_float_exports_reject_what_is_not_a_number(name):
+    row = EXPORTS[name]
+    bad = NOT_NUMBERS + (() if row.edges is DISK else COMPLEX)
+    for probe in row.probes:
+        for v in bad:
+            with pytest.raises(ValueError):
+                probe.call(v)
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS + COMPLEX, ids=NOT_NUMBER_IDS + ("complex", "imaginary"))
+def test_batches_and_tables_reject_what_is_not_a_number(value):
+    for build in (
+        lambda v: SampleBatch(v, spec=UNIFORM_WEIGHT),
+        lambda v: SampleBatch(np.ones(1), weight=v),
+        SpectralTable.build,
+    ):
+        with pytest.raises(ValueError):
+            build(value)
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
+def test_mobius_maps_and_matrices_reject_what_is_not_a_number(value):
+    for build in (
+        MobiusTransform.identity(),
+        MobiusTransform.rotation,
+        lambda v: MobiusTransform(v, 0.0),
+        lambda v: MobiusTransform(1.0, v),
+        lambda v: MobiusTransform.from_matrix([[v, 0.0], [0.0, v]]),
+        lambda v: from_matrix([[v, v], [v, v]]),
+    ):
+        with pytest.raises(ValueError):
+            build(value)
+
+
+@pytest.mark.parametrize("name", FLOAT_EXPORTS)
+def test_bools_are_zero_and_one(name):
+    """call(True) is call(1.0) and call(False) is call(0.0), bit for bit,
+    or both raise ValueError."""
+    for probe in EXPORTS[name].probes:
+        for flag, number in ((True, 1.0), (False, 0.0)):
+            try:
+                expect = probe.call(number)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    probe.call(flag)
+                continue
+            got = probe.call(flag)
+            assert type(got) is type(expect), (flag, got)
+            for g, e in zip(_values(got), _values(expect), strict=True):
+                assert type(g) is type(e) and np.array_equal(g, e), (flag, g, e)

@@ -55,9 +55,9 @@ def _rotation_numbers(omega) -> np.ndarray:
     return _checked(omega, lambda w: w >= 0.0, "rotation number must be nonnegative")
 
 
-def _rho_array(omega) -> np.ndarray:
-    """rho = 2 asinh(omega / 4) in one new array, also for a float."""
-    omega = _rotation_numbers(omega)
+def _rho_array(omega: np.ndarray) -> np.ndarray:
+    """rho = 2 asinh(omega / 4) in one new array, from a float array of
+    checked rotation numbers (0-d for a float)."""
     rho = np.divide(omega, 4.0, out=np.empty_like(omega))
     np.arcsinh(rho, out=rho)
     rho *= 2.0
@@ -67,7 +67,7 @@ def _rho_array(omega) -> np.ndarray:
 def rho_of_omega(omega):
     """Hyperbolic distance of a pair with rotation number omega:
     rho = 2 asinh(omega / 4).  NaN or negative omega raises ValueError."""
-    return _rho_array(omega)[()]
+    return _rho_array(_rotation_numbers(omega))[()]
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +216,7 @@ def one_minus_cdf(x):
     """Upper tail 1 - F(x) by the kernel of cdf_quadrature: 1 - F itself is
     integrated above x = 8, from an integrand in [1, 2] on
     max(1, ceil(Y/4)) panels of width <= 4/Y, so it keeps its relative
-    accuracy (tested to 1e-13) wherever it is above 1e-300; 0 at x = inf.
+    accuracy (tested to 3e-15) wherever it is above 1e-300; 0 at x = inf.
     Float or array, as cdf_quadrature."""
     return _py(_cdf_tail_quadrature(x)[1])
 
@@ -237,7 +237,7 @@ def pdf_quadrature(x):
     factors, on the same nodes and max(1, ceil(Y/4)) panels of width
     <= 4/Y as F, and takes f = dF/du r^3 / 4, r = 4/hypot(x, 4); below
     s = (x/4)^2 = eps^2 it is the limit x/24.  F and 1 - F are not
-    computed.  No finite differences: tested to 1e-13 relative
+    computed.  No finite differences: tested to 5.6e-15 relative
     wherever f is a normal double.  Float or array, as cdf_quadrature; 0
     for x <= 0 and at inf, ValueError for NaN.
     """
@@ -557,9 +557,14 @@ class WeightSpec:
         """w(rho(omega)) at rotation numbers omega >= 0, as weight_of_rho;
         the uniform weight is 1.0 without rho, for an array a read-only
         broadcast of 1.0 to its shape (stride 0, no memory of its own)."""
+        return _py(self._weight_of_checked(_rotation_numbers(omega)))
+
+    def _weight_of_checked(self, omega: np.ndarray) -> np.ndarray:
+        """weight_of_omega on a float array whose omegas have been checked,
+        as a batch's have: the gate's n-byte temporary is not made again."""
         if self.kind == "uniform":
-            return _py(np.broadcast_to(1.0, _rotation_numbers(omega).shape))
-        return _py(self._weight(_rho_array(omega)))
+            return np.broadcast_to(1.0, omega.shape)
+        return self._weight(_rho_array(omega))
 
     def _weight(self, rho: np.ndarray) -> np.ndarray:
         """w(rho); exp and gauss overwrite rho, a new array of the caller."""
@@ -609,7 +614,7 @@ class SampleBatch:
         # NaN fails both comparisons
         if not (omega.ndim == 1 and omega.size and omega.min() >= 0.0 and omega.max() < math.inf):
             raise ValueError("batch omegas must be a nonempty 1-d array of finite values >= 0")
-        weight = _float_copy(self.weight) if self.spec is None else self.spec.weight_of_omega(omega)
+        weight = _float_copy(self.weight) if self.spec is None else self.spec._weight_of_checked(omega)
         # read-only in place: the spec's weights are the batch's own array
         omega.flags.writeable = weight.flags.writeable = False
         if weight.shape != omega.shape:
@@ -689,19 +694,15 @@ def _sample_stream(seq: np.random.SeedSequence, out: np.ndarray, scratch: np.nda
     out *= 4.0
 
 
-# mc_sample's record of its live draws: (n, seed) -> the read-only omegas,
-# and id(omegas) -> their sorted copy once ks_distance has taken it.  A
-# finalizer on the omegas drops their id, so an id here is never stale.
+# mc_sample's record of its live draws: (n, seed) -> the read-only omegas
 _drawn = weakref.WeakValueDictionary()
-_sorted: dict[int, np.ndarray | None] = {}
 
 
 def _draw(n: int, seed: int, sizes: tuple[int, ...]) -> np.ndarray:
     """The omegas of mc_sample(n, seed) in streams of the given sizes: the
     recorded draw of (n, seed) while it is alive, else a new read-only draw
     that is recorded beside every other live one.  The record holds no
-    draw; a draw's sorted copy, once ks_distance takes it, lives as long as
-    the draw, which then holds 2 x 8n bytes."""
+    draw."""
     omega = _drawn.get((n, seed))
     if omega is not None:
         return omega
@@ -713,8 +714,6 @@ def _draw(n: int, seed: int, sizes: tuple[int, ...]) -> np.ndarray:
         _sample_stream(seq, omega[stop : stop + m], scratch)
         stop += m
     omega.flags.writeable = False
-    _sorted[id(omega)] = None
-    weakref.finalize(omega, _sorted.pop, id(omega), None)
     _drawn[n, seed] = omega
     return omega
 
@@ -736,9 +735,8 @@ def mc_sample(n: int, seed: int, weight: WeightSpec = UNIFORM_WEIGHT) -> SampleB
     seed) with a weak reference: a call with the same (n, seed) while those
     omegas are still referenced returns the same array, with the weights
     of this call's spec, and draws nothing.  Once nothing references them
-    the record goes with them, so it keeps no draw alive.  A draw whose KS
-    has been taken (see ks_distance) holds its sorted copy too, 2 x 8n
-    bytes in all, for as long as it lives.
+    the record goes with them, so it keeps no draw alive.  To reweight a
+    draw without drawing again, build SampleBatch(batch.omega, spec=weight).
     """
     n = _whole(n, 1, "sample size")
     if not isinstance(seed, numbers.Integral) or seed < 0:
@@ -762,19 +760,6 @@ def _cdf_at(cdf, xs: np.ndarray) -> np.ndarray:
     if np.isnan(fv).any():
         raise ValueError("cdf returned NaN")
     return fv
-
-
-def _sorted_omegas(omega) -> np.ndarray:
-    """np.sort(omega); for the omegas of a recorded mc_sample draw, a
-    read-only sorted copy kept in the record and taken once."""
-    if id(omega) not in _sorted:
-        return np.sort(omega)
-    xs = _sorted[id(omega)]
-    if xs is None:
-        xs = np.sort(omega)
-        xs.flags.writeable = False
-        _sorted[id(omega)] = xs
-    return xs
 
 
 def ks_distance(batch: SampleBatch, cdf) -> float:
@@ -807,12 +792,10 @@ def ks_distance(batch: SampleBatch, cdf) -> float:
     omegas have equal weights and these are the sorted weights bit for
     bit.  The uniform spec keeps no running sum: it is (i + 1) / n at
     sorted point i and i / n before it, exact below 2^53, taken only at
-    the points used, so its working set is the sorted omegas alone.  If
-    the batch's omega is the array of a live mc_sample draw (every live
-    draw is recorded), the sorted copy is kept in the record and reused by
-    every later batch of that draw, so it lives as long as the draw: 2 x
-    8n bytes of omegas instead of 8n.  A batch without a spec keeps the
-    sort index until its running sum is taken.
+    the points used, so its working set is the sorted omegas alone.  Each
+    call sorts its own copy and returns holding none of its arrays.  A
+    batch without a spec keeps the sort index until its running sum is
+    taken.
 
     The batch was checked when it was built.  A NaN cdf value raises
     ValueError, and so does a decrease of more than _KS_SLACK from one
@@ -828,9 +811,10 @@ def ks_distance(batch: SampleBatch, cdf) -> float:
     omega, n = batch.omega, batch.omega.size
     cum = None  # the uniform running sum, taken where it is used
     if batch.spec is not None:
-        xs = _sorted_omegas(omega)
+        xs = np.sort(omega)
         if batch.spec.kind != "uniform":
-            cum = batch.spec.weight_of_omega(xs)
+            # the batch checked its omegas, and the sort keeps them
+            cum = batch.spec._weight_of_checked(xs)
     else:
         # weights of their own must follow the sort, so it needs the index:
         # np.argsort took 30 ms at n = 1e6 against np.sort's 7 ms (2 vCPUs)

@@ -78,9 +78,9 @@ def test_rescaled_candidates_far_out_match_fifty_digits():
         assert math.isclose(pdf[i], ref_pdf, rel_tol=PAPER_PDF_RTOL, abs_tol=ABS_FLOOR)
 
 
-# the quadrature kernel: 1 - F to 1e-13 relative wherever the tail is above
-# 1e-300, and the density, from its own integral, to 1e-13 relative wherever
-# it is a normal double
+# the quadrature kernel's rows: 1 - F to a relative tolerance wherever the
+# tail is above 1e-300, and the density, from its own integral, to another
+# wherever it is a normal double
 KERNEL_TAIL_RTOL = EXPORTS["cdf_quadrature"].tol["relative (1 - F, where it is >= 1e-300)"]
 KERNEL_PDF_RTOL = EXPORTS["pdf_quadrature"].tol["relative (where f is a normal double)"]
 TAIL_FLOOR = 1e-300
@@ -118,6 +118,21 @@ def test_kernel_matches_fifty_digit_closed_form(x):
         (value, ref), (other, ref_other) = (tail, ref_tail), (cdf, ref_cdf)
     assert abs(value - ref) <= err + ABS_FLOOR
     assert abs(other - ref_other) <= err + EPS * abs(other) + ABS_FLOOR
+
+
+def test_kernel_at_its_widest_panels_matches_fifty_digits():
+    # Y = log(1 + x^2/16) = 4k: the k panels of width 4/Y are as wide as the
+    # kernel makes them, on every k up to the largest double
+    k = np.arange(1.0, 178.0)
+    x = 4.0 * np.sqrt(np.expm1(4.0 * k))
+    assert np.array_equal(_panel_count(_quarter_square_log(x)[1]), k)
+    tail, pdf = _cdf_tail_quadrature(x)[1], _cdf_tail_quadrature(x, density=True)[0]
+    for i, v in enumerate(x):
+        _, ref_tail, ref_pdf = cdf_tail_pdf(float(v), exact=True)
+        if ref_tail >= TAIL_FLOOR:
+            assert abs(tail[i] - ref_tail) <= KERNEL_TAIL_RTOL * ref_tail, v
+        if ref_pdf >= ABS_FLOOR:
+            assert abs(pdf[i] - ref_pdf) <= KERNEL_PDF_RTOL * ref_pdf, v
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -220,13 +220,14 @@ def test_one_minus_cdf_far_tail_keeps_relative_accuracy():
     assert one_minus_cdf(0.0) == 1.0
     # out to the largest exponents and inf, against 50-digit arithmetic;
     # below the smallest normal double only absolute accuracy is meaningful
+    (rtol,) = EXPORTS["cdf_quadrature"].tol.values()
     for x in (1e8, 1e12, 1e154, 1e200, 1e300, math.inf):
         got = one_minus_cdf(x)
         if x == math.inf:
             assert got == 0.0
             continue
         ref = cdf_tail_pdf(x)[1]
-        assert math.isclose(got, ref, rel_tol=1e-13, abs_tol=2.2250738585072014e-308)
+        assert math.isclose(got, ref, rel_tol=rtol, abs_tol=2.2250738585072014e-308)
         assert 0.0 <= got < v7
 
 
@@ -813,12 +814,10 @@ def test_mc_sample_raises_a_failed_stream_after_joining(bad, monkeypatch):
         stream(seq, out, scratch)
 
     kept = mc_sample(1000, seed=3)
-    ids = set(spectral._sorted)
     monkeypatch.setattr(spectral, "_sample_stream", failing)
     with pytest.raises(RuntimeError, match=f"stream {bad}$"):
         mc_sample(1000, seed=4)
     assert (1000, 4) not in spectral._drawn
-    assert set(spectral._sorted) <= ids
     assert spectral._drawn[1000, 3] is kept.omega
 
 
@@ -852,12 +851,11 @@ def test_mc_sample_draws_afresh_once_every_batch_is_gone(monkeypatch):
     assert mc_sample(1000, seed=24).omega is b.omega  # b still holds the draw
     assert len(calls) == 16
     ks_distance(b, _cached_distribution(b.spec).cdf)
-    key = id(b.omega)
-    kept = weakref.ref(spectral._sorted[key])
+    kept = weakref.ref(b.omega)
     del b
-    # the record went with the draw
-    assert (1000, 24) not in spectral._drawn and key not in spectral._sorted
-    assert kept() is None  # and so did its sorted copy
+    # the record went with the draw, and neither it nor the KS kept the omegas
+    assert (1000, 24) not in spectral._drawn
+    assert kept() is None
     mc_sample(1000, seed=24)
     assert len(calls) == 32
 
@@ -869,12 +867,6 @@ def test_mc_sample_records_every_live_draw(monkeypatch):
     assert mc_sample(1000, seed=1).omega is a.omega
     assert mc_sample(1000, seed=2).omega is b.omega
     assert len(calls) == 32  # two draws, each drawn once
-    ks_distance(a, cdf_quadrature_batch)
-    # a's KS, taken after b was drawn, kept a's sorted copy for later ones
-    xs = spectral._sorted_omegas(a.omega)
-    assert not xs.flags.writeable and np.array_equal(xs, np.sort(a.omega))
-    assert spectral._sorted_omegas(a.omega) is xs
-    assert spectral._sorted_omegas(b.omega) is not xs
 
 
 def test_threads_racing_on_one_draw_get_equal_bits():
@@ -909,14 +901,9 @@ def test_ks_distance_on_a_shared_draw_equals_one_whole_array_call(order):
     n, seed = 3 * _KS_BLOCK + 17, 26
     batches = [mc_sample(n, seed=seed, weight=SPECS[kind]) for kind in order]
     assert batches[0].omega is batches[1].omega
-    kept = []
     for kind, batch in zip(order, batches):
         cdf = cdf_quadrature_batch if kind == "uniform" else _cached_distribution(batch.spec).cdf
         assert ks_distance(batch, cdf) == ks_whole_array(batch, cdf)
-        kept.append(spectral._sorted[id(batch.omega)])
-    # sorted by the first KS, reused by the second
-    assert kept[0] is kept[1] and not kept[0].flags.writeable
-    assert np.array_equal(kept[0], np.sort(batches[0].omega))
 
 
 def _tied_batch(n, seed):
@@ -1112,15 +1099,22 @@ def test_ks_distance_rejects_a_drift_down_between_open_blocks():
         ks_distance(batch, cdf)
 
 
-def _peak(fn, *args) -> int:
-    """The tracemalloc peak of fn(*args) above what was allocated before, in bytes."""
+def _traced(fn, *args) -> tuple[int, int]:
+    """The tracemalloc peak of fn(*args) and what it left allocated, each
+    above what was allocated before, in bytes."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         fn(*args)
-        return tracemalloc.get_traced_memory()[1] - start
+        now, peak = tracemalloc.get_traced_memory()
+        return peak - start, now - start
     finally:
         tracemalloc.stop()
+
+
+def _peak(fn, *args) -> int:
+    """The tracemalloc peak of fn(*args) above what was allocated before, in bytes."""
+    return _traced(fn, *args)[0]
 
 
 def test_ks_distance_memory_does_not_grow_with_the_cdf():
@@ -1153,7 +1147,6 @@ def test_ks_distance_equal_weights_equal_one_whole_array_call(w, n):
 def test_ks_distance_equal_weights_make_no_index():
     n = 10**6
     batch = mc_sample(n, seed=8)
-    assert spectral._sorted[id(batch.omega)] is None  # a fresh draw, sorted by this KS
     # the uniform spec: the sorted omegas alone, without a sort index or a
     # running sum, plus O(n / 64) block values and the cdf's temporaries on
     # at most 2^14 points a call
@@ -1167,11 +1160,21 @@ def test_ks_distance_block_bookkeeping_is_a_fraction_of_the_draw():
     def cdf(xs):
         return np.minimum(xs / 100.0, 1.0)  # allocates only its output
 
-    ks_distance(batch, cdf)
-    assert spectral._sorted[id(batch.omega)] is not None  # the sorted copy is taken
-    # the block ends, the open blocks' points and their gaps, with no merge
-    # of the two by a sort
-    assert _peak(ks_distance, batch, cdf) < 0.3 * 8 * n
+    peak, kept = _traced(ks_distance, batch, cdf)
+    # the KS's own sorted copy of the omegas, 8n bytes, plus the block ends,
+    # the open blocks' points and their gaps, with no merge of the two by a
+    # sort
+    assert peak < (1.0 + 0.3) * 8 * n
+    # and the KS returns holding none of it
+    assert abs(kept) < 0.01 * 8 * n
+
+
+def test_uniform_batch_checks_its_omegas_once():
+    n = 10**6
+    omega = mc_sample(n, seed=9).omega  # read-only: the batch takes it as it is
+    # min and max allocate nothing n-sized, and the spec's weights are taken
+    # from the checked omegas without a second n-byte >= 0 gate
+    assert _peak(lambda: SampleBatch(omega, spec=UNIFORM_WEIGHT)) < 0.01 * 8 * n
 
 
 @pytest.mark.parametrize("kind", ["uniform", "exp"])

@@ -20,7 +20,12 @@ malformed inputs, bad flag values, and sizes too large to allocate.
 Output bytes are a pure function of the parsed options: CSV files use
 CRLF line endings and repr float formatting, the verification report is
 sorted JSON, and sampling splits its draws over 16 substreams
-deterministically.
+deterministically.  CSV floats are formatted a column chunk at a time in
+numpy: the shortest digits that read back as each float, laid out by
+repr's rules.  A value whose digits that kernel cannot certify (0, inf,
+nan, |x| outside [1e-270, 1e290], or a rounding bound or tie too near a
+digit, a few in a million of the rest) goes to repr itself, so every byte
+is repr's.
 --threads is accepted on every subcommand.  --threads N formats CSV rows
 in up to N processes, capped at the usable CPUs and the chunk count, and
 the output bytes never change.  The extra processes are forked, which
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -77,6 +83,12 @@ EXIT_CONFIG = 2
 
 CSV_CHUNK_ROWS = 4096  # rows per written piece of a CSV table
 _COPY_CHARS = 1 << 16  # characters per piece copied from a CSV worker's file
+_CELL = 24  # characters of the longest float repr, '-2.2250738585072014e-308'
+_FAST = (1e-270, 1e290)  # the |x| whose digits _shortest can certify
+# _shortest's values are exact to 1e-12 in units of the scaled value's last
+# digit; an interval bound or a tie nearer than this to an integer goes to repr
+_SLACK = 1e-6
+_TENS = 10.0 ** np.arange(18)
 
 
 class CliError(Exception):
@@ -252,21 +264,174 @@ def _reject_rows(path: str, lines: list[int], bad: np.ndarray, message: str) -> 
         raise CliError(f"{path}: line {lines[int(bad.argmax())]}: {message}")
 
 
+@functools.cache
+def _repr_tables():
+    """The CSV kernel's tables, made on its first use.  For every scale p
+    that _shortest takes, hi + lo = 10**p, hi correctly rounded, and hi in
+    two 26-bit halves for Dekker's product.  For every layout key (sign,
+    digit count nd, form), the bytes of a source row (see _cells) that spell
+    repr's text right-aligned in _CELL bytes, and the text's length."""
+    kmin, kmax = ((math.frexp(v)[1] - 1) * 78913 >> 18 for v in _FAST)
+    pows = []
+    for p in range(16 - kmax, 17 - kmin):
+        hi = float(10**p) if p >= 0 else 1 / 10**-p
+        n, d = hi.as_integer_ratio()
+        lo = (10**p * d - n) / d if p >= 0 else (d - n * 10**-p) / (d * 10**-p)
+        t = hi * 134217729.0
+        hh = t - (t - hi)
+        pows.append((hi, hh, hi - hh, lo))
+    # source row bytes: 0-3 "-.0e", 4 the exponent's sign, 5-7 its digits,
+    # 15-31 d1..d17; form: decpt + 3 where -4 < decpt <= 16, else 20 plus
+    # the exponent's digits less 2
+    tmpl = np.zeros((2 * 17 * 22, _CELL), np.intp)
+    lens = np.zeros(len(tmpl), np.uint8)
+    for key in range(len(tmpl)):
+        neg, nd, form = key // 374, key // 22 % 17 + 1, key % 22
+        digits, decpt = list(range(15, 15 + nd)), form - 3
+        if form >= 20:
+            s = digits[:1] + ([1] + digits[1:]) * (nd > 1) + [3, 4] + [5] * (form - 20) + [6, 7]
+        elif decpt <= 0:
+            s = [2, 1] + [2] * -decpt + digits
+        elif decpt < nd:
+            s = digits[:decpt] + [1] + digits[decpt:]
+        else:
+            s = digits + [2] * (decpt - nd) + [1, 2]
+        s = [0] * neg + s
+        tmpl[key, _CELL - len(s) :] = s
+        lens[key] = len(s)
+    return [np.array(v) for v in zip(*pows)], kmax, tmpl, lens
+
+
+def _shortest(x):
+    """repr's digits of each float64 of x, as (ok, digits, nd, decpt).  The
+    first nd of the 17 decimal digits of the integer digits, d1..d_nd, are
+    the shortest digits that read back as |x|, of those the nearest to it
+    (Steele & White; Gay), and 0.d1...d_nd * 10**decpt reads back as |x|.
+    Where ok is False they are not certified and the rest is junk: x is 0,
+    not finite or outside _FAST, or a bound of its rounding interval or a
+    tie of two candidates lies within _SLACK of an integer."""
+    pows, kmax, _, _ = _repr_tables()
+    a = np.abs(x)
+    ok = (a >= _FAST[0]) & (a <= _FAST[1])
+    a[~ok] = 1.0
+    m, e = np.frexp(a)
+    e = e.astype(np.intp)
+    k = (e - 1) * 78913 >> 18  # floor(log10(2**(e - 1))), exact on this range
+    hi, hh, hl, lo = (np.take(v, kmax - k) for v in pows)
+    # P = a * 10**(16 - k) in [1e16, 2e17) as ph + pl: Dekker's exact
+    # product a * hi, and a * lo
+    ph = a * hi
+    split = a * 134217729.0
+    ah = split - (split - a)
+    al = a - ah
+    pl = ((ah * hh - ph) + ah * hl + al * hh) + al * hl + a * lo
+    fl = np.floor(pl)
+    pf = pl - fl  # P - floor(P)
+    pint = ph.astype(np.int64) + fl.astype(np.int64)
+    # a's rounding interval, scaled: (L, U) = (P - gl, P + gu), each half an
+    # ulp of a, but gl a quarter at a power of two, whose lower neighbour is nearer
+    gu = np.ldexp(hi, e - 54)
+    gl = np.where(m == 0.5, gu / 2, gu)
+    u, l = pf + gu, pf - gl
+    uf, lf = np.floor(u), np.floor(l)
+    ok &= (np.abs(u - uf - 0.5) < 0.5 - _SLACK) & (np.abs(l - lf - 0.5) < 0.5 - _SLACK)
+    # j, the most trailing zeros of an integer in (L, U): 10**j divides one
+    # there when floor(U) % 10**j < w = floor(U) - floor(L), which is < 50
+    uint = pint + uf.astype(np.int64)
+    w = uf - lf
+    q = uint // 100
+    r100 = (uint - q * 100).astype(np.float64)
+    r10 = r100 - 10 * np.floor(r100 * 0.1)
+    two, one = r100 < w, r10 < w
+    j = one + two.astype(np.intp)
+    run = np.flatnonzero(two)
+    q = q[run]
+    while run.size:
+        z = q % 10 == 0
+        run, q = run[z], q[z] // 10
+        j[run] += 1
+    # the multiple of 10**j in (L, U) nearest P, c - t * 10**j above floor(P)
+    c = uf - np.where(two, r100, r10 * one)
+    ten = _TENS[j]
+    y = (c - pf) / ten
+    ok &= np.abs(y - np.floor(y) - 0.5) > _SLACK
+    t = np.clip(np.rint(y), 0, np.floor((c - l) / ten))
+    digits = pint + (c - t * ten).astype(np.int64)
+    wide = digits >= 10**17
+    return ok, np.where(wide, digits // 10, digits), 17 + wide - j, k + 1 + wide
+
+
+def _ascii8(x):
+    """x, integers 0 <= x < 10**8 in a uint64 array, made in place into
+    their eight ASCII digits, the most significant in the lowest byte."""
+    # 4 + 4 digits in 32-bit lanes, then 2 + 2 in 16-bit and 1 + 1 in 8-bit:
+    # on these ranges x * mul >> div is x // base in every lane
+    for mul, div, mask, base, shift in (
+        (109951163, 40, 0xFFFFFFFF, 10000, 32),
+        (10486, 20, 0x0000007F0000007F, 100, 16),
+        (103, 10, 0x000F000F000F000F, 10, 8),
+    ):
+        y = x * mul
+        y >>= div
+        y &= mask
+        x -= y * base
+        x <<= shift
+        x |= y
+    x += 0x3030303030303030
+    return x
+
+
+def _cells(x):
+    """repr of each float64 of x as ASCII right-aligned in a row of _CELL
+    bytes, and its length.  A value's source row is "-.0e", the exponent's
+    sign and three digits, seven "0" and the 17 digits; its layout key picks
+    the bytes of repr's text from it.  Uncertified values take repr."""
+    _, _, tmpl, lens = _repr_tables()
+    ok, digits, nd, decpt = _shortest(x)
+    lead = digits // 10**16
+    digits -= lead * 10**16
+    hi8 = digits // 10**8
+    ex = np.abs(decpt - 1)
+    src = _ascii8(np.stack([ex, lead, hi8, digits - hi8 * 10**8], axis=1).astype(np.uint64))
+    sign = np.where(decpt > 0, ord("+"), ord("-")).astype(np.uint64)
+    src[:, 0] &= 0xFFFFFF0000000000
+    src[:, 0] |= int.from_bytes(b"-.0e", "little") | sign << 32
+    form = np.where((decpt > -4) & (decpt <= 16), decpt + 3, 20 + (ex >= 100))
+    key = np.where(ok, (np.signbit(x) * 17 + nd - 1) * 22 + form, 0)
+    at = np.take(tmpl, key, axis=0)
+    at += np.arange(0, 32 * len(x), 32)[:, None]
+    out, size = src.view(np.uint8).ravel()[at], lens[key]
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        text = [repr(v) for v in x[bad].tolist()]
+        size[bad] = n = [len(s) for s in text]
+        at = np.repeat(bad * _CELL + _CELL - size[bad] - np.cumsum(n) + n, n) + np.arange(sum(n))
+        out.ravel()[at] = np.frombuffer("".join(text).encode(), np.uint8)
+    return out, size
+
+
 def _csv_rows(columns, start: int, stop: int) -> str:
-    """CRLF rows start:stop of equal-length float64 columns, repr floats,
-    from one join of the cells interleaved with their separators."""
+    """CRLF rows start:stop of equal-length float64 columns, repr floats.
+    Each cell is laid right-aligned in _CELL bytes with its separator after
+    them, and one boolean mask drops the padding."""
     k, m = len(columns), stop - start
-    cells = [","] * (2 * k * m)
+    cells = np.empty((m, k, _CELL + 2), np.uint8)
+    size = np.empty((m, k), np.uint8)
     for c, column in enumerate(columns):
         values = column[start:stop]
         bits = values.view(np.uint64)
         if (bits == bits[0]).all():
             # one repr for a column of one bit pattern, such as uniform weights
-            cells[2 * c :: 2 * k] = [repr(values[0].item())] * m
+            s = repr(values[0].item())
+            cells[:, c, _CELL - len(s) : _CELL] = np.frombuffer(s.encode(), np.uint8)
+            size[:, c] = len(s)
         else:
-            cells[2 * c :: 2 * k] = map(repr, values.tolist())
-    cells[2 * k - 1 :: 2 * k] = ["\r\n"] * m
-    return "".join(cells)
+            cells[:, c, :_CELL], size[:, c] = _cells(values)
+    cells[:, :, _CELL] = ord(",")
+    cells[:, -1, _CELL:] = np.frombuffer(b"\r\n", np.uint8)
+    keep = np.arange(_CELL + 2, dtype=np.uint8) >= (_CELL - size)[:, :, None]
+    keep[:, :-1, -1] = False
+    return cells[keep].tobytes().decode("ascii")
 
 
 def _usable_cpus() -> int:

@@ -67,6 +67,19 @@ def test_core_matches_fifty_digit_closed_form(x):
     assert math.isclose(tail[0], ref_tail, rel_tol=TAIL_RTOL, abs_tol=ABS_FLOOR)
 
 
+def test_core_across_the_series_cut_matches_fifty_digits():
+    # F = 1 - (1 - F) of the direct form cancels most just above the cut at
+    # x = 1.0328, and the worst errors of both rows lie there; a dense sweep
+    # from u = 0.2 to u = 0.27 finds points near them, and a cut moved down
+    # into the cancellation fails the F row
+    x = np.linspace(0.8165, 1.12, 8001)
+    cdf, tail = _cdf_and_tail(x)
+    for i, v in enumerate(x):
+        ref_cdf, ref_tail, _ = cdf_tail_pdf(float(v))
+        assert math.isclose(cdf[i], ref_cdf, rel_tol=F_RTOL), v
+        assert math.isclose(tail[i], ref_tail, rel_tol=TAIL_RTOL), v
+
+
 def test_rescaled_candidates_far_out_match_fifty_digits():
     # spans the switch to the leading terms at x~ = 1e50 and the overflow
     # of x~^3 (~6e102) and x~^2 (~1.3e154)
